@@ -100,6 +100,8 @@ def _result_payload(path: str, inst: Instance, cfg: SolverConfig, res: SolveResu
         "dual_bound": res.dual_bound if math.isfinite(res.dual_bound) else None,
         "gap_percent": "inf" if res.gap_percent >= GAP_INFINITE else res.gap_percent,
         "nodes_processed": res.nodes_processed,
+        "lp_solves": res.lp_solves,
+        "simplex_iterations": res.simplex_iterations,
         "wall_time_s": res.wall_time_s,
         "best_clustering": _clusters_report(res.best_clustering),
         "cut_counts": res.cut_counts,

@@ -3,7 +3,11 @@
 Best timeout-aware best-bound search with x-variable branching, a global cut
 pool fed by the three separator families, LP bounding with a safety pad, and
 incumbents seeded by the primal heuristics before the tree and improved by
-the exchange heuristic on every new incumbent.
+the exchange heuristic on every new incumbent.  One LP serves the whole
+search: nodes change its column bounds and the pool's cuts stay in it, so
+every solve starts warm from the previous basis.  Each LP gets the time left;
+a node whose LP hits the limit goes back on the heap with the last bound
+proven for it.
 
 Nodes whose LP optimum is integral in x but slack in the linearization
 variables (possible when clusters sit more than one step apart) fall back to
@@ -20,12 +24,11 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from cyclecluster.formulation import ConversionError, build_cc, point_to_clustering
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, objective
-from cyclecluster.lp import LinearProgram, lp_relaxation, solve_lp
+from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
 from cyclecluster.separation import Cut, separate_partition, separate_subtour_path, separate_triangle
 
 GAP_INFINITE = 1e20
@@ -90,6 +93,8 @@ class SolveResult:
     heuristic_stats: dict[str, dict[str, int]]
     root_lp_values: list[float] = field(default_factory=list)
     root_dual_bound: float = math.inf
+    lp_solves: int = 0
+    simplex_iterations: int = 0
 
     @property
     def optimal(self) -> bool:
@@ -154,7 +159,7 @@ class _Search:
         self.t0 = time.perf_counter()
         self.model = build_cc(inst, symmetry_break=config.symmetry_break)
         self.space = self.model.space
-        self.base_lp = lp_relaxation(self.model)
+        self.lp = lp_relaxation(self.model)  # holds every pool cut for the whole tree
         self.incumbent: Optional[Clustering] = None
         self.primal = -math.inf
         self.dual = math.inf
@@ -165,11 +170,9 @@ class _Search:
         self.status = "optimal"
         self.root_lp_values: list[float] = []
         self.root_dual_bound = math.inf
-        # cut pool
-        self.pool_matrix: Optional[sparse.csr_matrix] = None
-        self.pool_rhs = np.zeros(0)
+        self.lp_solves = 0
+        self.simplex_iterations = 0
         self.pool_supports: set = set()
-        self.pool_active_default: list[int] = []
         # search tree
         self.heap: list[tuple[float, int, dict[int, float]]] = []
         self.next_id = 0
@@ -210,45 +213,21 @@ class _Search:
 
     # -- cut pool -----------------------------------------------------------
 
-    def add_cuts(self, cuts: Sequence[Cut]) -> list[int]:
-        """Append new cuts to the pool; returns their pool indices."""
-        added = []
+    def add_cuts(self, cuts: Sequence[Cut]) -> int:
+        """Append unseen cuts to the LP, where they stay for the rest of the tree.
+
+        Every separator emits globally valid cuts, so each node inherits the
+        whole pool.  Returns the number of cuts added.
+        """
         rows = []
         for cut in cuts:
             if cut.support in self.pool_supports:
                 continue
             self.pool_supports.add(cut.support)
-            cols, vals, _, rhs = cut.as_row(self.space)
-            rows.append((cols, vals, rhs))
+            rows.append(cut.as_row(self.space))
             self.cut_counts[cut.family] = self.cut_counts.get(cut.family, 0) + 1
-        if not rows:
-            return []
-        data, cols_all, indptr = [], [], [0]
-        rhs_all = []
-        for cols, vals, rhs in rows:
-            cols_all.extend(cols)
-            data.extend(vals)
-            indptr.append(len(cols_all))
-            rhs_all.append(rhs)
-        extra = sparse.csr_matrix(
-            (np.asarray(data), np.asarray(cols_all, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
-            shape=(len(rhs_all), self.space.ncols),
-        )
-        start = 0 if self.pool_matrix is None else self.pool_matrix.shape[0]
-        self.pool_matrix = extra if self.pool_matrix is None else sparse.vstack([self.pool_matrix, extra], format="csr")
-        self.pool_rhs = np.concatenate([self.pool_rhs, np.asarray(rhs_all)])
-        added = list(range(start, start + len(rhs_all)))
-        return added
-
-    def violated_pool(self, values: np.ndarray, active: Sequence[int]) -> list[int]:
-        if self.pool_matrix is None or self.pool_matrix.shape[0] == 0:
-            return []
-        lhs = self.pool_matrix @ values
-        viol = lhs - self.pool_rhs
-        mask = viol > self.config.tol_cut
-        if mask.any():
-            mask[list(active)] = False
-        return np.nonzero(mask)[0].tolist()
+        self.lp.add_rows(rows)
+        return len(rows)
 
     def separate(self, point: np.ndarray) -> list[Cut]:
         cfg = self.config
@@ -274,16 +253,11 @@ class _Search:
 
     # -- LP solving ---------------------------------------------------------
 
-    def solve_node_lp(self, lo: np.ndarray, hi: np.ndarray, active: Sequence[int]):
-        lp = self.base_lp
-        if active:
-            rows = sparse.vstack([self.base_lp.rows, self.pool_matrix[list(active)]], format="csr")
-            senses = np.concatenate([self.base_lp.senses, np.full(len(active), "<")])
-            rhs = np.concatenate([self.base_lp.rhs, self.pool_rhs[list(active)]])
-            lp = LinearProgram(self.base_lp.objective, rows, senses, rhs, lo, hi)
-        else:
-            lp = LinearProgram(self.base_lp.objective, self.base_lp.rows, self.base_lp.senses, self.base_lp.rhs, lo, hi)
-        return solve_lp(lp)
+    def solve_node_lp(self) -> LpSolution:
+        sol = solve_lp(self.lp, max(0.0, self.config.time_limit_s - self.elapsed()))
+        self.lp_solves += 1
+        self.simplex_iterations += sol.iterations
+        return sol
 
     # -- heuristics ---------------------------------------------------------
 
@@ -307,45 +281,37 @@ class _Search:
 
     # -- node processing ----------------------------------------------------
 
+    def push(self, bound: float, fixings: dict[int, float]) -> None:
+        heapq.heappush(self.heap, (-bound, self.next_id, fixings))
+        self.next_id += 1
+
     def process_node(self, fixings: dict[int, float], parent_bound: float, is_root: bool) -> None:
         cfg = self.config
-        lo = self.base_lp.lo.copy()
-        hi = self.base_lp.hi.copy()
+        lo = self.model.lo.copy()
+        hi = self.model.hi.copy()
         for col, val in fixings.items():
             lo[col] = hi[col] = val
-
-        active: list[int] = []
-        sol = self.solve_node_lp(lo, hi, active)
-        if not sol.optimal:
-            return
-        for _ in range(50):  # re-add violated pool cuts before fresh separation
-            pool_hits = self.violated_pool(sol.values, active)
-            if not pool_hits or self.out_of_time():
-                break
-            active.extend(pool_hits)
-            sol = self.solve_node_lp(lo, hi, active)
-            if not sol.optimal:
-                return
+        self.lp.set_bounds(lo, hi)
 
         rounds = cfg.cut_rounds_root if is_root else cfg.cut_rounds_node
-        lp_values = [sol.objective_value]
-        for _ in range(rounds):
-            if sol.objective_value + cfg.dual_pad <= self.primal + cfg.epsilon_gap:
-                break
-            if self.out_of_time():
-                break
-            batch = self.violated_pool(sol.values, active)
-            fresh = self.separate(sol.values)
-            batch.extend(self.add_cuts(fresh))
-            if not batch:
-                break
-            active.extend(batch)
-            sol = self.solve_node_lp(lo, hi, active)
+        bound = parent_bound
+        lp_values: list[float] = []
+        sol = self.solve_node_lp()
+        while True:
+            if sol.status == "time_limit":
+                self.push(bound, fixings)  # with the last bound proven for it
+                self.status = "time_limit"
+                return
             if not sol.optimal:
                 return
+            bound = min(parent_bound, sol.objective_value + cfg.dual_pad)
             lp_values.append(sol.objective_value)
+            if len(lp_values) > rounds or bound <= self.primal + cfg.epsilon_gap or self.out_of_time():
+                break
+            if not self.add_cuts(self.separate(sol.values)):
+                break
+            sol = self.solve_node_lp()
 
-        bound = min(parent_bound, sol.objective_value + cfg.dual_pad)
         if is_root:
             self.root_lp_values = lp_values
             self.root_dual_bound = bound
@@ -379,10 +345,7 @@ class _Search:
         if branch_col is None:
             return  # fully integral point; the bound check above already covers it
         for val in (0.0, 1.0):
-            child = dict(fixings)
-            child[branch_col] = val
-            heapq.heappush(self.heap, (-bound, self.next_id, child))
-            self.next_id += 1
+            self.push(bound, {**fixings, branch_col: val})
 
     def pick_branch_column(self, values: np.ndarray, fixings: dict[int, float], lo_col: int, hi_col: int) -> Optional[int]:
         block = values[lo_col:hi_col]
@@ -403,9 +366,8 @@ class _Search:
         cfg = self.config
         self.record("start")
         self.run_root_heuristics()
-        heapq.heappush(self.heap, (-math.inf, self.next_id, {}))
-        self.next_id += 1
-        while self.heap:
+        self.push(math.inf, {})
+        while self.heap and self.status == "optimal":
             if self.out_of_time():
                 self.status = "time_limit"
                 break
@@ -448,6 +410,8 @@ class _Search:
             heuristic_stats=self.heur_stats,
             root_lp_values=self.root_lp_values,
             root_dual_bound=self.root_dual_bound,
+            lp_solves=self.lp_solves,
+            simplex_iterations=self.simplex_iterations,
         )
 
 

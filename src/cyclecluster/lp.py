@@ -1,16 +1,20 @@
 """Box-bounded linear programming used for relaxations and the cut loop.
 
-Solving is delegated to HiGHS through scipy.optimize.linprog, which handles
-the sparse row systems of the compact model at benchmark scale and is
-deterministic for a fixed input.  The augmented-resolve entry point keeps the
-same contract as a cold solve; warm starting is an optimization HiGHS applies
-internally.
+A `LinearProgram` is changed in place: `add_rows` appends rows and
+`set_bounds` changes column bounds.  Solving goes to one HiGHS object per LP,
+loaded on the first solve and kept, so every later solve starts from the
+basis the previous one left, which after a bound change or added rows is
+still dual feasible.
+Builds of scipy without the `_Highs` binding (before 1.15) solve every time
+cold with `scipy.optimize.linprog` on the row mirror the LP always carries.
+Both paths are deterministic for a fixed sequence of changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import math
+from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -18,7 +22,10 @@ from scipy.optimize import linprog
 
 from cyclecluster.formulation import EQUAL, GREATER_EQUAL, LESS_EQUAL, Model
 
-FEASIBILITY_TOL = 1e-7
+try:
+    from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
+except ImportError:  # pragma: no cover - scipy < 1.15 ships no _Highs binding
+    _Highs = None
 
 RowSpec = tuple[Sequence[int], Sequence[float], str, float]
 
@@ -27,7 +34,7 @@ class LpNumericalError(RuntimeError):
     """The LP solver failed numerically; the bound must not be trusted."""
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class LinearProgram:
     """maximize objective @ v  subject to  rows (sense) rhs,  lo <= v <= hi."""
 
@@ -37,14 +44,20 @@ class LinearProgram:
     rhs: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
+    _highs: Any = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        # set_bounds writes into lo and hi, so they must not alias the caller's arrays
+        self.lo = np.array(self.lo, dtype=float)
+        self.hi = np.array(self.hi, dtype=float)
 
     @property
     def ncols(self) -> int:
         return self.objective.shape[0]
 
-    def with_added_rows(self, new_rows: Sequence[RowSpec]) -> "LinearProgram":
+    def add_rows(self, new_rows: Sequence[RowSpec]) -> None:
         if not new_rows:
-            return self
+            return
         data, cols, indptr = [], [], [0]
         senses, rhs = [], []
         for row_cols, row_vals, sense, row_rhs in new_rows:
@@ -57,24 +70,30 @@ class LinearProgram:
             (np.asarray(data, dtype=float), np.asarray(cols, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
             shape=(len(rhs), self.ncols),
         )
-        return LinearProgram(
-            objective=self.objective,
-            rows=sparse.vstack([self.rows, extra], format="csr"),
-            senses=np.concatenate([self.senses, np.asarray(senses)]),
-            rhs=np.concatenate([self.rhs, np.asarray(rhs, dtype=float)]),
-            lo=self.lo,
-            hi=self.hi,
-        )
+        senses, rhs = np.asarray(senses), np.asarray(rhs, dtype=float)
+        self.rows = sparse.vstack([self.rows, extra], format="csr")
+        self.senses = np.concatenate([self.senses, senses])
+        self.rhs = np.concatenate([self.rhs, rhs])
+        if self._highs is not None:
+            lower, upper = _row_bounds(senses, rhs)
+            self._highs.addRows(len(rhs), lower, upper, extra.nnz, extra.indptr[:-1], extra.indices, extra.data)
 
-    def with_bounds(self, lo: np.ndarray, hi: np.ndarray) -> "LinearProgram":
-        return LinearProgram(self.objective, self.rows, self.senses, self.rhs, lo, hi)
+    def set_bounds(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        changed = np.flatnonzero((lo != self.lo) | (hi != self.hi)).astype(np.int32)
+        if changed.size == 0:
+            return
+        self.lo[changed] = lo[changed]
+        self.hi[changed] = hi[changed]
+        if self._highs is not None:
+            self._highs.changeColsBounds(changed.size, changed, self.lo[changed], self.hi[changed])
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible"
+    status: str  # "optimal" | "infeasible" | "time_limit"
     values: np.ndarray | None
     objective_value: float | None
+    iterations: int  # simplex iterations of this solve
 
     @property
     def optimal(self) -> bool:
@@ -87,13 +106,67 @@ def lp_relaxation(model: Model) -> LinearProgram:
         rows=model.rows,
         senses=model.senses,
         rhs=model.rhs,
-        lo=model.lo.copy(),
-        hi=model.hi.copy(),
+        lo=model.lo,
+        hi=model.hi,
     )
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve to optimality or report infeasibility; numerical trouble raises."""
+def solve_lp(lp: LinearProgram, time_limit: float | None = None) -> LpSolution:
+    """Solve to optimality, or report infeasibility or the time limit; numerical trouble raises."""
+    if _Highs is None:
+        return _solve_cold(lp, time_limit)
+    return _solve_warm(lp, time_limit)
+
+
+def _row_bounds(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    lower = np.where(senses == LESS_EQUAL, -np.inf, rhs)
+    upper = np.where(senses == GREATER_EQUAL, np.inf, rhs)
+    return lower, upper
+
+
+def _load(lp: LinearProgram):
+    model = HighsLp()
+    model.num_col_ = lp.ncols
+    model.num_row_ = lp.rows.shape[0]
+    model.col_cost_ = -lp.objective
+    model.col_lower_ = lp.lo
+    model.col_upper_ = lp.hi
+    model.row_lower_, model.row_upper_ = _row_bounds(lp.senses, lp.rhs)
+    matrix = model.a_matrix_
+    matrix.format_ = MatrixFormat.kRowwise
+    matrix.num_col_ = lp.ncols
+    matrix.num_row_ = lp.rows.shape[0]
+    matrix.start_ = lp.rows.indptr
+    matrix.index_ = lp.rows.indices
+    matrix.value_ = lp.rows.data
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.passModel(model)
+    return highs
+
+
+def _solve_warm(lp: LinearProgram, time_limit: float | None) -> LpSolution:
+    if lp._highs is None:
+        lp._highs = _load(lp)
+    highs = lp._highs
+    # HiGHS compares time_limit with the object's run time summed over all its runs.
+    highs.setOptionValue("time_limit", math.inf if time_limit is None else highs.getRunTime() + time_limit)
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    iterations = int(info.simplex_iteration_count)
+    if status == HighsModelStatus.kOptimal:
+        values = np.asarray(highs.getSolution().col_value)
+        return LpSolution("optimal", values, float(-info.objective_function_value), iterations)
+    # every column is boxed, so "unbounded or infeasible" can only be infeasible
+    if status in (HighsModelStatus.kInfeasible, HighsModelStatus.kUnboundedOrInfeasible):
+        return LpSolution("infeasible", None, None, iterations)
+    if status == HighsModelStatus.kTimeLimit:
+        return LpSolution("time_limit", None, None, iterations)
+    raise LpNumericalError(f"LP solve failed: {highs.modelStatusToString(status)}")
+
+
+def _solve_cold(lp: LinearProgram, time_limit: float | None) -> LpSolution:
     le = lp.senses == LESS_EQUAL
     ge = lp.senses == GREATER_EQUAL
     eq = lp.senses == EQUAL
@@ -115,33 +188,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         b_eq=b_eq,
         bounds=np.column_stack([lp.lo, lp.hi]),
         method="highs",
+        options={} if time_limit is None else {"time_limit": time_limit},
     )
+    iterations = int(res.nit)
     if res.status == 0:
-        return LpSolution(status="optimal", values=np.asarray(res.x), objective_value=float(-res.fun))
+        return LpSolution("optimal", np.asarray(res.x), float(-res.fun), iterations)
     if res.status == 2:
-        return LpSolution(status="infeasible", values=None, objective_value=None)
+        return LpSolution("infeasible", None, None, iterations)
+    if res.status == 1 and time_limit is not None:  # no iteration limit is set, so this is the time limit
+        return LpSolution("time_limit", None, None, iterations)
     raise LpNumericalError(f"LP solve failed (status {res.status}): {res.message}")
-
-
-def resolve_with_added_rows(lp: LinearProgram, prior: LpSolution, new_rows: Sequence[RowSpec]) -> LpSolution:
-    """Re-solve after appending rows; contract identical to a cold solve.
-
-    When none of the new rows cuts off the prior optimum, that optimum is
-    returned unchanged without touching the solver.
-    """
-    if prior.optimal and new_rows:
-        v = prior.values
-        ok = True
-        for cols, vals, sense, rhs in new_rows:
-            lhs = float(np.dot(np.asarray(vals), v[np.asarray(cols, dtype=int)]))
-            if sense == LESS_EQUAL and lhs > rhs + FEASIBILITY_TOL:
-                ok = False
-            elif sense == GREATER_EQUAL and lhs < rhs - FEASIBILITY_TOL:
-                ok = False
-            elif sense == EQUAL and abs(lhs - rhs) > FEASIBILITY_TOL:
-                ok = False
-            if not ok:
-                break
-        if ok:
-            return prior
-    return solve_lp(lp.with_added_rows(new_rows))

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from cyclecluster import lp as lp_mod
 from cyclecluster.bench import BenchSetting, aggregate, run_bench, shifted_geomean
 from cyclecluster.engine import SolverConfig, compute_gap, solve
 from cyclecluster.formulation import (
@@ -50,8 +51,8 @@ def max_cut_violation_over_integral_points(n: int, m: int, cuts) -> float:
     return float((pts @ mat - rhs[None, :]).max())
 
 
-def test_criterion_1_oracle_equivalence(capfd):
-    """Engine matches brute force on 50 generated instances, each < 60 s."""
+def oracle_grid() -> tuple[float, float]:
+    """Solves criterion 1's 50 instances against brute force; returns worst diff and time."""
     worst_time = 0.0
     worst_diff = 0.0
     for k in range(50):
@@ -67,7 +68,22 @@ def test_criterion_1_oracle_equivalence(capfd):
         assert res.status == "optimal", f"instance {k} (n={n}, m={m}) ended {res.status}"
         assert abs(res.primal_bound - best) <= 1e-7, f"instance {k}: {res.primal_bound} vs {best}"
         assert dt < PER_INSTANCE_SECONDS, f"instance {k} took {dt:.1f}s"
+    return worst_diff, worst_time
+
+
+def test_criterion_1_oracle_equivalence(capfd):
+    """Engine matches brute force on 50 generated instances, each < 60 s."""
+    worst_diff, worst_time = oracle_grid()
     report(capfd, 1, True, f"50/50 optimal within 1e-7 (worst diff {worst_diff:.2e}, worst time {worst_time:.2f}s)")
+
+
+def test_criterion_1_oracle_equivalence_linprog_fallback(capfd, monkeypatch):
+    """Criterion 1 again with every LP solved cold by linprog, as on scipy < 1.15."""
+    monkeypatch.setattr(lp_mod, "_Highs", None)
+    worst_diff, worst_time = oracle_grid()
+    report(
+        capfd, 1, True, f"linprog fallback: 50/50 optimal within 1e-7 (worst diff {worst_diff:.2e}, worst time {worst_time:.2f}s)"
+    )
 
 
 def uniform_cc_point(inst: Instance, space: VariableSpace) -> np.ndarray:

@@ -44,7 +44,7 @@ class TestSolveCommand:
         assert payload["gap_percent"] == 0.0
         assert payload["best_clustering"] is not None
         assert min(payload["best_clustering"]) == 1  # clusters reported 1-based
-        for key in ("nodes_processed", "cut_counts", "primal_integral", "dual_integral", "bound_history", "config"):
+        for key in ("nodes_processed", "lp_solves", "simplex_iterations", "cut_counts", "primal_integral", "dual_integral", "bound_history", "config"):
             assert key in payload
 
     def test_root_only_report(self, t1_file, capsys):

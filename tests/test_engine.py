@@ -13,6 +13,7 @@ from cyclecluster.engine import (
     solve,
 )
 from cyclecluster.formulation import build_cc
+from cyclecluster.generator import generate
 from cyclecluster.instance import objective
 from cyclecluster.lp import lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal
@@ -137,6 +138,29 @@ class TestSolve:
         assert [(e.nodes, e.primal, e.event) for e in a.bound_history] == [
             (e.nodes, e.primal, e.event) for e in b.bound_history
         ]
+
+    def test_lp_counters_repeat(self):
+        inst = random_instance(8, 4, seed=11, alpha=1 / 1.001)
+        cfg = SolverConfig(time_limit_s=120, rng_seed=42)
+        a = solve(inst, cfg)
+        b = solve(inst, cfg)
+        assert a.nodes_processed > 1
+        assert (a.lp_solves, a.simplex_iterations) == (b.lp_solves, b.simplex_iterations)
+        assert a.lp_solves >= a.nodes_processed
+        assert a.simplex_iterations > 0
+
+    @pytest.mark.parametrize("limit", [2.0, 5.0])
+    def test_time_limit_reaches_every_lp(self, limit):
+        # the root cut loop of these instances alone outlasts both limits
+        for k in range(4):
+            inst, _ = generate(30, 5, rng_seed=[99, k])
+            res = solve(inst, SolverConfig(time_limit_s=limit))
+            assert res.status == "time_limit"
+            assert res.best_clustering is not None
+            # no instance closes in time, so a dual bound down at the primal
+            # would mean a node cut short by the limit was dropped
+            assert res.dual_bound > res.primal_bound
+            assert res.wall_time_s <= limit + 0.5
 
     def test_node_limit_status(self):
         inst = random_instance(9, 4, seed=13, alpha=1 / 1.001)

@@ -21,6 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from cyclecluster.engine import BoundEvent, GAP_INFINITE, SolverConfig, SolveResult, dual_integral, primal_integral, solve
+from cyclecluster.engine import HEURISTIC_NAMES, SEPARATOR_ORDER
 from cyclecluster.instance import Instance, load_instance
 
 TIME_SHIFT = 10.0
@@ -28,7 +29,6 @@ NODE_SHIFT = 100.0
 INTEGRAL_SHIFT = 1000.0
 
 SEPA_ALIASES = {"subtour": "subtour_path", "subtour_path": "subtour_path", "triangle": "triangle", "partition": "partition"}
-HEUR_NAMES = ("greedy", "sparsify", "rounding", "exchange")
 
 
 def shifted_geomean(values: Sequence[float], shift: float) -> float:
@@ -46,7 +46,7 @@ def parse_separator_spec(spec: str) -> tuple:
     if spec in ("none", ""):
         return ()
     if spec == "all":
-        return ("triangle", "subtour_path", "partition")
+        return SEPARATOR_ORDER
     names = []
     for tok in spec.replace("+", ",").split(","):
         tok = tok.strip()
@@ -61,11 +61,11 @@ def parse_heuristic_spec(spec: str) -> tuple:
     if spec in ("none", ""):
         return ()
     if spec == "all":
-        return HEUR_NAMES
+        return HEURISTIC_NAMES
     names = []
     for tok in spec.replace("+", ",").split(","):
         tok = tok.strip()
-        if tok not in HEUR_NAMES:
+        if tok not in HEURISTIC_NAMES:
             raise ValueError(f"unknown heuristic {tok!r} (use greedy, sparsify, rounding, exchange, none, all)")
         names.append(tok)
     return tuple(dict.fromkeys(names))

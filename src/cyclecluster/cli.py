@@ -192,9 +192,9 @@ def cmd_heuristic(args) -> int:
     name = args.name
     result: Clustering | None
     if name == "greedy":
-        result = greedy(inst, args.seed)
+        result = greedy(inst)
     elif name == "exchange":
-        result = exchange(inst, greedy(inst, args.seed), rng_seed=args.seed)
+        result = exchange(inst, greedy(inst), rng_seed=args.seed)
     elif name == "rounding":
         sol = solve_lp(lp_relaxation(build_cc(inst)))
         x = sol.values[: inst.n * inst.m] if sol.optimal else None
@@ -206,7 +206,7 @@ def cmd_heuristic(args) -> int:
             rng_seed=args.seed,
             heuristics=("greedy", "rounding", "exchange"),
         )
-        result = sparsify(inst, lambda reduced: solve(reduced, sub_cfg), rng_seed=args.seed)
+        result = sparsify(inst, lambda reduced: solve(reduced, sub_cfg))
     else:  # pragma: no cover - argparse restricts choices
         return EXIT_FAIL
     if result is None:

@@ -25,7 +25,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from cyclecluster.formulation import ConversionError, build_cc, point_to_clustering
+from cyclecluster.formulation import LESS_EQUAL, ConversionError, build_cc, point_to_clustering
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, objective
 from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
@@ -36,6 +36,15 @@ GAP_INFINITE = 1e20
 SEPARATOR_ORDER = ("triangle", "subtour_path", "partition")
 HEURISTIC_NAMES = ("greedy", "sparsify", "rounding", "exchange")
 
+# A solve works on Q scaled to a total weight near one, so these absolute
+# tolerances act relative to the weights.
+TOL_INTEGRALITY = 1e-6
+TOL_CUT = 1e-4
+EPSILON_GAP = 1e-6
+DUAL_PAD = 1e-6  # added to LP bounds before pruning decisions
+MAX_CUTS_PER_FAMILY = 200
+PARTITION_MIN_M = 5  # partition separation engaged only for m >= this
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -45,23 +54,14 @@ class SolverConfig:
     cut_rounds_node: int = 2
     separators: tuple = SEPARATOR_ORDER
     heuristics: tuple = HEURISTIC_NAMES
-    tol_integrality: float = 1e-6
-    tol_cut: float = 1e-4
-    epsilon_gap: float = 1e-6
     rng_seed: int = 0
     symmetry_break: bool = False
-    max_cuts_per_family: int = 200
-    partition_min_m: int = 5  # partition separation engaged only for m >= this
-    dual_pad: float = 1e-6  # added to LP bounds before pruning decisions
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
             raise ValueError("time limit must be positive")
         if self.node_limit is not None and self.node_limit <= 0:
             raise ValueError("node limit must be positive")
-        for tol in (self.tol_integrality, self.tol_cut, self.epsilon_gap):
-            if tol <= 0:
-                raise ValueError("tolerances must be positive")
         unknown = set(self.separators) - set(SEPARATOR_ORDER)
         if unknown:
             raise ValueError(f"unknown separators: {sorted(unknown)}")
@@ -152,12 +152,18 @@ def dual_integral(history: Sequence[BoundEvent], final_time: float, reference: f
 
 
 class _Search:
+    """One branch and cut.  It works on the instance with Q divided by the
+    power of two nearest its total weight, which is exact in floating point,
+    and reports every value multiplied back, in the caller's units."""
+
     def __init__(self, inst: Instance, config: SolverConfig, log_stream: Optional[IO[str]]):
-        self.inst = inst
+        total = float(inst.Q.sum())
+        self.scale = 2.0 ** round(math.log2(total)) if total > 0 else 1.0
+        self.inst = Instance(n=inst.n, m=inst.m, alpha=inst.alpha, Q=inst.Q / self.scale)
         self.config = config
         self.log = log_stream
         self.t0 = time.perf_counter()
-        self.model = build_cc(inst, symmetry_break=config.symmetry_break)
+        self.model = build_cc(self.inst, symmetry_break=config.symmetry_break)
         self.space = self.model.space
         self.lp = lp_relaxation(self.model)  # holds every pool cut for the whole tree
         self.incumbent: Optional[Clustering] = None
@@ -186,7 +192,7 @@ class _Search:
         return self.elapsed() >= self.config.time_limit_s
 
     def record(self, kind: str) -> None:
-        ev = BoundEvent(self.elapsed(), self.nodes_processed, float(self.primal), float(self.dual), kind)
+        ev = BoundEvent(self.elapsed(), self.nodes_processed, self.primal * self.scale, self.dual * self.scale, kind)
         self.history.append(ev)
         if self.log is not None:
             self.log.write(f"{ev.time_s:.6f} {ev.nodes} {ev.primal!r} {ev.dual!r} {ev.event}\n")
@@ -224,7 +230,7 @@ class _Search:
             if cut.support in self.pool_supports:
                 continue
             self.pool_supports.add(cut.support)
-            rows.append(cut.as_row(self.space))
+            rows.append((cut.cols, cut.vals, LESS_EQUAL, cut.rhs))
             self.cut_counts[cut.family] = self.cut_counts.get(cut.family, 0) + 1
         self.lp.add_rows(rows)
         return len(rows)
@@ -236,17 +242,17 @@ class _Search:
             if name not in cfg.separators:
                 continue
             if name == "triangle":
-                found = separate_triangle(self.space, point, cfg.tol_cut, max_per_family=cfg.max_cuts_per_family)
+                found = separate_triangle(self.space, point, TOL_CUT, max_per_family=MAX_CUTS_PER_FAMILY)
             elif name == "subtour_path":
-                found = separate_subtour_path(self.space, point, cfg.tol_cut)
+                found = separate_subtour_path(self.space, point, TOL_CUT)
             else:
-                if self.inst.m < cfg.partition_min_m:
+                if self.inst.m < PARTITION_MIN_M:
                     continue
-                found = separate_partition(self.space, point, cfg.tol_cut)
+                found = separate_partition(self.space, point, TOL_CUT)
             per_family: dict[str, int] = {}
             for cut in found:
                 k = per_family.get(cut.family, 0)
-                if k < cfg.max_cuts_per_family:
+                if k < MAX_CUTS_PER_FAMILY:
                     per_family[cut.family] = k + 1
                     cuts.append(cut)
         return cuts
@@ -265,7 +271,7 @@ class _Search:
         cfg = self.config
         if "greedy" in cfg.heuristics:
             self.heur_stats["greedy"]["runs"] += 1
-            self.offer(greedy(self.inst, cfg.rng_seed), "greedy")
+            self.offer(greedy(self.inst), "greedy")
         if "sparsify" in cfg.heuristics:
             self.heur_stats["sparsify"]["runs"] += 1
             remaining = max(1e-3, cfg.time_limit_s - self.elapsed())
@@ -275,7 +281,7 @@ class _Search:
                 time_limit_s=remaining,
                 heuristics=tuple(h for h in cfg.heuristics if h != "sparsify"),
             )
-            result = sparsify(self.inst, lambda reduced: solve(reduced, sub_cfg), rng_seed=cfg.rng_seed)
+            result = sparsify(self.inst, lambda reduced: solve(reduced, sub_cfg))
             if result is not None:
                 self.offer(result, "sparsify")
 
@@ -304,9 +310,9 @@ class _Search:
                 return
             if not sol.optimal:
                 return
-            bound = min(parent_bound, sol.objective_value + cfg.dual_pad)
+            bound = min(parent_bound, sol.objective_value + DUAL_PAD)
             lp_values.append(sol.objective_value)
-            if len(lp_values) > rounds or bound <= self.primal + cfg.epsilon_gap or self.out_of_time():
+            if len(lp_values) > rounds or bound <= self.primal + EPSILON_GAP or self.out_of_time():
                 break
             if not self.add_cuts(self.separate(sol.values)):
                 break
@@ -315,21 +321,21 @@ class _Search:
         if is_root:
             self.root_lp_values = lp_values
             self.root_dual_bound = bound
-        if bound <= self.primal + cfg.epsilon_gap:
+        if bound <= self.primal + EPSILON_GAP:
             return
 
         values = sol.values
         x = values[: self.space.num_x]
         frac_x = np.minimum(x, 1.0 - x)
         frac_x[[c for c in fixings if c < self.space.num_x]] = 0.0
-        if frac_x.max() <= cfg.tol_integrality:
+        if frac_x.max() <= TOL_INTEGRALITY:
             try:
-                clustering = point_to_clustering(self.space, values, tol=cfg.tol_integrality)
+                clustering = point_to_clustering(self.space, values, tol=TOL_INTEGRALITY)
             except ConversionError:
                 clustering = None
             if clustering is not None:
                 self.offer(clustering, "node_integral")
-                if bound <= self.primal + cfg.epsilon_gap:
+                if bound <= self.primal + EPSILON_GAP:
                     return
             branch_col = self.pick_branch_column(values, fixings, self.space.num_x, self.space.ncols)
         else:
@@ -338,7 +344,7 @@ class _Search:
                 rounded = rounding(self.inst, x)
                 if rounded is not None:
                     self.offer(rounded, "rounding")
-                    if bound <= self.primal + cfg.epsilon_gap:
+                    if bound <= self.primal + EPSILON_GAP:
                         return
             branch_col = self.pick_branch_column(values, fixings, 0, self.space.num_x)
 
@@ -350,7 +356,7 @@ class _Search:
     def pick_branch_column(self, values: np.ndarray, fixings: dict[int, float], lo_col: int, hi_col: int) -> Optional[int]:
         block = values[lo_col:hi_col]
         score = np.abs(block - 0.5)
-        fractional = np.minimum(block, 1.0 - block) > self.config.tol_integrality
+        fractional = np.minimum(block, 1.0 - block) > TOL_INTEGRALITY
         score = np.where(fractional, score, np.inf)
         fixed = [c - lo_col for c in fixings if lo_col <= c < hi_col]
         if fixed:
@@ -376,7 +382,7 @@ class _Search:
                 break
             neg_bound, _, fixings = heapq.heappop(self.heap)
             parent_bound = -neg_bound
-            if parent_bound <= self.primal + cfg.epsilon_gap:
+            if parent_bound <= self.primal + EPSILON_GAP:
                 self.heap.clear()  # best-bound order: nothing better remains
                 break
             is_root = self.nodes_processed == 0
@@ -394,22 +400,20 @@ class _Search:
         self.record("final")
 
     def result(self) -> SolveResult:
-        gap = 0.0 if (self.status == "optimal" and self.incumbent is not None) else compute_gap(
-            self.primal, self.dual, self.config.epsilon_gap
-        )
+        gap = 0.0 if (self.status == "optimal" and self.incumbent is not None) else compute_gap(self.primal, self.dual)
         return SolveResult(
             status=self.status,
             best_clustering=self.incumbent,
-            primal_bound=self.primal,
-            dual_bound=self.dual,
+            primal_bound=self.primal * self.scale,
+            dual_bound=self.dual * self.scale,
             gap_percent=gap,
             nodes_processed=self.nodes_processed,
             wall_time_s=self.elapsed(),
             bound_history=self.history,
             cut_counts=dict(sorted(self.cut_counts.items())),
             heuristic_stats=self.heur_stats,
-            root_lp_values=self.root_lp_values,
-            root_dual_bound=self.root_dual_bound,
+            root_lp_values=[v * self.scale for v in self.root_lp_values],
+            root_dual_bound=self.root_dual_bound * self.scale,
             lp_solves=self.lp_solves,
             simplex_iterations=self.simplex_iterations,
         )

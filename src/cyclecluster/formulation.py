@@ -13,8 +13,10 @@ Variables y/z (resp. w) for a pair are created only when the pair carries
 weight in at least one direction; zero-weight pairs cannot contribute to the
 objective and their cluster relation is left unconstrained.
 
-Variable identifiers are plain tuples: ('x', i, s), ('y', i, j) with i < j,
-('z', i, j), ('w', i, j, s, t).
+Variables are plain column indices.  `VariableSpace` maps vertex pairs to the
+y/z columns through n x n arrays (`RltSpace` to the w columns through an
+n x n x m x m array), and holds the one place readable names are made:
+x_i_s, y_i_j with i < j, and z_i_j.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from scipy import sparse
 
 from cyclecluster.instance import Clustering, Instance, ParameterError
 
-VarId = tuple
-
 LESS_EQUAL = "<"
 EQUAL = "="
 GREATER_EQUAL = ">"
@@ -38,68 +38,75 @@ class ConversionError(ValueError):
     """A point cannot be interpreted as an integral feasible clustering."""
 
 
-def _require_cyclic_m(inst: Instance) -> None:
-    # With two clusters both orderings are "consecutive" at once, which the
-    # z-variables cannot express; the cycle formulations need m >= 3.
-    if inst.m < 3:
-        raise ParameterError(f"cycle formulations require m >= 3, got m={inst.m}")
-
-
-class VariableSpace:
-    """Column layout shared by models, LP points, separation and cuts.
-
-    Ordering: all x columns (vertex-major), then per weighted pair (i < j) a
-    block [y(i,j), z(i,j), z(j,i)].  For an all-positive weight matrix this is
-    the full variable universe of the compact model.
-    """
+class _Layout:
+    """Column layout head shared by both models: the x columns, vertex-major,
+    then one block of columns per pair (i, j), i < j, that carries weight."""
 
     def __init__(self, inst: Instance):
-        _require_cyclic_m(inst)
+        # With two clusters both orderings are "consecutive" at once, which the
+        # z-variables cannot express; the cycle formulations need m >= 3.
+        if inst.m < 3:
+            raise ParameterError(f"cycle formulations require m >= 3, got m={inst.m}")
         self.inst = inst
-        n, m = inst.n, inst.m
-        self.n, self.m = n, m
-        self.pairs: list[tuple[int, int]] = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if inst.q_plus[i, j] > 0.0
-        ]
-        self.num_x = n * m
-        self.index: dict[VarId, int] = {}
-        for i in range(n):
-            for s in range(m):
-                self.index[("x", i, s)] = i * m + s
-        col = self.num_x
-        for (i, j) in self.pairs:
-            self.index[("y", i, j)] = col
-            self.index[("z", i, j)] = col + 1
-            self.index[("z", j, i)] = col + 2
-            col += 3
-        self.ncols = col
-        self._exists = np.zeros((n, n), dtype=bool)
-        for (i, j) in self.pairs:
-            self._exists[i, j] = self._exists[j, i] = True
+        self.n, self.m = inst.n, inst.m
+        self.pair_i, self.pair_j = np.nonzero(np.triu(inst.q_plus > 0.0, 1))
+        self.pairs: list[tuple[int, int]] = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
+        self.num_x = self.n * self.m
 
     def x(self, i: int, s: int) -> int:
         return i * self.m + s
 
+
+def _column(table: np.ndarray, *key: int) -> int:
+    col = int(table[key])
+    if col < 0:
+        raise KeyError(f"no column for {key}: the pair carries no weight")
+    return col
+
+
+class VariableSpace(_Layout):
+    """Column layout shared by models, LP points, separation and cuts.
+
+    Per weighted pair the block is [y(i,j), z(i,j), z(j,i)]; `ycol` (symmetric)
+    and `zcol` map a vertex pair to its column, -1 where the pair carries no
+    weight.  For an all-positive weight matrix this is the full variable
+    universe of the compact model.
+    """
+
+    def __init__(self, inst: Instance):
+        super().__init__(inst)
+        n, pi, pj = self.n, self.pair_i, self.pair_j
+        base = self.num_x + 3 * np.arange(len(self.pairs))
+        self.ncols = self.num_x + 3 * len(self.pairs)
+        self.ycol = np.full((n, n), -1, dtype=np.intp)
+        self.ycol[pi, pj] = self.ycol[pj, pi] = base
+        self.zcol = np.full((n, n), -1, dtype=np.intp)
+        self.zcol[pi, pj] = base + 1
+        self.zcol[pj, pi] = base + 2
+        # Ranks the columns as their names sort when read as (kind, i, j)
+        # tuples: x, then y, then z, each by (i, j); cut order breaks ties by it.
+        self.name_rank = np.empty(self.ncols, dtype=np.intp)
+        self.name_rank[: self.num_x] = np.arange(self.num_x)
+        self.name_rank[base] = n * n + pi * n + pj
+        self.name_rank[base + 1] = 2 * n * n + pi * n + pj
+        self.name_rank[base + 2] = 2 * n * n + pj * n + pi
+
     def has_pair(self, i: int, j: int) -> bool:
-        return bool(self._exists[i, j])
+        return bool(self.ycol[i, j] >= 0)
 
     def y(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self.index[("y", i, j)]
+        return _column(self.ycol, i, j)
 
     def z(self, i: int, j: int) -> int:
-        return self.index[("z", i, j)]
+        return _column(self.zcol, i, j)
 
-    def column_var(self, col: int) -> VarId:
+    def name(self, col: int) -> str:
+        """Readable column name: x_i_s, y_i_j with i < j, or z_i_j."""
         if col < self.num_x:
-            return ("x", col // self.m, col % self.m)
-        block, off = divmod(col - self.num_x, 3)
-        i, j = self.pairs[block]
-        return (("y", i, j), ("z", i, j), ("z", j, i))[off]
-
-    def var_column(self, var: VarId) -> int:
-        return self.index[var]
+            return "x_%d_%d" % divmod(col, self.m)
+        k, offset = divmod(col - self.num_x, 3)
+        i, j = self.pairs[k]
+        return ("y_%d_%d" % (i, j), "z_%d_%d" % (i, j), "z_%d_%d" % (j, i))[offset]
 
     def point_matrices(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expand a point into dense (X: n x m, Y: n x n, Z: n x n) arrays.
@@ -107,15 +114,14 @@ class VariableSpace:
         Entries of nonexistent pairs are zero, matching their interpretation
         in cut evaluation.
         """
-        n, m = self.n, self.m
-        X = np.asarray(point[: self.num_x], dtype=float).reshape(n, m)
+        n, pi, pj = self.n, self.pair_i, self.pair_j
+        point = np.asarray(point, dtype=float)
+        X = point[: self.num_x].reshape(n, self.m)
         Y = np.zeros((n, n))
         Z = np.zeros((n, n))
-        tail = np.asarray(point[self.num_x :], dtype=float)
-        for k, (i, j) in enumerate(self.pairs):
-            Y[i, j] = Y[j, i] = tail[3 * k]
-            Z[i, j] = tail[3 * k + 1]
-            Z[j, i] = tail[3 * k + 2]
+        Y[pi, pj] = Y[pj, pi] = point[self.ycol[pi, pj]]
+        Z[pi, pj] = point[self.zcol[pi, pj]]
+        Z[pj, pi] = point[self.zcol[pj, pi]]
         return X, Y, Z
 
 
@@ -198,12 +204,12 @@ def build_cc(inst: Instance, symmetry_break: bool = False) -> Model:
     space = VariableSpace(inst)
     n, m = inst.n, inst.m
     alpha = inst.alpha
+    pi, pj = space.pair_i, space.pair_j
 
     obj = np.zeros(space.ncols)
-    for (i, j) in space.pairs:
-        obj[space.y(i, j)] = (1.0 - alpha) * inst.q_plus[i, j]
-        obj[space.z(i, j)] = alpha * inst.q_minus[i, j]
-        obj[space.z(j, i)] = alpha * inst.q_minus[j, i]
+    obj[space.ycol[pi, pj]] = (1.0 - alpha) * inst.q_plus[pi, pj]
+    obj[space.zcol[pi, pj]] = alpha * inst.q_minus[pi, pj]
+    obj[space.zcol[pj, pi]] = alpha * inst.q_minus[pj, pi]
 
     rb = _RowBuilder()
     for i in range(n):
@@ -252,41 +258,31 @@ def build_cc(inst: Instance, symmetry_break: bool = False) -> Model:
     )
 
 
-class RltSpace:
-    """Column layout of the product-variable model: x columns then w columns."""
+class RltSpace(_Layout):
+    """Column layout of the product-variable model: x columns then w columns.
+
+    `wcol[i, j, s, t]` is the column of w[i,j,s,t], -1 where the pair carries
+    no weight; per pair the (i, j) products come first, then the (j, i) ones
+    off the shared diagonal.
+    """
 
     def __init__(self, inst: Instance):
-        _require_cyclic_m(inst)
-        self.inst = inst
-        n, m = inst.n, inst.m
-        self.n, self.m = n, m
-        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if inst.q_plus[i, j] > 0.0]
-        self.num_x = n * m
-        self.index: dict[VarId, int] = {}
-        for i in range(n):
-            for s in range(m):
-                self.index[("x", i, s)] = i * m + s
+        super().__init__(inst)
+        n, m = self.n, self.m
+        self.wcol = np.full((n, n, m, m), -1, dtype=np.intp)
+        off_diagonal = ~np.eye(m, dtype=bool)
+        diagonal = np.arange(m)
         col = self.num_x
         for (i, j) in self.pairs:
-            for s in range(m):
-                for t in range(m):
-                    self.index[("w", i, j, s, t)] = col
-                    col += 1
-            for s in range(m):
-                for t in range(m):
-                    if s == t:
-                        # shared with the (i, j) diagonal product
-                        self.index[("w", j, i, s, s)] = self.index[("w", i, j, s, s)]
-                    else:
-                        self.index[("w", j, i, s, t)] = col
-                        col += 1
+            self.wcol[i, j] = col + np.arange(m * m).reshape(m, m)
+            col += m * m
+            self.wcol[j, i][off_diagonal] = col + np.arange(m * m - m)
+            col += m * m - m
+            self.wcol[j, i, diagonal, diagonal] = self.wcol[i, j, diagonal, diagonal]
         self.ncols = col
 
-    def x(self, i: int, s: int) -> int:
-        return i * self.m + s
-
     def w(self, i: int, j: int, s: int, t: int) -> int:
-        return self.index[("w", i, j, s, t)]
+        return _column(self.wcol, i, j, s, t)
 
 
 def build_rlt(inst: Instance) -> Model:
@@ -368,11 +364,8 @@ def point_to_clustering(space: VariableSpace, point: np.ndarray, tol: float = 1e
 def write_lp(model: Model, target: IO[str], name: str = "cyclecluster") -> None:
     """Export in CPLEX LP text format for cross-checking with external solvers."""
     cols = model.ncols
-    names = [f"v{c}" for c in range(cols)]
-    space = model.space
-    if isinstance(space, VariableSpace):
-        for var, col in space.index.items():
-            names[col] = "_".join(str(p) for p in var)
+    name = model.space.name if isinstance(model.space, VariableSpace) else "v{}".format
+    names = [name(c) for c in range(cols)]
     target.write(f"\\ {name}\nMaximize\n obj:")
     terms = [(c, v) for c, v in enumerate(model.objective) if v != 0.0]
     for c, v in terms:

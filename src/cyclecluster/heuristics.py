@@ -24,16 +24,20 @@ def _delta_matrix(inst: Instance, assign: np.ndarray, member: np.ndarray) -> np.
     return contrib - current[:, None]
 
 
-def greedy(inst: Instance, rng_seed: int = 0) -> Clustering:
+def _improves(value: float, reference: float) -> bool:
+    """A gain beyond rounding.  Running sums of deltas drift by ulps of the
+    weights, so the threshold grows with the value's magnitude."""
+    return value > reference + 1e-12 * max(1.0, abs(reference))
+
+
+def greedy(inst: Instance) -> Clustering:
     """Construct a feasible clustering by repeated best-gain assignment.
 
     One seed vertex per cluster first (the m heaviest vertices by total
     undirected weight, heaviest into cluster 0), then the (vertex, cluster)
     pair with the largest objective gain is committed until every vertex is
     placed.  Deterministic; ties break to the lowest vertex, then cluster.
-    The seed argument is accepted for interface uniformity only.
     """
-    del rng_seed
     n, m = inst.n, inst.m
     alpha = inst.alpha
     degree = inst.q_plus.sum(axis=1)
@@ -126,7 +130,7 @@ def exchange(
             member[v, t] = 1.0
             sizes[t] += 1
             processed[v] = True
-            if value > best_val + 1e-12 and sizes.min() >= 1:
+            if _improves(value, best_val) and sizes.min() >= 1:
                 best_val = value
                 best_assign = assign.copy()
         return assign, value
@@ -146,7 +150,7 @@ def exchange(
     while True:
         before = best_val
         one_pass(current, current_val)
-        if best_val > before + 1e-12:
+        if _improves(best_val, before):
             current = best_assign.copy()
             current_val = best_val
             continue
@@ -162,7 +166,6 @@ def sparsify(
     inst: Instance,
     engine_handle: Callable[[Instance], object],
     keep_fraction: float = 0.03,
-    rng_seed: int = 0,
 ) -> Optional[Clustering]:
     """Root-solve a reduced instance keeping only the heaviest pair weights.
 
@@ -170,9 +173,8 @@ def sparsify(
     (ties by lexicographic pair order) are zeroed in both directions, and the
     handle runs the solver on the reduction; the caller re-scores the result
     under the original objective.  Returns None when the sub-solve produces
-    no integral solution.  The seed argument only feeds the handle's config.
+    no integral solution.
     """
-    del rng_seed
     n = inst.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pairs.sort(key=lambda p: (-inst.q_plus[p[0], p[1]], p))

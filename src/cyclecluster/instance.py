@@ -102,9 +102,6 @@ class Instance:
         object.__setattr__(self, "q_minus", qm)
         object.__setattr__(self, "q_plus", qp)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 @dataclass(frozen=True)
 class Clustering:
@@ -128,9 +125,6 @@ class Clustering:
     def n(self) -> int:
         return len(self.assignment)
 
-    def cluster_of(self, v: int) -> int:
-        return self.assignment[v]
-
     def clusters(self) -> list[list[int]]:
         out: list[list[int]] = [[] for _ in range(self.m)]
         for v, a in enumerate(self.assignment):
@@ -141,7 +135,7 @@ class Clustering:
         return np.asarray(self.assignment, dtype=np.int64)
 
     def membership_matrix(self) -> np.ndarray:
-        """One-hot n x m matrix M with M[v, cluster_of(v)] = 1."""
+        """One-hot n x m matrix M with M[v, assignment[v]] = 1."""
         mat = np.zeros((self.n, self.m))
         mat[np.arange(self.n), self.assignment] = 1.0
         return mat

@@ -171,30 +171,23 @@ def polytope_dimension(n: int, m: int) -> int:
     return max(_rank_mod_p(diffs, p) for p in _RANK_PRIMES)
 
 
-def cut_vector(n: int, m: int, coeffs: dict) -> np.ndarray:
-    """Dense full-universe vector of a sparse cut coefficient map."""
-    vec = np.zeros(full_universe_size(n, m))
-    pair_base = {}
-    col = n * m
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair_base[(i, j)] = col
-            col += 3
-    for var, coef in coeffs.items():
-        kind = var[0]
-        if kind == "x":
-            vec[var[1] * m + var[2]] += coef
-        elif kind == "y":
-            i, j = min(var[1], var[2]), max(var[1], var[2])
-            vec[pair_base[(i, j)]] += coef
-        elif kind == "z":
-            i, j = var[1], var[2]
-            if i < j:
-                vec[pair_base[(i, j)] + 1] += coef
-            else:
-                vec[pair_base[(j, i)] + 2] += coef
-        else:
-            raise ValueError(f"unknown variable kind in cut: {var!r}")
+def universe_columns(inst: Instance) -> np.ndarray:
+    """Full-universe index of every column of the instance's compact model.
+
+    Derived from the weights alone: the model keeps the x block and, for each
+    pair i < j with q_plus[i, j] > 0 in lexicographic order, its
+    [y(i,j), z(i,j), z(j,i)] block.
+    """
+    n, m = inst.n, inst.m
+    iu, ju = np.triu_indices(n, 1)
+    blocks = n * m + 3 * np.flatnonzero(inst.q_plus[iu, ju] > 0.0)
+    return np.concatenate([np.arange(n * m), (blocks[:, None] + np.arange(3)).ravel()])
+
+
+def cut_vector(inst: Instance, cut) -> np.ndarray:
+    """Dense full-universe vector of a cut over the instance's model columns."""
+    vec = np.zeros(full_universe_size(inst.n, inst.m))
+    np.add.at(vec, universe_columns(inst)[cut.cols], cut.vals)
     return vec
 
 
@@ -206,8 +199,7 @@ def check_cut_validity(inst: Instance, cut, tol: float = 1e-9) -> bool:
 def max_integral_violation(inst: Instance, cut) -> float:
     """Largest lhs - rhs of the cut over all feasible incidence vectors."""
     pts = feasible_point_matrix(inst.n, inst.m)
-    vec = cut_vector(inst.n, inst.m, cut.coeffs)
-    return float((pts @ vec).max() - cut.rhs)
+    return float((pts @ cut_vector(inst, cut)).max() - cut.rhs)
 
 
 def surjection_count(n: int, m: int) -> int:

@@ -12,20 +12,24 @@ model's variables:
   are discarded, so the walk value is only a search bound while every emitted
   cut is sound.
 
-A cut references only variables that exist for the instance.  Terms with a
-positive coefficient may be dropped when their pair carries no weight (this
-only weakens the inequality); templates whose negative-coefficient variables
-are missing are skipped entirely.
+A cut is one row over the model's columns: ascending column indices and
+their coefficients, the form `LinearProgram.add_rows` takes, so it goes into
+the LP as it is.  It references only variables that exist for the instance.
+Terms with a positive coefficient may be dropped when their pair carries no
+weight (this only weakens the inequality); templates whose
+negative-coefficient variables are missing are skipped entirely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from cyclecluster.formulation import VariableSpace, VarId
+from cyclecluster.formulation import VariableSpace
 
 DEFAULT_TOL = 1e-4
 PARTITION_MAX_SIZE = 5
@@ -33,43 +37,51 @@ PARTITION_MAX_SEEDS = 50
 PARTITION_ALMOST_VIOLATED = 0.1
 
 
-@dataclass
+@dataclass(eq=False)
 class Cut:
-    """A sparse valid inequality  coeffs . v <= rhs  with its violation."""
+    """A sparse valid inequality  vals . v[cols] <= rhs  with its violation.
 
-    coeffs: dict[VarId, float]
+    `cols` ends up in ascending order with repeated columns merged into one
+    coefficient, so two cuts are the same inequality iff their supports match.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
     rhs: float
     family: str
     violation: float
-    support: tuple = field(init=False)
 
     def __post_init__(self):
-        self.support = (self.rhs, tuple(sorted(self.coeffs.items())))
+        merged: dict[int, float] = defaultdict(float)
+        for col, val in zip(self.cols, self.vals):
+            merged[int(col)] += float(val)
+        cols = sorted(merged)
+        self.cols = np.array(cols, dtype=np.intp)
+        self.vals = np.array([merged[col] for col in cols])
 
-    def lhs(self, space: VariableSpace, point: np.ndarray) -> float:
-        return float(sum(coef * point[space.index[var]] for var, coef in self.coeffs.items() if var in space.index))
+    @property
+    def support(self) -> tuple:
+        return (self.rhs, self.cols.tobytes(), self.vals.tobytes())
 
-    def as_row(self, space: VariableSpace) -> tuple[list[int], list[float], str, float]:
-        cols, vals = [], []
-        for var, coef in self.coeffs.items():
-            cols.append(space.index[var])
-            vals.append(coef)
-        return cols, vals, "<", self.rhs
+    def lhs(self, point: np.ndarray) -> float:
+        return float(self.vals @ point[self.cols])
 
-    def __str__(self) -> str:
-        def vname(var):
-            return f"{var[0]}[{','.join(str(p) for p in var[1:])}]"
-
-        terms = " ".join(f"{'+' if c >= 0 else '-'} {abs(c):g} {vname(v)}" for v, c in sorted(self.coeffs.items()))
+    def text(self, space: VariableSpace) -> str:
+        terms = " ".join(f"{'+' if v >= 0 else '-'} {abs(v):g} {space.name(c)}" for c, v in zip(self.cols, self.vals))
         return f"[{self.family}] {terms} <= {self.rhs:g}   (violation {self.violation:.6g})"
 
 
-def _sorted_unique(cuts: Iterable[Cut]) -> list[Cut]:
+def _sorted_unique(space: VariableSpace, cuts: Iterable[Cut]) -> list[Cut]:
+    """First cut per support, most violated first, ties broken by the support
+    with its terms in name order."""
     by_support: dict[tuple, Cut] = {}
     for cut in cuts:
-        if cut.support not in by_support:
-            by_support[cut.support] = cut
-    return sorted(by_support.values(), key=lambda c: (-c.violation, c.support))
+        by_support.setdefault(cut.support, cut)
+
+    def key(cut: Cut) -> tuple:
+        return (-cut.violation, cut.rhs, tuple(sorted(zip(space.name_rank[cut.cols].tolist(), cut.vals.tolist()))))
+
+    return sorted(by_support.values(), key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +114,9 @@ def separate_triangle(
     With `max_per_family`, only the most violated cuts per subfamily are built.
     """
     n, m = space.n, space.m
-    cap = max_per_family
     _, Y, Z = space.point_matrices(point)
-    E = space._exists
+    yc, zc = space.ycol, space.zcol
+    E = yc >= 0
     idx = np.arange(n)
     distinct = (
         (idx[:, None, None] != idx[None, :, None])
@@ -117,29 +129,28 @@ def separate_triangle(
 
     cuts: list[Cut] = []
 
+    def emit(lhs, mask, rhs, family, coefs, cols):
+        """One cut per violated triple; cols(i, j, k) lists the columns of coefs."""
+        for i, j, k, v in _triple_hits(lhs, mask, rhs, tol, max_per_family):
+            cuts.append(Cut(cols(i, j, k), coefs, rhs, family, v))
+
     if m == 3:
         vals = Z[:, :, None] + Z[None, :, :] - Z.T[:, None, :]
-        for i, j, k, v in _triple_hits(vals, base_mask, 1.0, tol, cap):
-            cuts.append(
-                Cut({("z", i, j): 1.0, ("z", j, k): 1.0, ("z", k, i): -1.0}, 1.0, "TriangleZ3", v)
-            )
-        return _sorted_unique(cuts)
+        emit(vals, base_mask, 1.0, "TriangleZ3", [1.0, 1.0, -1.0], lambda i, j, k: [zc[i, j], zc[j, k], zc[k, i]])
+        return _sorted_unique(space, cuts)
 
     i_lt_k = idx[:, None, None] < idx[None, None, :]
     j_lt_k = idx[None, :, None] < idx[None, None, :]
 
     # y-transitivity: y(i,j) + y(j,k) - y(i,k) <= 1, middle vertex j, i < k
     vals = Y[:, :, None] + Y[None, :, :] - Y[:, None, :]
-    for i, j, k, v in _triple_hits(vals, base_mask & i_lt_k, 1.0, tol, cap):
-        cuts.append(Cut({("y", *sorted((i, j))): 1.0, ("y", *sorted((j, k))): 1.0, ("y", i, k): -1.0}, 1.0, "TriangleY", v))
+    emit(vals, base_mask & i_lt_k, 1.0, "TriangleY", [1.0, 1.0, -1.0], lambda i, j, k: [yc[i, j], yc[j, k], yc[i, k]])
 
     # same-cluster shift: y(i,j) + z(i,k) - z(j,k) <= 1 and y(i,j) + z(k,i) - z(k,j) <= 1
     vals = Y[:, :, None] + Z[:, None, :] - Z[None, :, :]
-    for i, j, k, v in _triple_hits(vals, base_mask, 1.0, tol, cap):
-        cuts.append(Cut({("y", *sorted((i, j))): 1.0, ("z", i, k): 1.0, ("z", j, k): -1.0}, 1.0, "TriangleYZ", v))
+    emit(vals, base_mask, 1.0, "TriangleYZ", [1.0, 1.0, -1.0], lambda i, j, k: [yc[i, j], zc[i, k], zc[j, k]])
     vals = Y[:, :, None] + Z.T[:, None, :] - Z.T[None, :, :]
-    for i, j, k, v in _triple_hits(vals, base_mask, 1.0, tol, cap):
-        cuts.append(Cut({("y", *sorted((i, j))): 1.0, ("z", k, i): 1.0, ("z", k, j): -1.0}, 1.0, "TriangleYZ", v))
+    emit(vals, base_mask, 1.0, "TriangleYZ", [1.0, 1.0, -1.0], lambda i, j, k: [yc[i, j], zc[k, i], zc[k, j]])
 
     # half-integral mixed triangle, middle vertex j, i < k
     vals = (
@@ -148,25 +159,14 @@ def separate_triangle(
         - Y[:, None, :]
         + 0.5 * (Z[:, :, None] + Z.T[:, :, None] + Z[None, :, :] + Z.T[None, :, :] - Z[:, None, :] - Z.T[:, None, :])
     )
-    for i, j, k, v in _triple_hits(vals, base_mask & i_lt_k, 1.0, tol, cap):
-        cuts.append(
-            Cut(
-                {
-                    ("y", *sorted((i, j))): 1.0,
-                    ("y", *sorted((j, k))): 1.0,
-                    ("y", i, k): -1.0,
-                    ("z", i, j): 0.5,
-                    ("z", j, i): 0.5,
-                    ("z", j, k): 0.5,
-                    ("z", k, j): 0.5,
-                    ("z", i, k): -0.5,
-                    ("z", k, i): -0.5,
-                },
-                1.0,
-                "TriangleMixed",
-                v,
-            )
-        )
+    emit(
+        vals,
+        base_mask & i_lt_k,
+        1.0,
+        "TriangleMixed",
+        [1.0, 1.0, -1.0, 0.5, 0.5, 0.5, 0.5, -0.5, -0.5],
+        lambda i, j, k: [yc[i, j], yc[j, k], yc[i, k], zc[i, j], zc[j, i], zc[j, k], zc[k, j], zc[i, k], zc[k, i]],
+    )
 
     if m == 4:
         # strengthened two-against-one (valid exactly for four clusters): common tail i, j < k
@@ -179,33 +179,22 @@ def separate_triangle(
             - Z.T[:, :, None]
             - Z.T[:, None, :]
         )
-        for i, j, k, v in _triple_hits(vals, base_mask & j_lt_k, 0.0, tol, cap):
-            cuts.append(
-                Cut(
-                    {
-                        ("z", i, j): 1.0,
-                        ("z", i, k): 1.0,
-                        ("y", j, k): -2.0,
-                        ("z", j, k): -1.0,
-                        ("z", k, j): -1.0,
-                        ("z", j, i): -1.0,
-                        ("z", k, i): -1.0,
-                    },
-                    0.0,
-                    "TriangleZZY4",
-                    v,
-                )
-            )
+        emit(
+            vals,
+            base_mask & j_lt_k,
+            0.0,
+            "TriangleZZY4",
+            [1.0, 1.0, -2.0, -1.0, -1.0, -1.0, -1.0],
+            lambda i, j, k: [zc[i, j], zc[i, k], yc[j, k], zc[j, k], zc[k, j], zc[j, i], zc[k, i]],
+        )
     else:
         # two-against-one: z(i,j) + z(i,k) - y(j,k) <= 1 and z(j,i) + z(k,i) - y(j,k) <= 1
         vals = Z[:, :, None] + Z[:, None, :] - Y[None, :, :]
-        for i, j, k, v in _triple_hits(vals, base_mask & j_lt_k, 1.0, tol, cap):
-            cuts.append(Cut({("z", i, j): 1.0, ("z", i, k): 1.0, ("y", j, k): -1.0}, 1.0, "TriangleZZY", v))
+        emit(vals, base_mask & j_lt_k, 1.0, "TriangleZZY", [1.0, 1.0, -1.0], lambda i, j, k: [zc[i, j], zc[i, k], yc[j, k]])
         vals = Z.T[:, :, None] + Z.T[:, None, :] - Y[None, :, :]
-        for i, j, k, v in _triple_hits(vals, base_mask & j_lt_k, 1.0, tol, cap):
-            cuts.append(Cut({("z", j, i): 1.0, ("z", k, i): 1.0, ("y", j, k): -1.0}, 1.0, "TriangleZZY", v))
+        emit(vals, base_mask & j_lt_k, 1.0, "TriangleZZY", [1.0, 1.0, -1.0], lambda i, j, k: [zc[j, i], zc[k, i], yc[j, k]])
 
-    return _sorted_unique(cuts)
+    return _sorted_unique(space, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +210,9 @@ def _partition_lhs(S: Sequence[int], T: Sequence[int], Y: np.ndarray, Z: np.ndar
 
 
 def _partition_cut(space: VariableSpace, S: Sequence[int], T: Sequence[int], violation: float) -> Cut:
-    coeffs: dict[VarId, float] = {}
-    for i in S:
-        for j in T:
-            if space.has_pair(i, j):
-                coeffs[("z", i, j)] = coeffs.get(("z", i, j), 0.0) + 1.0
-    for side in (S, T):
-        for a in range(len(side)):
-            for b in range(a + 1, len(side)):
-                i, j = sorted((side[a], side[b]))
-                coeffs[("y", i, j)] = coeffs.get(("y", i, j), 0.0) - 1.0
-    return Cut(coeffs, float(min(len(S), len(T))), "Partition", violation)
+    z = [space.zcol[i, j] for i in S for j in T if space.has_pair(i, j)]
+    y = [space.ycol[i, j] for side in (S, T) for i, j in combinations(side, 2)]
+    return Cut(z + y, [1.0] * len(z) + [-1.0] * len(y), float(min(len(S), len(T))), "Partition", violation)
 
 
 def separate_partition(
@@ -253,7 +234,7 @@ def separate_partition(
     if m < 3:
         return []
     _, Y, Z = space.point_matrices(point)
-    E = space._exists
+    E = space.ycol >= 0
 
     seeds: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = []
     for j in range(n):
@@ -325,7 +306,7 @@ def separate_partition(
         if best_viol > tol:
             cuts.append(_partition_cut(space, list(best_sets[0]), list(best_sets[1]), best_viol))
 
-    return _sorted_unique(cuts)
+    return _sorted_unique(space, cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +340,23 @@ def _extract_walk(P: np.ndarray, ell: int, end: int) -> list[int] | None:
     return nodes
 
 
+def _walk_cols(space: VariableSpace, walk: list[int]) -> list[int]:
+    """z on every arc of the walk, y on every arc but the first."""
+    tails, heads = walk[:-1], walk[1:]
+    return [space.zcol[u, v] for u, v in zip(tails, heads)] + [space.ycol[u, v] for u, v in zip(tails[1:], heads[1:])]
+
+
 def _subtour_cut(space: VariableSpace, walk: list[int], violation: float) -> Cut:
-    coeffs: dict[VarId, float] = {}
-    arcs = list(zip(walk[:-1], walk[1:]))
-    for (u, v) in arcs:
-        coeffs[("z", u, v)] = 1.0
-    for (u, v) in arcs[1:]:
-        coeffs[("y", *sorted((u, v)))] = 1.0
-    return Cut(coeffs, float(len(arcs) - 1), "Subtour", violation)
+    cols = _walk_cols(space, walk)
+    return Cut(cols, [1.0] * len(cols), float(len(walk) - 2), "Subtour", violation)
 
 
 def _path_cut(space: VariableSpace, walk: list[int], violation: float) -> Cut:
-    coeffs: dict[VarId, float] = {}
-    arcs = list(zip(walk[:-1], walk[1:]))
-    for (u, v) in arcs:
-        coeffs[("z", u, v)] = 1.0
-    for (u, v) in arcs[1:]:
-        coeffs[("y", *sorted((u, v)))] = 1.0
+    cols = _walk_cols(space, walk)
     i1, end = walk[0], walk[-1]
     if space.has_pair(i1, end):
-        key = ("y", *sorted((i1, end)))
-        coeffs[key] = coeffs.get(key, 0.0) + 1.0
-    return Cut(coeffs, float(len(arcs)), "Path", violation)
+        cols.append(space.ycol[i1, end])
+    return Cut(cols, [1.0] * len(cols), float(len(walk) - 1), "Path", violation)
 
 
 def _separate_from_start(
@@ -430,4 +406,4 @@ def separate_subtour_path(space: VariableSpace, point: np.ndarray, tol: float = 
     cuts: list[Cut] = []
     for i1 in range(space.n):
         cuts.extend(_separate_from_start(space, Y, Z, i1, tol))
-    return _sorted_unique(cuts)
+    return _sorted_unique(space, cuts)

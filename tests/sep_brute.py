@@ -1,7 +1,9 @@
 """Independent brute-force separation oracles used only by the test suite.
 
 These deliberately re-derive everything with explicit loops and direct point
-lookups so they share no code path with the production separators.
+lookups so they share no code path with the production separators.  They
+derive cuts by variable name, ('y', i, j) or ('z', i, j), and map them to the
+model's columns only to compare with what the separators emit.
 """
 
 from itertools import permutations
@@ -10,22 +12,31 @@ import numpy as np
 
 from cyclecluster.formulation import clustering_to_point
 from cyclecluster.instance import Clustering
+from cyclecluster.separation import Cut
+
+
+def column(space, var):
+    """Model column of ('y', i, j) or ('z', i, j); -1 if the pair has none."""
+    kind, i, j = var
+    return int((space.ycol if kind == "y" else space.zcol)[i, j])
 
 
 def _val(space, point, var):
-    if var[0] == "y":
-        i, j = sorted(var[1:])
-        var = ("y", i, j)
-    col = space.index.get(var)
-    return 0.0 if col is None else float(point[col])
+    col = column(space, var)
+    return 0.0 if col < 0 else float(point[col])
 
 
-def _support(coeffs, rhs):
-    return (rhs, tuple(sorted(coeffs.items())))
+def named_cut(space, coeffs, rhs, family="", violation=0.0):
+    """The column form of a cut given by variable name."""
+    return Cut([column(space, v) for v in coeffs], list(coeffs.values()), rhs, family, violation)
+
+
+def _support(space, coeffs, rhs):
+    return named_cut(space, coeffs, rhs).support
 
 
 def brute_triangle_cuts(space, point, tol):
-    """Every violated triangle template over all ordered triples; dict support -> violation."""
+    """Every violated triangle template over all ordered triples; column support -> violation."""
     n, m = space.n, space.m
     exists = lambda i, j: space.has_pair(i, j)
     y = lambda i, j: _val(space, point, ("y", i, j))
@@ -35,7 +46,7 @@ def brute_triangle_cuts(space, point, tol):
     def add(coeffs, rhs):
         lhs = sum(c * _val(space, point, v) for v, c in coeffs.items())
         if lhs > rhs + tol:
-            found[_support(coeffs, rhs)] = lhs - rhs
+            found[_support(space, coeffs, rhs)] = lhs - rhs
 
     for i, j, k in permutations(range(n), 3):
         if not (exists(i, j) and exists(j, k) and exists(i, k)):

@@ -42,11 +42,11 @@ def report(capfd, criterion: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def max_cut_violation_over_integral_points(n: int, m: int, cuts) -> float:
+def max_cut_violation_over_integral_points(inst: Instance, cuts) -> float:
     if not cuts:
         return -math.inf
-    pts = feasible_point_matrix(n, m)
-    mat = np.stack([cut_vector(n, m, c.coeffs) for c in cuts], axis=1)
+    pts = feasible_point_matrix(inst.n, inst.m)
+    mat = np.stack([cut_vector(inst, c) for c in cuts], axis=1)
     rhs = np.asarray([c.rhs for c in cuts])
     return float((pts @ mat - rhs[None, :]).max())
 
@@ -169,7 +169,7 @@ def test_criterion_3_cut_validity(capfd):
                 + separate_partition(space, point, 1e-4)
             )
             checked += len(cuts)
-            worst = max_cut_violation_over_integral_points(n, m, cuts)
+            worst = max_cut_violation_over_integral_points(inst, cuts)
             assert worst <= 1e-9, f"invalid cut on (n={n}, m={m}) trial {trial}: violation {worst}"
     report(capfd, 3, True, f"{checked} emitted cuts over {len(grid)}x200 points, zero integral violations")
 

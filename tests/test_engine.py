@@ -14,7 +14,7 @@ from cyclecluster.engine import (
 )
 from cyclecluster.formulation import build_cc
 from cyclecluster.generator import generate
-from cyclecluster.instance import objective
+from cyclecluster.instance import Instance, objective
 from cyclecluster.lp import lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal
 from conftest import random_instance
@@ -161,6 +161,21 @@ class TestSolve:
             # would mean a node cut short by the limit was dropped
             assert res.dual_bound > res.primal_bound
             assert res.wall_time_s <= limit + 0.5
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e9])
+    def test_oracle_equality_at_any_weight_scale(self, scale):
+        # absolute tolerances once pruned every node at small scale and
+        # reported a false optimum
+        for k in range(10):
+            n, m = 6 + k % 4, 3 + k % 2
+            base, _ = generate(n, m, rng_seed=[1234, k])
+            inst = Instance(n=n, m=m, alpha=base.alpha, Q=base.Q * scale)
+            _, best = enumerate_optimal(inst)
+            for cfg in (FAST, SolverConfig(time_limit_s=60, separators=(), heuristics=())):
+                res = solve(inst, cfg)
+                assert res.status == "optimal"
+                assert abs(res.primal_bound - best) <= 1e-7 * scale, f"instance {k}: {res.primal_bound} vs {best}"
+                assert objective(inst, res.best_clustering) == pytest.approx(res.primal_bound, rel=1e-12)
 
     def test_node_limit_status(self):
         inst = random_instance(9, 4, seed=13, alpha=1 / 1.001)

@@ -114,6 +114,18 @@ class TestPointConversion:
         with pytest.raises(ConversionError):
             point_to_clustering(space, pt)
 
+    def test_point_matrices_match_pairwise_lookup(self):
+        inst = random_instance(7, 4, seed=2, density=0.6)
+        space = VariableSpace(inst)
+        pt = np.random.default_rng(0).uniform(size=space.ncols)
+        X, Y, Z = space.point_matrices(pt)
+        assert X.tolist() == pt[: space.num_x].reshape(7, 4).tolist()
+        for i in range(7):
+            for j in range(7):
+                weighted = i != j and space.has_pair(i, j)
+                assert Y[i, j] == (pt[space.y(i, j)] if weighted else 0.0)
+                assert Z[i, j] == (pt[space.z(i, j)] if weighted else 0.0)
+
     def test_universe_alignment_with_oracle(self):
         # dense instances share the oracle's full-universe column layout
         inst = random_instance(4, 3, seed=9)
@@ -185,18 +197,18 @@ class TestRltCutTransfer:
     def test_translated_cuts_hold_at_integral_points(self):
         # y := sum_s w[s,s], z := sum_s w[s,s+1] turns CC-valid cuts into RLT-valid ones
         from cyclecluster.oracle import check_cut_validity
-        from cyclecluster.separation import Cut
+        from sep_brute import named_cut
 
         inst = random_instance(5, 4, seed=31)
         rspace = RltSpace(inst)
         m = inst.m
         rng = np.random.default_rng(2)
         templates = [
-            Cut({("y", 0, 1): 1.0, ("y", 1, 2): 1.0, ("y", 0, 2): -1.0}, 1.0, "TriangleY", 0.0),
-            Cut({("z", 0, 1): 1.0, ("z", 1, 0): 1.0, ("y", 0, 1): 1.0}, 1.0, "Subtour", 0.0),
+            ({("y", 0, 1): 1.0, ("y", 1, 2): 1.0, ("y", 0, 2): -1.0}, 1.0),
+            ({("z", 0, 1): 1.0, ("z", 1, 0): 1.0, ("y", 0, 1): 1.0}, 1.0),
         ]
-        for cut in templates:
-            assert check_cut_validity(inst, cut)
+        for coeffs, rhs in templates:
+            assert check_cut_validity(inst, named_cut(VariableSpace(inst), coeffs, rhs))
         for _ in range(15):
             c = Clustering(random_clustering(5, 4, rng), 4)
             pt = np.zeros(rspace.ncols)
@@ -207,12 +219,12 @@ class TestRltCutTransfer:
                     for t in range(m):
                         pt[rspace.w(i, j, s, t)] = pt[rspace.x(i, s)] * pt[rspace.x(j, t)]
                         pt[rspace.w(j, i, s, t)] = pt[rspace.x(j, s)] * pt[rspace.x(i, t)]
-            for cut in templates:
+            for coeffs, rhs in templates:
                 lhs = 0.0
-                for var, coef in cut.coeffs.items():
+                for var, coef in coeffs.items():
                     kind, i, j = var
                     if kind == "y":
                         lhs += coef * sum(pt[rspace.w(i, j, s, s)] for s in range(m))
                     else:
                         lhs += coef * sum(pt[rspace.w(i, j, s, (s + 1) % m)] for s in range(m))
-                assert lhs <= cut.rhs + 1e-9
+                assert lhs <= rhs + 1e-9

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cyclecluster import heuristics
 from cyclecluster.formulation import VariableSpace, clustering_to_point
+from cyclecluster.generator import generate
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, objective
 from cyclecluster.oracle import enumerate_optimal, worst_value
@@ -63,6 +65,26 @@ class TestExchange:
         a = exchange(inst, start, rng_seed=42)
         b = exchange(inst, start, rng_seed=42)
         assert a == b
+
+    def test_terminates_at_large_weight_scale(self, monkeypatch):
+        # value += delta drifts by ulps of the weights, which at this scale
+        # exceed any absolute improvement threshold
+        base, _ = generate(7, 4, rng_seed=[99, 3])
+        inst = Instance(n=7, m=4, alpha=base.alpha, Q=base.Q * 1e5)
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 1000:
+                raise RuntimeError("exchange is still running after 1000 delta evaluations")
+            return real(*args)
+
+        real = heuristics._delta_matrix
+        monkeypatch.setattr(heuristics, "_delta_matrix", counted)
+        start = greedy(inst)
+        out = exchange(inst, start)
+        assert objective(inst, out) >= objective(inst, start)
 
     def test_often_reaches_optimum_small(self):
         hits = 0

@@ -10,12 +10,14 @@ from cyclecluster.oracle import (
     full_universe_size,
     max_integral_violation,
     check_cut_validity,
+    cut_vector,
     polytope_dimension,
     surjection_count,
     worst_value,
 )
-from cyclecluster.separation import Cut
+from cyclecluster.formulation import VariableSpace
 from conftest import random_instance
+from sep_brute import named_cut
 
 
 class TestEnumerateOptimal:
@@ -97,33 +99,39 @@ class TestPolytopeDimension:
 class TestCutValidity:
     def test_valid_triangle_y(self):
         inst = random_instance(5, 4, seed=1)
-        cut = Cut(coeffs={("y", 0, 1): 1.0, ("y", 1, 2): 1.0, ("y", 0, 2): -1.0}, rhs=1.0, family="TriangleY", violation=0.0)
+        cut = named_cut(VariableSpace(inst), {("y", 0, 1): 1.0, ("y", 1, 2): 1.0, ("y", 0, 2): -1.0}, 1.0)
         assert check_cut_validity(inst, cut)
 
     def test_fabricated_invalid(self):
         inst = random_instance(5, 3, seed=1)
-        cut = Cut(coeffs={("y", 0, 1): 1.0}, rhs=0.0, family="fake", violation=0.0)
+        cut = named_cut(VariableSpace(inst), {("y", 0, 1): 1.0}, 0.0)
         assert not check_cut_validity(inst, cut)
         assert max_integral_violation(inst, cut) == pytest.approx(1.0)
 
     def test_m4_strengthened_triangle_fails_for_m5(self):
         # negative control: the m=4-only strengthened triangle is invalid at m=5
         i, j, k = 0, 1, 2
-        cut = Cut(
-            coeffs={
-                ("z", i, j): 1.0,
-                ("z", i, k): 1.0,
-                ("y", j, k): -2.0,
-                ("z", j, k): -1.0,
-                ("z", k, j): -1.0,
-                ("z", j, i): -1.0,
-                ("z", k, i): -1.0,
-            },
-            rhs=0.0,
-            family="TriangleZZY4",
-            violation=0.0,
-        )
+        coeffs = {
+            ("z", i, j): 1.0,
+            ("z", i, k): 1.0,
+            ("y", j, k): -2.0,
+            ("z", j, k): -1.0,
+            ("z", k, j): -1.0,
+            ("z", j, i): -1.0,
+            ("z", k, i): -1.0,
+        }
         inst4 = random_instance(6, 4, seed=3)
         inst5 = random_instance(6, 5, seed=3)
-        assert check_cut_validity(inst4, cut)
-        assert not check_cut_validity(inst5, cut)
+        assert check_cut_validity(inst4, named_cut(VariableSpace(inst4), coeffs, 0.0))
+        assert not check_cut_validity(inst5, named_cut(VariableSpace(inst5), coeffs, 0.0))
+
+    def test_sparse_instance_columns_map_into_the_universe(self):
+        # on a sparse instance the model skips pairs; the oracle maps columns by weight alone
+        inst = random_instance(6, 4, seed=8, density=0.5)
+        space = VariableSpace(inst)
+        assert not space.has_pair(0, 1) and space.has_pair(0, 2)
+        cut = named_cut(space, {("z", 2, 0): 1.0, ("y", 0, 2): 1.0}, 0.0)
+        vec = cut_vector(inst, cut)
+        block = 6 * 4 + 3 * 1  # pair (0, 2) is the second of the full universe
+        assert np.flatnonzero(vec).tolist() == [block, block + 2]
+        assert max_integral_violation(inst, cut) == pytest.approx(1.0)

@@ -15,6 +15,8 @@ from conftest import random_clustering, random_instance
 from sep_brute import (
     brute_best_subtour_path_violation,
     brute_triangle_cuts,
+    column,
+    named_cut,
     random_box_point,
     random_fractional_point,
 )
@@ -29,8 +31,13 @@ def dense_space(n, m, seed=0):
 def point_with(space, entries):
     pt = np.zeros(space.ncols)
     for var, val in entries.items():
-        pt[space.index[var]] = val
+        pt[column(space, var)] = val
     return pt
+
+
+def named(space, cut):
+    """The cut's coefficients by readable column name."""
+    return {space.name(c): v for c, v in zip(cut.cols, cut.vals)}
 
 
 class TestTriangle:
@@ -42,7 +49,7 @@ class TestTriangle:
         cut = cuts[0]
         assert cut.family == "TriangleZ3"
         assert cut.violation == pytest.approx(1.0)
-        assert cut.coeffs == {("z", 0, 1): 1.0, ("z", 1, 2): 1.0, ("z", 2, 0): -1.0}
+        assert named(space, cut) == {"z_0_1": 1.0, "z_1_2": 1.0, "z_2_0": -1.0}
 
     def test_m4_strengthened_example(self):
         space = dense_space(4, 4)
@@ -120,8 +127,8 @@ class TestSubtourPath:
         assert sub
         best = sub[0]
         assert best.violation == pytest.approx(0.2)
-        assert best.coeffs[("z", 0, 1)] == 1.0
-        assert best.coeffs[("z", 1, 0)] == 1.0
+        assert named(space, best)["z_0_1"] == 1.0
+        assert named(space, best)["z_1_0"] == 1.0
         assert best.rhs == 1.0
 
     def test_extended_dominates_plain(self):
@@ -134,8 +141,8 @@ class TestSubtourPath:
             for cut in cuts:
                 if cut.family != "Subtour":
                     continue
-                z_only = sum(v * pt[space.index[k]] for k, v in cut.coeffs.items() if k[0] == "z")
-                assert cut.lhs(space, pt) >= z_only - 1e-12
+                z_only = sum(v * pt[c] for c, v in zip(cut.cols, cut.vals) if space.name(c).startswith("z"))
+                assert cut.lhs(pt) >= z_only - 1e-12
 
     def test_integral_points_produce_no_cuts(self):
         rng = np.random.default_rng(1)
@@ -178,7 +185,7 @@ class TestSubtourPath:
         assert paths
         best = paths[0]
         assert best.rhs == 3.0
-        assert best.coeffs.get(("y", 0, 3)) == 1.0
+        assert named(space, best).get("y_0_3") == 1.0
         assert best.violation == pytest.approx(1.0 + 1.0 + 0.9 + 0.8 - 3.0)
 
 
@@ -194,9 +201,9 @@ class TestPartition:
         best = cuts[0]
         assert best.violation == pytest.approx(2.0)
         assert best.rhs == 2.0
-        assert best.coeffs[("z", 0, 2)] == 1.0
-        assert best.coeffs[("y", 0, 1)] == -1.0
-        assert best.coeffs[("y", 2, 3)] == -1.0
+        assert named(space, best)["z_0_2"] == 1.0
+        assert named(space, best)["y_0_1"] == -1.0
+        assert named(space, best)["y_2_3"] == -1.0
 
     def test_singleton_seed_matches_triangle(self):
         # S={i}, T={j,k} reduces to the two-against-one template
@@ -205,7 +212,7 @@ class TestPartition:
         cuts = separate_partition(space, pt, TOL)
         assert cuts
         viols = {c.support: c.violation for c in cuts}
-        singleton = Cut({("z", 0, 1): 1.0, ("z", 0, 2): 1.0, ("y", 1, 2): -1.0}, 1.0, "Partition", 0.0)
+        singleton = named_cut(space, {("z", 0, 1): 1.0, ("z", 0, 2): 1.0, ("y", 1, 2): -1.0}, 1.0)
         assert singleton.support in viols or any(v == pytest.approx(0.7) for v in viols.values())
 
     def test_validity_by_enumeration(self):
@@ -216,7 +223,7 @@ class TestPartition:
             for _ in range(25):
                 pt = random_box_point(space, rng)
                 for cut in separate_partition(space, pt, TOL):
-                    assert check_cut_validity(inst, cut), str(cut)
+                    assert check_cut_validity(inst, cut), cut.text(space)
 
     def test_size_cap_respected(self):
         space = dense_space(8, 5, seed=4)
@@ -225,8 +232,8 @@ class TestPartition:
             pt = random_box_point(space, rng)
             for cut in separate_partition(space, pt, TOL):
                 support_vertices = set()
-                for var in cut.coeffs:
-                    support_vertices.update(var[1:])
+                for c in cut.cols:
+                    support_vertices.update(space.name(c).split("_")[1:])
                 assert len(support_vertices) <= 5
 
 
@@ -243,10 +250,27 @@ class TestSoundness:
             )
             for cut in all_cuts:
                 assert cut.violation > TOL
-                assert cut.lhs(space, pt) - cut.rhs == pytest.approx(cut.violation, abs=1e-9)
+                assert cut.lhs(pt) - cut.rhs == pytest.approx(cut.violation, abs=1e-9)
 
 
 def test_cut_str_is_readable():
-    cut = Cut({("z", 0, 1): 1.0, ("y", 0, 1): -1.0}, 1.0, "TriangleZZY", 0.25)
-    text = str(cut)
-    assert "TriangleZZY" in text and "z[0,1]" in text and "<= 1" in text
+    space = dense_space(3, 3)
+    cut = Cut([space.z(0, 1), space.y(0, 1)], [1.0, -1.0], 1.0, "TriangleZZY", 0.25)
+    text = cut.text(space)
+    assert "TriangleZZY" in text and "+ 1 z_0_1" in text and "- 1 y_0_1" in text and "<= 1" in text
+
+
+def test_cut_sorts_and_merges_columns():
+    cut = Cut([7, 3, 7, 5], [1.0, -1.0, 0.5, 2.0], 1.0, "Path", 0.0)
+    assert cut.cols.tolist() == [3, 5, 7]
+    assert cut.vals.tolist() == [-1.0, 2.0, 1.5]
+    assert cut.support == Cut([5, 7, 3], [2.0, 1.5, -1.0], 1.0, "Subtour", 0.3).support
+    assert cut.lhs(np.arange(8.0)) == pytest.approx(-3.0 + 10.0 + 10.5)
+
+
+def test_order_follows_names():
+    # equal violations are ordered by rhs, then by their terms in name order,
+    # where names compare as (kind, i, j) tuples, x before y before z
+    space = VariableSpace(random_instance(12, 4, seed=3, density=0.6))
+    key = lambda c: (("x", "y", "z").index(space.name(c)[0]), *map(int, space.name(c).split("_")[1:]))
+    assert np.argsort(space.name_rank).tolist() == sorted(range(space.ncols), key=key)

@@ -124,8 +124,7 @@ def record_from_result(name: str, setting: str, res: SolveResult) -> RunRecord:
 
 def write_event_log(path: Path, history: Sequence[BoundEvent]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for ev in history:
-            fh.write(f"{ev.time_s:.6f} {ev.nodes} {ev.primal!r} {ev.dual!r} {ev.event}\n")
+        fh.writelines(ev.log_line() for ev in history)
 
 
 def read_event_log(path: Path) -> list[BoundEvent]:

@@ -2,9 +2,11 @@
 generate instances and suites, benchmark configuration matrices, and
 self-check against the brute-force oracle.
 
-Exit codes: 0 on success (including hitting a time or node limit, reported in
-the status field), 2 for unreadable or malformed instance files, 3 for
-infeasible parameters, 1 for failed checks or unexpected errors.
+Exit codes: 0 on success (including a stop at a time or node limit or at an
+LP that HiGHS could not solve, reported in the status field as `time_limit`,
+`node_limit` or `lp_error`, each with its incumbent and valid bounds), 2 for
+unreadable or malformed instance files, 3 for infeasible parameters, 1 for
+failed checks or unexpected errors.
 """
 
 from __future__ import annotations

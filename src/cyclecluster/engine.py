@@ -6,8 +6,8 @@ incumbents seeded by the primal heuristics before the tree and improved by
 the exchange heuristic on every new incumbent.  One LP serves the whole
 search: nodes change its column bounds and the pool's cuts stay in it, so
 every solve starts warm from the previous basis.  Each LP gets the time left;
-a node whose LP hits the limit goes back on the heap with the last bound
-proven for it.
+a node whose LP hits the limit or fails goes back on the heap with the last
+bound proven for it, and the search stops with its incumbent.
 
 Nodes whose LP optimum is integral in x but slack in the linearization
 variables (possible when clusters sit more than one step apart) fall back to
@@ -78,10 +78,16 @@ class BoundEvent:
     dual: float
     event: str
 
+    def log_line(self) -> str:
+        """The event-log line: `time nodes primal dual kind`, every number exact."""
+        return f"{self.time_s!r} {self.nodes} {self.primal!r} {self.dual!r} {self.event}\n"
+
 
 @dataclass
 class SolveResult:
-    status: str  # "optimal" | "time_limit" | "node_limit"
+    # "optimal" | "time_limit" | "node_limit" | "lp_error"; after "lp_error"
+    # (an LP that HiGHS could not solve) the bounds and incumbent stay valid
+    status: str
     best_clustering: Optional[Clustering]
     primal_bound: float
     dual_bound: float
@@ -118,13 +124,17 @@ def compute_gap(primal: float, dual: float, epsilon: float = 1e-6) -> float:
     return 100.0 * (dual - primal) / denom
 
 
-def _distance(value: float, reference: float, epsilon: float = 1e-6) -> float:
+def _distance(value: float, reference: float) -> float:
+    """Berthold's primal gap, which is free of the weights' scale: 1 for a
+    missing value, else min(1, |value - reference| / max(|value|, |reference|)),
+    and 0 for values apart by at most 1e-6 times the larger (both zero included)."""
     if value is None or not math.isfinite(value):
         return 1.0
     diff = abs(reference - value)
-    if diff <= epsilon:
+    larger = max(abs(reference), abs(value))
+    if diff <= 1e-6 * larger:
         return 0.0
-    return min(1.0, diff / max(abs(reference), abs(value), epsilon))
+    return min(1.0, diff / larger)
 
 
 def _bound_integral(history: Sequence[BoundEvent], final_time: float, reference: float, attr: str) -> float:
@@ -195,7 +205,7 @@ class _Search:
         ev = BoundEvent(self.elapsed(), self.nodes_processed, self.primal * self.scale, self.dual * self.scale, kind)
         self.history.append(ev)
         if self.log is not None:
-            self.log.write(f"{ev.time_s:.6f} {ev.nodes} {ev.primal!r} {ev.dual!r} {ev.event}\n")
+            self.log.write(ev.log_line())
 
     def offer(self, clustering: Clustering, source: str) -> bool:
         val = objective(self.inst, clustering)
@@ -304,9 +314,9 @@ class _Search:
         lp_values: list[float] = []
         sol = self.solve_node_lp()
         while True:
-            if sol.status == "time_limit":
+            if sol.status in ("time_limit", "error"):
                 self.push(bound, fixings)  # with the last bound proven for it
-                self.status = "time_limit"
+                self.status = "lp_error" if sol.status == "error" else "time_limit"
                 return
             if not sol.optimal:
                 return

@@ -364,8 +364,8 @@ def point_to_clustering(space: VariableSpace, point: np.ndarray, tol: float = 1e
 def write_lp(model: Model, target: IO[str], name: str = "cyclecluster") -> None:
     """Export in CPLEX LP text format for cross-checking with external solvers."""
     cols = model.ncols
-    name = model.space.name if isinstance(model.space, VariableSpace) else "v{}".format
-    names = [name(c) for c in range(cols)]
+    col_name = model.space.name if isinstance(model.space, VariableSpace) else "v{}".format
+    names = [col_name(c) for c in range(cols)]
     target.write(f"\\ {name}\nMaximize\n obj:")
     terms = [(c, v) for c, v in enumerate(model.objective) if v != 0.0]
     for c, v in terms:

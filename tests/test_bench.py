@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from pathlib import Path
@@ -19,7 +20,7 @@ from cyclecluster.bench import (
     write_event_log,
     write_run_json,
 )
-from cyclecluster.engine import BoundEvent, SolverConfig
+from cyclecluster.engine import BoundEvent, SolverConfig, solve
 from conftest import random_instance
 
 
@@ -103,6 +104,16 @@ class TestAggregation:
         write_event_log(path, events)
         back = read_event_log(path)
         assert back == events
+
+    def test_solve_log_stream_reads_back_as_bound_history(self, tmp_path):
+        buf = io.StringIO()
+        res = solve(random_instance(7, 3, seed=5, alpha=1 / 1.001), SolverConfig(time_limit_s=30.0), log_stream=buf)
+        path = tmp_path / "solve.log"
+        path.write_text(buf.getvalue())
+        assert read_event_log(path) == res.bound_history
+        assert res.bound_history[0].primal == -math.inf and res.bound_history[0].dual == math.inf
+        write_event_log(tmp_path / "again.log", res.bound_history)
+        assert (tmp_path / "again.log").read_text() == buf.getvalue()
 
     def test_json_roundtrip(self, tmp_path):
         rec = RunRecord(instance="x", setting="all/all", status="optimal", primal=0.5, dual=0.5,

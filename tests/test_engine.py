@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from cyclecluster import engine
 from cyclecluster.engine import (
     GAP_INFINITE,
+    SEPARATOR_ORDER,
     BoundEvent,
     SolverConfig,
     compute_gap,
@@ -15,7 +17,7 @@ from cyclecluster.engine import (
 from cyclecluster.formulation import build_cc
 from cyclecluster.generator import generate
 from cyclecluster.instance import Instance, objective
-from cyclecluster.lp import lp_relaxation, solve_lp
+from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal
 from conftest import random_instance
 
@@ -62,6 +64,28 @@ class TestIntegrals:
             BoundEvent(2.0, 0, -math.inf, 1.0, "dual"),
         ]
         assert dual_integral(hist, 4.0, 1.0) == pytest.approx(2.0)
+
+    def test_integrals_do_not_depend_on_weight_scale(self):
+        # an absolute "equal" tolerance once read every distance as 0 at Q x 1e-9
+        def history(s):
+            return [
+                BoundEvent(0.0, 0, -math.inf, math.inf, "start"),
+                BoundEvent(2.0, 0, -math.inf, 4.0 * s, "dual"),
+                BoundEvent(5.0, 1, 0.5 * s, 4.0 * s, "incumbent"),
+                BoundEvent(8.0, 3, 0.5 * s, 1.25 * s, "dual"),
+            ]
+
+        # primal: 5 s at distance 1, then 5 s at 0.5; dual: 2 s at 1, 6 s at 0.75, 2 s at 0.2
+        primal, dual = primal_integral(history(1.0), 10.0, 1.0), dual_integral(history(1.0), 10.0, 1.0)
+        assert primal == pytest.approx(7.5, abs=1e-12)
+        assert dual == pytest.approx(6.9, abs=1e-12)
+        for scale in (1e-9, 1e9):
+            assert primal_integral(history(scale), 10.0, scale) == pytest.approx(primal, abs=1e-12)
+            assert dual_integral(history(scale), 10.0, scale) == pytest.approx(dual, abs=1e-12)
+
+    def test_zero_reference(self):
+        assert primal_integral([BoundEvent(0.0, 0, 0.0, 0.0, "final")], 3.0, 0.0) == 0.0
+        assert primal_integral([BoundEvent(0.0, 0, -1e-12, 0.0, "final")], 3.0, 0.0) == 3.0
 
 
 class TestSolve:
@@ -176,6 +200,32 @@ class TestSolve:
                 assert res.status == "optimal"
                 assert abs(res.primal_bound - best) <= 1e-7 * scale, f"instance {k}: {res.primal_bound} vs {best}"
                 assert objective(inst, res.best_clustering) == pytest.approx(res.primal_bound, rel=1e-12)
+
+    @pytest.mark.parametrize("separators", [SEPARATOR_ORDER, ()], ids=["root_cut_round", "child_node"])
+    def test_lp_error_keeps_incumbent(self, monkeypatch, separators):
+        # with separators the 3rd LP is a root cut round, without them a child node's
+        inst = random_instance(8, 4, seed=11, alpha=1 / 1.001)
+        calls = []
+
+        def third_fails(lp, time_limit=None):
+            calls.append(lp)
+            if len(calls) == 3:
+                return LpSolution("error", None, None, 0)
+            return solve_lp(lp, time_limit)
+
+        monkeypatch.setattr(engine, "solve_lp", third_fails)
+        # sparsify is left out: its nested solve would take some of the calls
+        cfg = SolverConfig(time_limit_s=60, separators=separators, heuristics=("greedy", "rounding", "exchange"))
+        res = solve(inst, cfg)
+        _, best = enumerate_optimal(inst)
+        assert len(calls) == 3
+        assert res.status == "lp_error"
+        assert res.best_clustering is not None
+        assert objective(inst, res.best_clustering) == pytest.approx(res.primal_bound, rel=1e-12)
+        tol = 1e-12 * abs(best)  # rounding between the oracle's objective and the solver's
+        assert res.primal_bound <= best + tol
+        assert best <= res.dual_bound + tol
+        assert res.bound_history[-1].event == "final"
 
     def test_node_limit_status(self):
         inst = random_instance(9, 4, seed=13, alpha=1 / 1.001)

@@ -192,6 +192,12 @@ class TestLpExport:
         assert "Maximize" in text and "Binaries" in text
         assert "x_0_0" in text and "z_0_1" in text
 
+    def test_write_lp_header_names_the_model(self, t1):
+        for kwargs, header in (({}, "\\ cyclecluster"), ({"name": "t1"}, "\\ t1")):
+            buf = io.StringIO()
+            write_lp(build_cc(t1), buf, **kwargs)
+            assert buf.getvalue().splitlines()[0] == header
+
 
 class TestRltCutTransfer:
     def test_translated_cuts_hold_at_integral_points(self):

@@ -88,40 +88,32 @@ class TestResolveWithAddedRows:
         assert after.optimal
         assert after.objective_value <= prior.objective_value + 1e-9
 
-    def test_cold_equals_warm_on_random_cut_sequences(self, monkeypatch):
+    def test_cold_equals_warm_on_random_cut_sequences(self):
         """A persistent LP after random row additions and bound fixings agrees
-        with a fresh one-shot solve of the same rows and bounds, on both paths."""
-        check_persistent_matches_one_shot()
-        with monkeypatch.context() as patch:
-            patch.setattr(lp_mod, "_Highs", None)  # the linprog fallback
-            check_persistent_matches_one_shot()
+        with a freshly loaded LP of the same rows and bounds."""
+        rng = np.random.default_rng(11)
+        inst = random_instance(5, 3, seed=6)
+        model = build_cc(inst)
+        lp = lp_relaxation(model)
+        num_x = model.space.num_x
+        statuses = set()
+        for _ in range(16):
+            cols = rng.choice(lp.ncols, size=3, replace=False)
+            vals = rng.uniform(0.2, 1.0, size=3)
+            lp.add_rows([(cols.tolist(), vals.tolist(), "<", float(rng.uniform(0.5, 2.0)))])
+            lo, hi = model.lo.copy(), model.hi.copy()
+            fixed = rng.choice(num_x, size=int(rng.integers(0, 5)), replace=False)
+            lo[fixed] = hi[fixed] = rng.integers(0, 2, size=fixed.size)
+            lp.set_bounds(lo, hi)
+            warm = solve_lp(lp)
+            cold = solve_lp(LinearProgram(lp.objective, lp.rows, lp.senses, lp.rhs, lo, hi))
+            assert warm.status == cold.status
+            if cold.optimal:
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+            statuses.add(cold.status)
+        assert statuses == {"optimal", "infeasible"}
 
 
-def check_persistent_matches_one_shot():
-    rng = np.random.default_rng(11)
-    inst = random_instance(5, 3, seed=6)
-    model = build_cc(inst)
-    lp = lp_relaxation(model)
-    num_x = model.space.num_x
-    statuses = set()
-    for _ in range(16):
-        cols = rng.choice(lp.ncols, size=3, replace=False)
-        vals = rng.uniform(0.2, 1.0, size=3)
-        lp.add_rows([(cols.tolist(), vals.tolist(), "<", float(rng.uniform(0.5, 2.0)))])
-        lo, hi = model.lo.copy(), model.hi.copy()
-        fixed = rng.choice(num_x, size=int(rng.integers(0, 5)), replace=False)
-        lo[fixed] = hi[fixed] = rng.integers(0, 2, size=fixed.size)
-        lp.set_bounds(lo, hi)
-        warm = solve_lp(lp)
-        cold = solve_lp(LinearProgram(lp.objective, lp.rows, lp.senses, lp.rhs, lo, hi))
-        assert warm.status == cold.status
-        if cold.optimal:
-            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
-        statuses.add(cold.status)
-    assert statuses == {"optimal", "infeasible"}
-
-
-@pytest.mark.skipif(lp_mod._Highs is None, reason="this scipy has no _Highs binding")
 def test_private_highs_binding_contract():
     """Pins every method of scipy's private _Highs that the warm path calls."""
     from scipy.optimize._highspy._core import HighsModelStatus
@@ -159,7 +151,6 @@ def test_private_highs_binding_contract():
     assert highs.modelStatusToString(highs.getModelStatus()) == "Infeasible"
 
 
-@pytest.mark.skipif(lp_mod._Highs is None, reason="this scipy has no _Highs binding")
 def test_time_limit_is_counted_from_each_solve():
     inst = random_instance(14, 5, seed=1)
     lp = lp_relaxation(build_cc(inst))

@@ -18,6 +18,7 @@ subtree exactly like x fixings do.
 from __future__ import annotations
 
 import heapq
+import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -30,6 +31,8 @@ from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, objective
 from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
 from cyclecluster.separation import Cut, separate_partition, separate_subtour_path, separate_triangle
+
+log = logging.getLogger(__name__)
 
 GAP_INFINITE = 1e20
 
@@ -44,6 +47,7 @@ EPSILON_GAP = 1e-6
 DUAL_PAD = 1e-6  # added to LP bounds before pruning decisions
 MAX_CUTS_PER_FAMILY = 200
 PARTITION_MIN_M = 5  # partition separation engaged only for m >= this
+LOG_EVERY_NODES = 100  # an INFO progress line after every this many nodes
 
 
 @dataclass(frozen=True)
@@ -324,7 +328,10 @@ class _Search:
             lp_values.append(sol.objective_value)
             if len(lp_values) > rounds or bound <= self.primal + EPSILON_GAP or self.out_of_time():
                 break
-            if not self.add_cuts(self.separate(sol.values)):
+            added = self.add_cuts(self.separate(sol.values))
+            if is_root and log.isEnabledFor(logging.INFO):
+                log.info("root round %d: LP %.10g, %d cuts added", len(lp_values), sol.objective_value * self.scale, added)
+            if not added:
                 break
             sol = self.solve_node_lp()
 
@@ -403,6 +410,15 @@ class _Search:
             if new_dual != self.dual:
                 self.dual = new_dual
                 self.record("dual")
+            if self.nodes_processed % LOG_EVERY_NODES == 0 and log.isEnabledFor(logging.INFO):
+                log.info(
+                    "%d nodes: primal %.10g, dual %.10g, gap %.4g%%, %d open",
+                    self.nodes_processed,
+                    self.primal * self.scale,
+                    self.dual * self.scale,
+                    compute_gap(self.primal, self.dual),
+                    len(self.heap),
+                )
         if not self.heap and self.status == "optimal":
             self.dual = self.primal if self.incumbent is not None else self.dual
         else:

@@ -2,7 +2,9 @@
 with random perturbations, and the sparsified sub-solve.
 
 All of them operate on the assignment alone; the linearization variables of
-any formulation are implied by it.
+any formulation are implied by it.  Exchange computes each vertex's objective
+contribution against every cluster once per pass (O(n^2 m)) and then keeps it
+current column by column, so each move costs O(n m).
 """
 
 from __future__ import annotations
@@ -14,14 +16,30 @@ import numpy as np
 from cyclecluster.instance import Clustering, Instance, objective
 
 
-def _delta_matrix(inst: Instance, assign: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """delta[v, t] = objective change from moving v into cluster t (O(n^2 m))."""
+def _contributions(inst: Instance, member: np.ndarray) -> np.ndarray:
+    """contrib[v, t] = objective terms between v and cluster t's members if v
+    sat in t (O(n^2 m)); moving v from a to t changes the objective by
+    contrib[v, t] - contrib[v, a]."""
     alpha = inst.alpha
     s_plus = inst.q_plus @ member  # (n, m): coherence mass of v against each cluster
     s_mto = inst.q_minus @ member  # (n, m): net flow from v into each cluster
-    contrib = (1.0 - alpha) * s_plus + alpha * (np.roll(s_mto, -1, axis=1) - np.roll(s_mto, 1, axis=1))
-    current = contrib[np.arange(len(assign)), assign]
-    return contrib - current[:, None]
+    return (1.0 - alpha) * s_plus + alpha * (np.roll(s_mto, -1, axis=1) - np.roll(s_mto, 1, axis=1))
+
+
+def _move(inst: Instance, contrib: np.ndarray, v: int, a: int, t: int) -> None:
+    """Update contrib in place for v leaving cluster a for cluster t (O(n)).
+
+    Separate statements, not one fancy-indexed add: with m = 3 the columns
+    a-1, a+1, t-1 and t+1 coincide in pairs."""
+    m = contrib.shape[1]
+    coherence = (1.0 - inst.alpha) * inst.q_plus[:, v]
+    flow = inst.alpha * inst.q_minus[:, v]
+    contrib[:, a] -= coherence
+    contrib[:, t] += coherence
+    contrib[:, (a - 1) % m] -= flow
+    contrib[:, (a + 1) % m] += flow
+    contrib[:, (t - 1) % m] += flow
+    contrib[:, (t + 1) % m] -= flow
 
 
 def _improves(value: float, reference: float) -> bool:
@@ -94,6 +112,11 @@ def exchange(
     stops improving; then half of each cluster is pushed to the next cluster
     and the search restarts, at most `max_perturbations` times.  Never
     returns a clustering worse than `start`.
+
+    Each pass computes the contribution matrix once (O(n^2 m)) and updates
+    it column by column after each move, so a move costs O(n m) and a pass
+    O(n^2 m).  Starting every pass from a fresh matrix bounds the rounding
+    drift to at most n rank-1 updates.
     """
     n, m = inst.n, inst.m
     rng = np.random.default_rng(rng_seed)
@@ -106,30 +129,33 @@ def exchange(
         assign = assign.copy()
         member = np.zeros((n, m))
         member[np.arange(n), assign] = 1.0
-        sizes = member.sum(axis=0)
-        processed = np.zeros(n, dtype=bool)
+        contrib = _contributions(inst, member)
+        sizes = np.bincount(assign, minlength=m)
+        unmoved = np.arange(n)  # ascending, so argmax breaks ties to the lowest vertex
         for _ in range(n):
-            delta = _delta_matrix(inst, assign, member)
-            delta[processed, :] = -np.inf
-            delta[np.arange(n), assign] = -np.inf
-            # change in number of empty clusters per candidate move
-            empty_shift = np.where(sizes == 0, -1, 0)[None, :] + (sizes[assign] == 1).astype(int)[:, None]
-            empty_shift = np.where(np.isfinite(delta), empty_shift, np.inf)
-            tier = empty_shift.min()
-            if not np.isfinite(tier):
+            rows = np.arange(len(unmoved))
+            cur = assign[unmoved]
+            delta = contrib[unmoved] - contrib[unmoved, cur][:, None]
+            delta[rows, cur] = -np.inf
+            if sizes.min() < 2:  # else no move empties or fills a cluster: every tier is 0
+                # change in number of empty clusters per candidate move
+                empty_shift = np.where(sizes == 0, -1, 0)[None, :] + (sizes[cur] == 1).astype(int)[:, None]
+                empty_shift = np.where(np.isfinite(delta), empty_shift, np.inf)
+                tier = empty_shift.min()
+                if not np.isfinite(tier):
+                    break
+                delta = np.where(empty_shift == tier, delta, -np.inf)
+            row, t = divmod(int(np.argmax(delta)), m)
+            if not np.isfinite(delta[row, t]):
                 break
-            delta = np.where(empty_shift == tier, delta, -np.inf)
-            flat = int(np.argmax(delta))
-            v, t = divmod(flat, m)
-            if not np.isfinite(delta[v, t]):
-                break
-            value += float(delta[v, t])
-            member[v, assign[v]] = 0.0
-            sizes[assign[v]] -= 1
-            assign[v] = t
-            member[v, t] = 1.0
+            v = int(unmoved[row])
+            a = int(assign[v])
+            value += float(delta[row, t])
+            _move(inst, contrib, v, a, t)
+            sizes[a] -= 1
             sizes[t] += 1
-            processed[v] = True
+            assign[v] = t
+            unmoved = unmoved[unmoved != v]
             if _improves(value, best_val) and sizes.min() >= 1:
                 best_val = value
                 best_assign = assign.copy()

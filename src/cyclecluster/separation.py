@@ -253,6 +253,24 @@ def separate_partition(
     seeds.sort(key=lambda s: (s[0], s[1], s[2]))
     seen_seed: set[tuple] = set()
 
+    def best_candidate(side: list[int], other: list[int], into_s: bool):
+        # the gain of every vertex at once, summed term by term in list
+        # order so that each gain is the same float as a scalar sum
+        z_gain = np.zeros(n)
+        for j in other:
+            z_gain += Z[:, j] if into_s else Z[j, :]
+        y_loss = np.zeros(n)
+        for u in side:
+            y_loss += Y[:, u]
+        gain = z_gain - y_loss
+        ok = E[:, side].all(axis=1)  # else an internal y-term would be missing
+        ok[side] = ok[other] = False
+        best_v, best_gain = -1, -np.inf
+        for v, g in zip(np.flatnonzero(ok).tolist(), gain[ok].tolist()):
+            if g > best_gain + 1e-12:
+                best_v, best_gain = v, g
+        return best_v, best_gain
+
     cuts: list[Cut] = []
     for slack, S0, T0 in seeds:
         key = (S0, T0)
@@ -266,23 +284,6 @@ def separate_partition(
         best_viol = lhs - min(len(S), len(T))
         best_sets = (tuple(S), tuple(T))
         while len(S) + len(T) < max_size:
-            members = frozenset(S) | frozenset(T)
-
-            def best_candidate(side: list[int], other: list[int], into_s: bool):
-                best_v, best_gain = -1, -np.inf
-                for v in range(n):
-                    if v in members:
-                        continue
-                    if any(not E[v, u] for u in side):
-                        continue  # internal y-term would be missing
-                    if into_s:
-                        gain = sum(Z[v, j] for j in other) - sum(Y[v, u] for u in side)
-                    else:
-                        gain = sum(Z[i, v] for i in other) - sum(Y[v, u] for u in side)
-                    if gain > best_gain + 1e-12:
-                        best_v, best_gain = v, gain
-                return best_v, best_gain
-
             if len(S) < len(T):
                 choice = best_candidate(S, T, True) + ("S",)
             elif len(T) < len(S):

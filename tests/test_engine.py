@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 
 import pytest
@@ -240,6 +241,26 @@ class TestSolve:
             plain = solve(inst, FAST)
             broken = solve(inst, SolverConfig(time_limit_s=60, symmetry_break=True))
             assert plain.primal_bound == pytest.approx(broken.primal_bound, abs=1e-7)
+
+    def test_progress_logging(self, caplog, monkeypatch):
+        inst = random_instance(8, 4, seed=11, alpha=1 / 1.001)
+        cfg = SolverConfig(time_limit_s=120, heuristics=())  # no sparsify sub-solve
+        caplog.set_level(logging.WARNING, logger="cyclecluster.engine")
+        solve(inst, cfg)
+        assert caplog.records == []  # the default level logs nothing
+
+        monkeypatch.setattr(engine, "LOG_EVERY_NODES", 1)
+        caplog.set_level(logging.INFO, logger="cyclecluster.engine")
+        res = solve(inst, cfg)
+        lines = [r.getMessage() for r in caplog.records if r.name == "cyclecluster.engine"]
+        rounds = [ln for ln in lines if ln.startswith("root round")]
+        nodes = [ln for ln in lines if ln.endswith(" open")]
+        assert len(rounds) + len(nodes) == len(lines)
+        assert 1 <= len(rounds) <= len(res.root_lp_values)
+        for k, (line, value) in enumerate(zip(rounds, res.root_lp_values), start=1):
+            assert line.startswith(f"root round {k}: LP {value:.10g}, ")
+        assert res.nodes_processed > 1 and len(nodes) == res.nodes_processed
+        assert nodes[-1].startswith(f"{res.nodes_processed} nodes: primal ")
 
     def test_log_stream_events(self, t1):
         buf = io.StringIO()

@@ -4,10 +4,11 @@ import pytest
 from cyclecluster import heuristics
 from cyclecluster.formulation import VariableSpace, clustering_to_point
 from cyclecluster.generator import generate
-from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
+from cyclecluster.heuristics import _contributions, exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, objective
 from cyclecluster.oracle import enumerate_optimal, worst_value
 from conftest import random_clustering, random_instance
+import heur_ref
 
 
 class TestGreedy:
@@ -33,6 +34,21 @@ class TestGreedy:
     def test_deterministic(self):
         inst = random_instance(8, 3, seed=5)
         assert greedy(inst) == greedy(inst)
+
+
+def _cap_passes(monkeypatch, cap):
+    """Make exchange raise once it starts more than `cap` passes from now."""
+    real = _contributions
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > cap:
+            raise RuntimeError(f"exchange is still running after {cap} passes")
+        return real(*args)
+
+    monkeypatch.setattr(heuristics, "_contributions", counted)
 
 
 class TestExchange:
@@ -67,24 +83,17 @@ class TestExchange:
         assert a == b
 
     def test_terminates_at_large_weight_scale(self, monkeypatch):
-        # value += delta drifts by ulps of the weights, which at this scale
-        # exceed any absolute improvement threshold
-        base, _ = generate(7, 4, rng_seed=[99, 3])
-        inst = Instance(n=7, m=4, alpha=base.alpha, Q=base.Q * 1e5)
-        calls = 0
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            if calls > 1000:
-                raise RuntimeError("exchange is still running after 1000 delta evaluations")
-            return real(*args)
-
-        real = heuristics._delta_matrix
-        monkeypatch.setattr(heuristics, "_delta_matrix", counted)
-        start = greedy(inst)
-        out = exchange(inst, start)
-        assert objective(inst, out) >= objective(inst, start)
+        # value += delta drifts by ulps of the weights, which at these scales
+        # exceed any absolute improvement threshold.  Under one, the last two
+        # instances run on forever; the first did so before exchange updated
+        # its contributions incrementally.
+        for n, m, k, scale in [(7, 4, 3, 1e5), (8, 4, 2, 1e5), (7, 3, 0, 1e7)]:
+            base, _ = generate(n, m, rng_seed=[99, k])
+            inst = Instance(n=n, m=m, alpha=base.alpha, Q=base.Q * scale)
+            _cap_passes(monkeypatch, 1000 // n)  # a pass makes at most n moves: about 1000 moves
+            start = greedy(inst)
+            out = exchange(inst, start)
+            assert objective(inst, out) >= objective(inst, start)
 
     def test_often_reaches_optimum_small(self):
         hits = 0
@@ -96,6 +105,69 @@ class TestExchange:
             if objective(inst, out) >= best - 1e-9:
                 hits += 1
         assert hits >= 15  # local search with perturbations is strong at this size
+
+
+def _reference_cases():
+    """60 (instance, start) pairs: all-singleton starts (n == m), m = 3, 4
+    and 8, sparse Q and small integer Q, with greedy and random starts."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for k in range(60):
+        if k < 10:
+            n = m = 3 + k % 6
+        else:
+            m = (3, 4, 8)[k % 3]
+            n = m + int(rng.integers(1, 12))
+        alpha = float(rng.uniform(0.1, 0.95))
+        if k % 4 == 2:  # small counts, so that many moves tie
+            q = rng.integers(0, 3, size=(n, n)).astype(float)
+            np.fill_diagonal(q, 0.0)
+            inst = Instance(n=n, m=m, alpha=alpha, Q=q)
+        else:
+            inst = random_instance(n, m, seed=100 + k, alpha=alpha, density=0.25 if k % 4 == 3 else 1.0)
+        start = greedy(inst) if k % 2 else Clustering(random_clustering(n, m, rng), m)
+        cases.append((inst, start, k))
+    return cases
+
+
+class TestExchangeIncremental:
+    def test_same_clusterings_as_full_recompute(self):
+        cases = _reference_cases()
+        assert {inst.m for inst, _, _ in cases} >= {3, 4, 8}
+        assert any(inst.n == inst.m for inst, _, _ in cases)
+        assert any((inst.Q == 0).mean() > 0.5 for inst, _, _ in cases)
+        for inst, start, seed in cases:
+            assert exchange(inst, start, rng_seed=seed) == heur_ref.exchange(inst, start, rng_seed=seed)
+
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_column_update_matches_recompute(self, m):
+        n = 30
+        rng = np.random.default_rng(m)
+        inst = random_instance(n, m, seed=m, alpha=0.3, density=0.5)
+        assign = rng.integers(0, m, size=n)
+        member = np.zeros((n, m))
+        member[np.arange(n), assign] = 1.0
+        contrib = _contributions(inst, member)
+        for _ in range(50):
+            v = int(rng.integers(n))
+            a = int(assign[v])
+            t = int((a + rng.integers(1, m)) % m)
+            heuristics._move(inst, contrib, v, a, t)
+            assign[v] = t
+            member[v, a], member[v, t] = 0.0, 1.0
+            delta = contrib - contrib[np.arange(n), assign][:, None]
+            fresh = heur_ref.delta_matrix(inst, assign, member)
+            assert np.abs(delta - fresh).max() <= 1e-12 * np.abs(fresh).max()
+
+    def test_raw_count_scale(self, monkeypatch):
+        # Markov-state-model transition counts run to 1e7
+        _cap_passes(monkeypatch, 1000)
+        for k in range(5):
+            base, _ = generate(12 + k, 4, rng_seed=[99, k])
+            inst = Instance(n=base.n, m=4, alpha=base.alpha, Q=base.Q * 1e7)
+            for start in (greedy(inst), Clustering(tuple(v % 4 for v in range(inst.n)), 4)):
+                out = exchange(inst, start, rng_seed=k)
+                assert objective(inst, out) >= objective(inst, start)
 
 
 class TestRounding:

@@ -78,7 +78,6 @@ def _config_from_args(args) -> SolverConfig:
         separators=bench_mod.parse_separator_spec(args.sepa),
         heuristics=bench_mod.parse_heuristic_spec(args.heur),
         rng_seed=args.seed,
-        symmetry_break=args.symmetry_break,
         cut_rounds_root=args.cut_rounds_root,
         cut_rounds_node=args.cut_rounds_node,
     )
@@ -117,7 +116,6 @@ def _result_payload(path: str, inst: Instance, cfg: SolverConfig, res: SolveResu
             "separators": list(cfg.separators),
             "heuristics": list(cfg.heuristics),
             "rng_seed": cfg.rng_seed,
-            "symmetry_break": cfg.symmetry_break,
         },
         "bound_history": [
             [ev.time_s, ev.nodes, None if not math.isfinite(ev.primal) else ev.primal,
@@ -162,7 +160,7 @@ def cmd_solve(args) -> int:
         cfg = _config_from_args(args)
         if args.export_lp:
             with open(args.export_lp, "w", encoding="utf-8") as fh:
-                write_lp(build_cc(inst, symmetry_break=cfg.symmetry_break), fh)
+                write_lp(build_cc(inst), fh)
         res = solve(inst, cfg)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -348,12 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--sepa", default="all", help="triangle,subtour,partition | none | all")
     p_solve.add_argument("--heur", default="all", help="greedy,rounding,exchange,sparsify | none | all")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--symmetry-break", action="store_true")
     p_solve.add_argument("--cut-rounds-root", type=int, default=10)
     p_solve.add_argument("--cut-rounds-node", type=int, default=2)
     p_solve.add_argument("--json", action="store_true", help="print a machine-readable result")
     p_solve.add_argument("--out", default=None, help="also write the JSON result to this path")
-    p_solve.add_argument("--export-lp", default=None, help="write the root model in LP text format")
+    p_solve.add_argument("--export-lp", default=None, help="write the root model, without the vertex-0 pin, in LP text format")
     p_solve.set_defaults(func=cmd_solve)
 
     p_heur = sub.add_parser("heuristic", help="run a single primal heuristic")

@@ -9,6 +9,12 @@ every solve starts warm from the previous basis.  Each LP gets the time left;
 a node whose LP hits the limit or fails goes back on the heap with the last
 bound proven for it, and the search stops with its incumbent.
 
+Shifting every cluster label one step around the cycle keeps the objective,
+so each clustering comes with m rotations of equal value.  Every search pins
+vertex 0 to the first cluster by a lower bound of one on x[0,0]; each
+rotation orbit meets that subspace exactly once, so the optimum over it is
+the global one.  The model `build_cc` returns stays unpinned.
+
 Nodes whose LP optimum is integral in x but slack in the linearization
 variables (possible when clusters sit more than one step apart) fall back to
 branching on the most fractional y/z column; their fixings partition the
@@ -59,7 +65,6 @@ class SolverConfig:
     separators: tuple = SEPARATOR_ORDER
     heuristics: tuple = HEURISTIC_NAMES
     rng_seed: int = 0
-    symmetry_break: bool = False
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
@@ -177,8 +182,9 @@ class _Search:
         self.config = config
         self.log = log_stream
         self.t0 = time.perf_counter()
-        self.model = build_cc(self.inst, symmetry_break=config.symmetry_break)
+        self.model = build_cc(self.inst)
         self.space = self.model.space
+        self.model.lo[self.space.x(0, 0)] = 1.0  # one clustering per rotation orbit
         self.lp = lp_relaxation(self.model)  # holds every pool cut for the whole tree
         self.incumbent: Optional[Clustering] = None
         self.primal = -math.inf

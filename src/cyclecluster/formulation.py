@@ -193,13 +193,14 @@ class _RowBuilder:
         return mat, np.asarray(self.senses), np.asarray(self.rhs, dtype=float), self.family
 
 
-def build_cc(inst: Instance, symmetry_break: bool = False) -> Model:
+def build_cc(inst: Instance) -> Model:
     """Build the compact x/y/z model.
 
     Rows: one-cluster-per-vertex equations, nonempty-cluster covers, the
     per-pair exclusion y + z + z' <= 1, and the two linking families that force
     y (resp. z) to one exactly for same-cluster (resp. consecutive) pairs.
-    With symmetry_break, vertex 0 is pinned to the first cluster via bounds.
+    Every column is bounded by [0, 1]; the solver pins vertex 0 to the first
+    cluster on top of this model, which stays the paper's.
     """
     space = VariableSpace(inst)
     n, m = inst.n, inst.m
@@ -241,10 +242,6 @@ def build_cc(inst: Instance, symmetry_break: bool = False) -> Model:
                 )
 
     rows, senses, rhs, family = rb.freeze(space.ncols)
-    lo = np.zeros(space.ncols)
-    hi = np.ones(space.ncols)
-    if symmetry_break:
-        lo[space.x(0, 0)] = 1.0
     return Model(
         space=space,
         objective=obj,
@@ -252,8 +249,8 @@ def build_cc(inst: Instance, symmetry_break: bool = False) -> Model:
         senses=senses,
         rhs=rhs,
         integrality=np.ones(space.ncols, dtype=bool),
-        lo=lo,
-        hi=hi,
+        lo=np.zeros(space.ncols),
+        hi=np.ones(space.ncols),
         row_family=family,
     )
 

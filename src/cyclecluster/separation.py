@@ -215,6 +215,23 @@ def _partition_cut(space: VariableSpace, S: Sequence[int], T: Sequence[int], vio
     return Cut(z + y, [1.0] * len(z) + [-1.0] * len(y), float(min(len(S), len(T))), "Partition", violation)
 
 
+def _partition_seeds(Y: np.ndarray, Z: np.ndarray, E: np.ndarray, almost_violated: float) -> list[tuple]:
+    """Two-against-one triangles within `almost_violated` of being tight, as
+    (slack, S, T) in ascending order: ((i,), (j, k)) for z(i,j) + z(i,k) - y(j,k)
+    and ((j, k), (i,)) for z(j,i) + z(k,i) - y(j,k), for j < k with all three
+    pairs present.  Each slack takes the scalar expression's operations in
+    the same order, so it is the same float as a scalar loop computes."""
+    # E has an empty diagonal, so E[i, j] & E[i, k] already keeps i apart from j and k
+    ok = E[:, :, None] & E[:, None, :] & np.triu(E, 1)[None, :, :]
+    slack_fwd = 1.0 - (Z[:, :, None] + Z[:, None, :] - Y[None, :, :])
+    slack_bwd = 1.0 - (Z.T[:, :, None] + Z.T[:, None, :] - Y[None, :, :])
+    fwd = np.argwhere(ok & (slack_fwd < almost_violated)).tolist()
+    bwd = np.argwhere(ok & (slack_bwd < almost_violated)).tolist()
+    seeds = [(slack_fwd[i, j, k], (i,), (j, k)) for i, j, k in fwd]
+    seeds += [(slack_bwd[i, j, k], (j, k), (i,)) for i, j, k in bwd]
+    return sorted(seeds)
+
+
 def separate_partition(
     space: VariableSpace,
     point: np.ndarray,
@@ -236,22 +253,7 @@ def separate_partition(
     _, Y, Z = space.point_matrices(point)
     E = space.ycol >= 0
 
-    seeds: list[tuple[float, tuple[int, ...], tuple[int, ...]]] = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            if not E[j, k]:
-                continue
-            for i in range(n):
-                if i == j or i == k or not (E[i, j] and E[i, k]):
-                    continue
-                slack_fwd = 1.0 - (Z[i, j] + Z[i, k] - Y[j, k])
-                if slack_fwd < almost_violated:
-                    seeds.append((slack_fwd, (i,), (j, k)))
-                slack_bwd = 1.0 - (Z[j, i] + Z[k, i] - Y[j, k])
-                if slack_bwd < almost_violated:
-                    seeds.append((slack_bwd, (j, k), (i,)))
-    seeds.sort(key=lambda s: (s[0], s[1], s[2]))
-    seen_seed: set[tuple] = set()
+    seeds = _partition_seeds(Y, Z, E, almost_violated)
 
     def best_candidate(side: list[int], other: list[int], into_s: bool):
         # the gain of every vertex at once, summed term by term in list
@@ -272,13 +274,7 @@ def separate_partition(
         return best_v, best_gain
 
     cuts: list[Cut] = []
-    for slack, S0, T0 in seeds:
-        key = (S0, T0)
-        if key in seen_seed:
-            continue
-        seen_seed.add(key)
-        if len(seen_seed) > max_seeds:
-            break
+    for _, S0, T0 in seeds[:max_seeds]:  # every seed is a distinct (S, T)
         S, T = list(S0), list(T0)
         lhs = _partition_lhs(S, T, Y, Z)
         best_viol = lhs - min(len(S), len(T))

@@ -159,3 +159,26 @@ def random_box_point(space, rng):
     over = tail.sum(axis=1)
     tail *= np.where(over > 1.0, 1.0 / over, 1.0)[:, None]
     return np.concatenate([x.ravel(), tail.ravel()])
+
+
+def partition_seeds(Y, Z, E, almost_violated):
+    """The partition separator's seeds by a scalar loop over (j, k, i): the
+    (slack, S, T) of every two-against-one triangle within `almost_violated`
+    of being tight, sorted."""
+    n = Y.shape[0]
+    seeds = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            if not E[j, k]:
+                continue
+            for i in range(n):
+                if i == j or i == k or not (E[i, j] and E[i, k]):
+                    continue
+                slack_fwd = 1.0 - (Z[i, j] + Z[i, k] - Y[j, k])
+                if slack_fwd < almost_violated:
+                    seeds.append((slack_fwd, (i,), (j, k)))
+                slack_bwd = 1.0 - (Z[j, i] + Z[k, i] - Y[j, k])
+                if slack_bwd < almost_violated:
+                    seeds.append((slack_bwd, (j, k), (i,)))
+    seeds.sort(key=lambda s: (s[0], s[1], s[2]))
+    return seeds

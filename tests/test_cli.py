@@ -3,7 +3,9 @@ import json
 import pytest
 
 from cyclecluster.cli import EXIT_BAD_FILE, EXIT_BAD_PARAMS, EXIT_OK, main
+from cyclecluster.formulation import build_cc
 from cyclecluster.instance import load_instance, save_instance
+from cyclecluster.lp import lp_relaxation, solve_lp
 from conftest import random_instance, t1_instance
 
 
@@ -47,12 +49,17 @@ class TestSolveCommand:
         for key in ("nodes_processed", "lp_solves", "simplex_iterations", "cut_counts", "primal_integral", "dual_integral", "bound_history", "config"):
             assert key in payload
 
-    def test_root_only_report(self, t1_file, capsys):
-        rc = main(["solve", t1_file, "--sepa", "none", "--heur", "none", "--node-limit", "1", "--json"])
+    def test_root_only_report(self, tmp_path, capsys):
+        # t1's root LP is integral once vertex 0 is pinned; this one's is not
+        path = tmp_path / "r4.cc"
+        save_instance(random_instance(4, 3, seed=0), path)
+        rc = main(["solve", str(path), "--sepa", "none", "--heur", "none", "--node-limit", "1", "--json"])
         assert rc == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["primal_bound"] is None
-        assert payload["dual_bound"] == pytest.approx(0.5, abs=1e-5)
+        model = build_cc(load_instance(path))
+        model.lo[model.space.x(0, 0)] = 1.0
+        assert payload["dual_bound"] == pytest.approx(solve_lp(lp_relaxation(model)).objective_value, abs=1e-5)
         assert payload["gap_percent"] == "inf"
 
     def test_out_file(self, t1_file, tmp_path, capsys):
@@ -63,7 +70,17 @@ class TestSolveCommand:
     def test_export_lp(self, t1_file, tmp_path, capsys):
         lp_path = tmp_path / "t1.lp"
         assert main(["solve", t1_file, "--time-limit", "60", "--export-lp", str(lp_path)]) == EXIT_OK
-        assert "Maximize" in lp_path.read_text()
+        text = lp_path.read_text()
+        assert "Maximize" in text
+        assert " 0 <= x_0_0 <= 1\n" in text  # the paper's model, without the solver's pin
+
+    def test_no_symmetry_option(self, t1_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["solve", t1_file, "--symmetry-break"])
+        capsys.readouterr()
+        assert main(["solve", t1_file, "--json", "--time-limit", "60"]) == EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert sorted(config) == ["heuristics", "node_limit", "rng_seed", "separators", "time_limit_s"]
 
 
 class TestHeuristicCommand:

@@ -2,6 +2,7 @@ import io
 import logging
 import math
 
+import numpy as np
 import pytest
 
 from cyclecluster import engine
@@ -99,14 +100,18 @@ class TestSolve:
         assert res.best_clustering is not None
         assert objective(t1, res.best_clustering) == pytest.approx(res.primal_bound, abs=1e-12)
 
-    def test_root_only_no_features(self, t1):
+    def test_root_only_no_features(self):
+        # t1's root LP is integral once vertex 0 is pinned; this one's is not
+        inst = random_instance(4, 3, seed=0)
         cfg = SolverConfig(time_limit_s=60, node_limit=1, separators=(), heuristics=())
-        res = solve(t1, cfg)
+        res = solve(inst, cfg)
         assert res.status in ("node_limit", "optimal")
         assert res.nodes_processed == 1
-        root_lp = solve_lp(lp_relaxation(build_cc(t1))).objective_value
+        model = build_cc(inst)
+        model.lo[model.space.x(0, 0)] = 1.0
+        root_lp = solve_lp(lp_relaxation(model)).objective_value
         assert res.dual_bound == pytest.approx(root_lp, abs=1e-5)
-        assert res.best_clustering is None  # uniform root LP is fractional
+        assert res.best_clustering is None  # the root LP is fractional
         assert res.gap_percent == GAP_INFINITE
 
     def test_matches_oracle_on_small_instances(self):
@@ -176,9 +181,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("limit", [2.0, 5.0])
     def test_time_limit_reaches_every_lp(self, limit):
-        # the root cut loop of these instances alone outlasts both limits
+        # the root cut loop of these weak-signal instances alone outlasts both
+        # limits (the default-signal ones close in about 5 s with vertex 0 pinned)
         for k in range(4):
-            inst, _ = generate(30, 5, rng_seed=[99, k])
+            inst, _ = generate(30, 5, forward_strength=0.25, rng_seed=[99, k])
             res = solve(inst, SolverConfig(time_limit_s=limit))
             assert res.status == "time_limit"
             assert res.best_clustering is not None
@@ -236,11 +242,41 @@ class TestSolve:
         assert res.dual_bound >= res.primal_bound - 1e-9
 
     def test_symmetry_break_same_value(self):
+        # the pinned vertex 0 is moved into each cluster of the optimum in turn
         for seed in (0, 4):
             inst = random_instance(7, 3, seed=seed, alpha=1 / 1.001)
-            plain = solve(inst, FAST)
-            broken = solve(inst, SolverConfig(time_limit_s=60, symmetry_break=True))
-            assert plain.primal_bound == pytest.approx(broken.primal_bound, abs=1e-7)
+            best_clustering, best = enumerate_optimal(inst)
+            for members in best_clustering.clusters():
+                v = members[0]
+                perm = list(range(inst.n))
+                perm[0], perm[v] = v, 0  # new vertex k is old vertex perm[k]
+                relabeled = Instance(n=inst.n, m=inst.m, alpha=inst.alpha, Q=inst.Q[np.ix_(perm, perm)])
+                res = solve(relabeled, FAST)
+                assert res.status == "optimal"
+                assert abs(res.primal_bound - best) <= 1e-7
+                assert objective(relabeled, res.best_clustering) == pytest.approx(res.primal_bound, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["n_equals_m", "vertex0_weightless", "raw_counts"])
+    def test_pin_edge_cases(self, kind):
+        for k in range(6):
+            n, m = 6 + k % 3, 3 + k % 2
+            if kind == "n_equals_m":
+                n = m = 3 + k % 4  # every cluster a singleton
+                inst = random_instance(n, m, seed=k, alpha=1 / 1.001)
+            elif kind == "vertex0_weightless":
+                base = random_instance(n, m, seed=k, alpha=1 / 1.001, density=0.5)
+                q = base.Q.copy()
+                q[0, :] = q[:, 0] = 0.0  # vertex 0 gets no y/z columns
+                inst = Instance(n=n, m=m, alpha=base.alpha, Q=q)
+                assert (build_cc(inst).space.ycol[0] < 0).all()
+            else:
+                base, _ = generate(n, m, rng_seed=[1234, k])
+                inst = Instance(n=n, m=m, alpha=base.alpha, Q=np.round(base.Q * 1e6))
+            _, best = enumerate_optimal(inst)
+            res = solve(inst, FAST)
+            assert res.status == "optimal", f"{kind} {k}"
+            assert abs(res.primal_bound - best) <= 1e-7 * max(1.0, abs(best)), f"{kind} {k}: {res.primal_bound} vs {best}"
+            assert objective(inst, res.best_clustering) == pytest.approx(res.primal_bound, rel=1e-12)
 
     def test_progress_logging(self, caplog, monkeypatch):
         inst = random_instance(8, 4, seed=11, alpha=1 / 1.001)

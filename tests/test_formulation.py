@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from cyclecluster.engine import SolverConfig, _Search
 from cyclecluster.formulation import (
     ConversionError,
     RltSpace,
@@ -80,8 +81,15 @@ class TestBuildCc:
             assert model.point_objective(pt) == pytest.approx(objective(inst, c), abs=1e-9)
 
     def test_symmetry_break_pins_first_vertex(self, t1):
-        model = build_cc(t1, symmetry_break=True)
-        assert model.lo[model.space.x(0, 0)] == 1.0
+        # the model stays the paper's; only the solver's LP pins vertex 0
+        model = build_cc(t1)
+        assert not model.lo.any()
+        assert (model.hi == 1.0).all()
+        search = _Search(t1, SolverConfig(), None)
+        pinned = np.zeros(model.ncols)
+        pinned[model.space.x(0, 0)] = 1.0
+        assert search.lp.lo.tolist() == pinned.tolist()
+        assert (search.lp.hi == 1.0).all()
 
 
 class TestPointConversion:

@@ -4,8 +4,10 @@ import pytest
 from cyclecluster.formulation import VariableSpace, clustering_to_point
 from cyclecluster.instance import Clustering
 from cyclecluster.oracle import check_cut_validity
+from cyclecluster import separation
 from cyclecluster.separation import (
     Cut,
+    _partition_seeds,
     _separate_from_start,
     separate_partition,
     separate_subtour_path,
@@ -17,6 +19,7 @@ from sep_brute import (
     brute_triangle_cuts,
     column,
     named_cut,
+    partition_seeds,
     random_box_point,
     random_fractional_point,
 )
@@ -235,6 +238,63 @@ class TestPartition:
                 for c in cut.cols:
                     support_vertices.update(space.name(c).split("_")[1:])
                 assert len(support_vertices) <= 5
+
+
+def partition_test_points():
+    """(space, point) pairs: those of acceptance criteria 3 and 4, drawn from
+    the same generators in the same order, then random points at n = 8..15,
+    dense and sparse."""
+    rng = np.random.default_rng(2024)
+    for n, m in [(n, m) for n in (4, 5, 6) for m in (3, 4, 5) if m <= n]:
+        space = VariableSpace(random_instance(n, m, seed=n * 10 + m, alpha=1 / 1.001))
+        for trial in range(200):
+            if trial % 2:
+                yield space, random_box_point(space, rng)
+            else:
+                yield space, random_fractional_point(space, rng, components=3, noise=0.3)
+    rng = np.random.default_rng(99)
+    for n, m in [(5, 3), (6, 4), (6, 5), (7, 4)]:
+        space = VariableSpace(random_instance(n, m, seed=n + m, alpha=1 / 1.001))
+        for trial in range(10):
+            yield space, random_box_point(space, rng) if trial % 2 else random_fractional_point(space, rng, noise=0.25)
+    rng = np.random.default_rng(4242)
+    for trial in range(100):
+        space = VariableSpace(random_instance(7, (3, 4, 5)[trial % 3], seed=trial % 7, alpha=1 / 1.001))
+        yield space, random_fractional_point(space, rng, components=3, noise=0.15)
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        n = 8 + trial % 8
+        m = 3 + trial % 5
+        space = VariableSpace(random_instance(n, m, seed=trial, density=(1.0, 0.6)[trial % 2]))
+        yield space, random_box_point(space, rng) if trial % 3 == 0 else random_fractional_point(space, rng, noise=0.2)
+
+
+class TestPartitionSeeds:
+    """The vectorized seed build gives bitwise the scalar loop's seeds and cuts."""
+
+    def test_seeds_and_cuts_match_scalar_reference(self, monkeypatch):
+        points = list(partition_test_points())
+        assert len(points) == 1600 + 40 + 100 + 60
+        got, cuts_seen = [], 0
+        for space, point in points:
+            _, Y, Z = space.point_matrices(point)
+            E = space.ycol >= 0
+            for almost in (separation.PARTITION_ALMOST_VIOLATED, 1.0):
+                want = partition_seeds(Y, Z, E, almost)
+                seeds = _partition_seeds(Y, Z, E, almost)
+                assert [(float(s).hex(), S, T) for s, S, T in seeds] == [(float(s).hex(), S, T) for s, S, T in want]
+            got.append(separate_partition(space, point, TOL))
+        monkeypatch.setattr(separation, "_partition_seeds", partition_seeds)
+        for (space, point), cuts in zip(points, got):
+            want = separate_partition(space, point, TOL)
+            assert len(cuts) == len(want)
+            for a, b in zip(cuts, want):
+                assert a.cols.tolist() == b.cols.tolist()
+                assert a.vals.tobytes() == b.vals.tobytes()
+                assert (a.rhs, a.family) == (b.rhs, b.family)
+                assert float(a.violation).hex() == float(b.violation).hex()
+            cuts_seen += len(cuts)
+        assert cuts_seen > 1000  # the points exercise the separator
 
 
 class TestSoundness:

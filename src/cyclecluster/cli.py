@@ -103,6 +103,7 @@ def _result_payload(path: str, inst: Instance, cfg: SolverConfig, res: SolveResu
         "nodes_processed": res.nodes_processed,
         "lp_solves": res.lp_solves,
         "simplex_iterations": res.simplex_iterations,
+        "lp_rows_deleted": res.lp_rows_deleted,
         "wall_time_s": res.wall_time_s,
         "best_clustering": _clusters_report(res.best_clustering),
         "cut_counts": res.cut_counts,

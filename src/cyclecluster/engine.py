@@ -4,10 +4,21 @@ Best timeout-aware best-bound search with x-variable branching, a global cut
 pool fed by the three separator families, LP bounding with a safety pad, and
 incumbents seeded by the primal heuristics before the tree and improved by
 the exchange heuristic on every new incumbent.  One LP serves the whole
-search: nodes change its column bounds and the pool's cuts stay in it, so
-every solve starts warm from the previous basis.  Each LP gets the time left;
-a node whose LP hits the limit or fails goes back on the heap with the last
-bound proven for it, and the search stops with its incumbent.
+search: nodes change its column bounds and rows are appended or deleted in
+place, so every solve starts warm from the previous basis.  Each LP gets the
+time left; a node whose LP hits the limit or fails goes back on the heap with
+the last bound proven for it, and the search stops with its incumbent.
+
+The root cut loop keeps its LP small by aging (Achterberg, Constraint Integer
+Programming, 2007): after each round's solve, every cut or linking row that
+has been slack for `ROW_AGE_LIMIT` solves in a row is deleted.  Such a row is
+basic, so the last optimum stays optimal.  A deleted cut leaves the pool, so
+the separators can find it again; a deleted linking row goes to a lazy pool
+that every LP solve checks exactly, re-adding the violated rows and solving
+again, so each LP value the loop counts satisfies the whole model.  The
+assign, cover and pair rows never leave.  When the root loop ends, every
+linking row goes back into the LP, and the tree runs on the full model plus
+the cuts that survived; tree nodes do not age rows.
 
 Shifting every cluster label one step around the cycle keeps the objective,
 so each clustering comes with m rotations of equal value.  Every search pins
@@ -31,6 +42,7 @@ from dataclasses import dataclass, field, replace
 from typing import IO, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from cyclecluster.formulation import LESS_EQUAL, ConversionError, build_cc, point_to_clustering
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
@@ -54,6 +66,11 @@ DUAL_PAD = 1e-6  # added to LP bounds before pruning decisions
 MAX_CUTS_PER_FAMILY = 200
 PARTITION_MIN_M = 5  # partition separation engaged only for m >= this
 LOG_EVERY_NODES = 100  # an INFO progress line after every this many nodes
+ROW_AGE_LIMIT = 2  # root solves a cut or linking row may stay slack before it is deleted
+TOL_SLACK = 1e-6  # a row with more slack than this is slack (and basic)
+TOL_LINK = 1e-9  # a lazy linking row violated by more than this goes back into the LP
+LINK_FAMILIES = ("same_link", "consec_link")
+CORE_ROW = -1  # origin of the assign, cover and pair rows, which never leave the LP
 
 
 @dataclass(frozen=True)
@@ -110,6 +127,7 @@ class SolveResult:
     root_dual_bound: float = math.inf
     lp_solves: int = 0
     simplex_iterations: int = 0
+    lp_rows_deleted: int = 0
 
     @property
     def optimal(self) -> bool:
@@ -185,7 +203,19 @@ class _Search:
         self.model = build_cc(self.inst)
         self.space = self.model.space
         self.model.lo[self.space.x(0, 0)] = 1.0  # one clustering per rotation orbit
-        self.lp = lp_relaxation(self.model)  # holds every pool cut for the whole tree
+        self.lp = lp_relaxation(self.model)
+        # The lazy pool: every linking row of the model as one CSR block, with
+        # `link_out[k]` set while row k is out of the LP.
+        is_link = np.isin(np.asarray(self.model.row_family), LINK_FAMILIES)
+        self.link_rows = self.model.rows[is_link]
+        self.link_rhs = self.model.rhs[is_link]
+        self.link_out = np.zeros(self.link_rows.shape[0], dtype=bool)
+        # One origin per LP row: CORE_ROW, k for linking row k, or
+        # len(link_rhs) + j for the cut whose support is cut_supports[j].
+        self.row_origin = np.where(is_link, np.cumsum(is_link) - 1, CORE_ROW)
+        self.cut_supports: list[tuple] = []
+        self.row_age = np.zeros(0, dtype=np.int64)  # root solves slack in a row, per LP row
+        self.lp_rows_deleted = 0
         self.incumbent: Optional[Clustering] = None
         self.primal = -math.inf
         self.dual = math.inf
@@ -240,20 +270,63 @@ class _Search:
     # -- cut pool -----------------------------------------------------------
 
     def add_cuts(self, cuts: Sequence[Cut]) -> int:
-        """Append unseen cuts to the LP, where they stay for the rest of the tree.
+        """Append unseen cuts to the LP, where they stay unless the root cut
+        loop ages them out.
 
         Every separator emits globally valid cuts, so each node inherits the
         whole pool.  Returns the number of cuts added.
         """
-        rows = []
+        fresh = []
         for cut in cuts:
             if cut.support in self.pool_supports:
                 continue
             self.pool_supports.add(cut.support)
-            rows.append((cut.cols, cut.vals, LESS_EQUAL, cut.rhs))
+            fresh.append(cut)
             self.cut_counts[cut.family] = self.cut_counts.get(cut.family, 0) + 1
-        self.lp.add_rows(rows)
-        return len(rows)
+        if fresh:
+            indptr = np.zeros(len(fresh) + 1, dtype=np.int32)
+            np.cumsum([cut.cols.size for cut in fresh], out=indptr[1:])
+            block = sparse.csr_matrix(
+                (np.concatenate([cut.vals for cut in fresh]), np.concatenate([cut.cols for cut in fresh]).astype(np.int32), indptr),
+                shape=(len(fresh), self.space.ncols),
+            )
+            first = self.link_rhs.size + len(self.cut_supports)
+            self.cut_supports.extend(cut.support for cut in fresh)
+            self.append_rows(block, np.array([cut.rhs for cut in fresh]), np.arange(first, first + len(fresh)))
+        return len(fresh)
+
+    def append_rows(self, block: sparse.csr_matrix, rhs: np.ndarray, origins: np.ndarray) -> None:
+        """Append `<=` rows to the LP with their origins."""
+        self.lp.add_rows(block, np.full(rhs.size, LESS_EQUAL), rhs)
+        self.row_origin = np.concatenate([self.row_origin, origins])
+
+    def age_rows(self, values: np.ndarray) -> None:
+        """Delete every cut and linking row slack at `ROW_AGE_LIMIT` solves in a row."""
+        slack = self.lp.rhs - self.lp.rows @ values
+        age = np.zeros(slack.size, dtype=np.int64)  # rows appended since the last call start at 0
+        age[: self.row_age.size] = self.row_age
+        self.row_age = np.where(slack > TOL_SLACK, age + 1, 0)
+        drop = np.flatnonzero((self.row_age >= ROW_AGE_LIMIT) & (self.row_origin != CORE_ROW))
+        if drop.size == 0:
+            return
+        origin = self.row_origin[drop]
+        num_link = self.link_rhs.size
+        self.link_out[origin[origin < num_link]] = True
+        for j in origin[origin >= num_link] - num_link:
+            self.pool_supports.discard(self.cut_supports[j])
+        self.lp.delete_rows(drop)
+        keep = np.ones(slack.size, dtype=bool)
+        keep[drop] = False
+        self.row_origin = self.row_origin[keep]
+        self.row_age = self.row_age[keep]
+        self.lp_rows_deleted += drop.size
+
+    def restore_linking_rows(self) -> None:
+        """Put every linking row of the lazy pool back into the LP."""
+        out = np.flatnonzero(self.link_out)
+        if out.size:
+            self.link_out[out] = False
+            self.append_rows(self.link_rows[out], self.link_rhs[out], out)
 
     def separate(self, point: np.ndarray) -> list[Cut]:
         cfg = self.config
@@ -280,10 +353,18 @@ class _Search:
     # -- LP solving ---------------------------------------------------------
 
     def solve_node_lp(self) -> LpSolution:
-        sol = solve_lp(self.lp, max(0.0, self.config.time_limit_s - self.elapsed()))
-        self.lp_solves += 1
-        self.simplex_iterations += sol.iterations
-        return sol
+        """Solve the LP until its optimum satisfies every lazy linking row."""
+        while True:
+            sol = solve_lp(self.lp, max(0.0, self.config.time_limit_s - self.elapsed()))
+            self.lp_solves += 1
+            self.simplex_iterations += sol.iterations
+            if not (sol.optimal and self.link_out.any()):
+                return sol
+            violated = np.flatnonzero(self.link_out & (self.link_rows @ sol.values - self.link_rhs > TOL_LINK))
+            if violated.size == 0:
+                return sol
+            self.link_out[violated] = False
+            self.append_rows(self.link_rows[violated], self.link_rhs[violated], violated)
 
     # -- heuristics ---------------------------------------------------------
 
@@ -320,27 +401,15 @@ class _Search:
         self.lp.set_bounds(lo, hi)
 
         rounds = cfg.cut_rounds_root if is_root else cfg.cut_rounds_node
-        bound = parent_bound
-        lp_values: list[float] = []
-        sol = self.solve_node_lp()
-        while True:
-            if sol.status in ("time_limit", "error"):
-                self.push(bound, fixings)  # with the last bound proven for it
-                self.status = "lp_error" if sol.status == "error" else "time_limit"
-                return
-            if not sol.optimal:
-                return
-            bound = min(parent_bound, sol.objective_value + DUAL_PAD)
-            lp_values.append(sol.objective_value)
-            if len(lp_values) > rounds or bound <= self.primal + EPSILON_GAP or self.out_of_time():
-                break
-            added = self.add_cuts(self.separate(sol.values))
-            if is_root and log.isEnabledFor(logging.INFO):
-                log.info("root round %d: LP %.10g, %d cuts added", len(lp_values), sol.objective_value * self.scale, added)
-            if not added:
-                break
-            sol = self.solve_node_lp()
-
+        sol, bound, lp_values = self.cut_loop(parent_bound, rounds, is_root)
+        if is_root:
+            self.restore_linking_rows()
+        if sol.status in ("time_limit", "error"):
+            self.push(bound, fixings)  # with the last bound proven for it
+            self.status = "lp_error" if sol.status == "error" else "time_limit"
+            return
+        if not sol.optimal:
+            return
         if is_root:
             self.root_lp_values = lp_values
             self.root_dual_bound = bound
@@ -375,6 +444,28 @@ class _Search:
             return  # fully integral point; the bound check above already covers it
         for val in (0.0, 1.0):
             self.push(bound, {**fixings, branch_col: val})
+
+    def cut_loop(self, parent_bound: float, rounds: int, is_root: bool) -> tuple[LpSolution, float, list[float]]:
+        """Solve and separate for up to `rounds` rounds; the root ages rows
+        before it separates.  Returns the last solution, the last bound proven
+        and the LP value of every round."""
+        bound = parent_bound
+        lp_values: list[float] = []
+        sol = self.solve_node_lp()
+        while sol.optimal:
+            bound = min(parent_bound, sol.objective_value + DUAL_PAD)
+            lp_values.append(sol.objective_value)
+            if len(lp_values) > rounds or bound <= self.primal + EPSILON_GAP or self.out_of_time():
+                break
+            if is_root:
+                self.age_rows(sol.values)
+            added = self.add_cuts(self.separate(sol.values))
+            if is_root and log.isEnabledFor(logging.INFO):
+                log.info("root round %d: LP %.10g, %d cuts added", len(lp_values), sol.objective_value * self.scale, added)
+            if not added:
+                break
+            sol = self.solve_node_lp()
+        return sol, bound, lp_values
 
     def pick_branch_column(self, values: np.ndarray, fixings: dict[int, float], lo_col: int, hi_col: int) -> Optional[int]:
         block = values[lo_col:hi_col]
@@ -448,6 +539,7 @@ class _Search:
             root_dual_bound=self.root_dual_bound * self.scale,
             lp_solves=self.lp_solves,
             simplex_iterations=self.simplex_iterations,
+            lp_rows_deleted=self.lp_rows_deleted,
         )
 
 

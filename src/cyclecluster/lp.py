@@ -1,18 +1,20 @@
 """Box-bounded linear programming used for relaxations and the cut loop.
 
-A `LinearProgram` is changed in place: `add_rows` appends rows and
-`set_bounds` changes column bounds.  Each LP owns one HiGHS object, loaded
-when the LP is built, and every change goes to it too.  So every solve runs
-HiGHS's dual simplex (Huangfu & Hall, MPC 2018) from the basis the previous
-solve left, which after a bound change or added rows is still dual feasible.
-Solves are deterministic for a fixed sequence of changes.
+A `LinearProgram` is changed in place: `add_rows` appends a CSR block of
+rows, `delete_rows` removes rows and `set_bounds` changes column bounds.
+Each LP owns one HiGHS object, loaded when the LP is built, and every change
+goes to it too.  So every solve runs HiGHS's dual simplex (Huangfu & Hall,
+MPC 2018) from the basis the previous solve left, which after a bound change
+or added rows is still dual feasible, and after deleting rows that were
+basic (slack) is still optimal.  Solves are deterministic for a fixed
+sequence of changes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 from scipy import sparse
@@ -21,16 +23,14 @@ from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixForma
 
 from cyclecluster.formulation import GREATER_EQUAL, LESS_EQUAL, Model
 
-RowSpec = tuple[Sequence[int], Sequence[float], str, float]
-
 
 @dataclass(eq=False)
 class LinearProgram:
     """maximize objective @ v  subject to  rows (sense) rhs,  lo <= v <= hi.
 
     HiGHS solves the LP, but the rows, senses and rhs stay mirrored here: the
-    benchmark's tracer reads `rows.shape[0]`, and tests check residuals
-    against them.
+    root cut loop reads row slacks from them, the benchmark's tracer reads
+    `rows.shape[0]`, and tests check residuals against them.
     """
 
     objective: np.ndarray
@@ -51,27 +51,34 @@ class LinearProgram:
     def ncols(self) -> int:
         return self.objective.shape[0]
 
-    def add_rows(self, new_rows: Sequence[RowSpec]) -> None:
-        if not new_rows:
+    def add_rows(self, block: sparse.csr_matrix, senses: np.ndarray, rhs: np.ndarray) -> None:
+        """Append the rows of a CSR block over this LP's columns."""
+        if block.shape[0] == 0:
             return
-        data, cols, indptr = [], [], [0]
-        senses, rhs = [], []
-        for row_cols, row_vals, sense, row_rhs in new_rows:
-            cols.extend(row_cols)
-            data.extend(row_vals)
-            indptr.append(len(cols))
-            senses.append(sense)
-            rhs.append(row_rhs)
-        extra = sparse.csr_matrix(
-            (np.asarray(data, dtype=float), np.asarray(cols, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
-            shape=(len(rhs), self.ncols),
-        )
         senses, rhs = np.asarray(senses), np.asarray(rhs, dtype=float)
-        self.rows = sparse.vstack([self.rows, extra], format="csr")
+        self.rows = sparse.vstack([self.rows, block], format="csr")
         self.senses = np.concatenate([self.senses, senses])
         self.rhs = np.concatenate([self.rhs, rhs])
         lower, upper = _row_bounds(senses, rhs)
-        self._highs.addRows(len(rhs), lower, upper, extra.nnz, extra.indptr[:-1], extra.indices, extra.data)
+        indptr = block.indptr.astype(np.int32)
+        indices = block.indices.astype(np.int32)
+        self._highs.addRows(block.shape[0], lower, upper, block.nnz, indptr[:-1], indices, block.data.astype(float))
+
+    def delete_rows(self, idx: np.ndarray) -> None:
+        """Delete the rows at the given positions; the rest keep their order.
+
+        HiGHS keeps its basis when every deleted row is basic (slack), so the
+        next solve starts from the last optimum.
+        """
+        idx = np.unique(np.asarray(idx, dtype=np.int32))  # HiGHS takes an ascending set
+        if idx.size == 0:
+            return
+        keep = np.ones(self.rows.shape[0], dtype=bool)
+        keep[idx] = False
+        self.rows = self.rows[keep]
+        self.senses = self.senses[keep]
+        self.rhs = self.rhs[keep]
+        self._highs.deleteRows(idx.size, idx)
 
     def set_bounds(self, lo: np.ndarray, hi: np.ndarray) -> None:
         changed = np.flatnonzero((lo != self.lo) | (hi != self.hi)).astype(np.int32)

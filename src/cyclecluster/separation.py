@@ -13,8 +13,7 @@ model's variables:
   cut is sound.
 
 A cut is one row over the model's columns: ascending column indices and
-their coefficients, the form `LinearProgram.add_rows` takes, so it goes into
-the LP as it is.  It references only variables that exist for the instance.
+their coefficients, so a batch of cuts goes into the LP as one CSR block.  It references only variables that exist for the instance.
 Terms with a positive coefficient may be dropped when their pair carries no
 weight (this only weakens the inequality); templates whose
 negative-coefficient variables are missing are skipped entirely.

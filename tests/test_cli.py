@@ -1,4 +1,5 @@
 import json
+import logging
 
 import pytest
 
@@ -46,7 +47,7 @@ class TestSolveCommand:
         assert payload["gap_percent"] == 0.0
         assert payload["best_clustering"] is not None
         assert min(payload["best_clustering"]) == 1  # clusters reported 1-based
-        for key in ("nodes_processed", "lp_solves", "simplex_iterations", "cut_counts", "primal_integral", "dual_integral", "bound_history", "config"):
+        for key in ("nodes_processed", "lp_solves", "simplex_iterations", "lp_rows_deleted", "cut_counts", "primal_integral", "dual_integral", "bound_history", "config"):
             assert key in payload
 
     def test_root_only_report(self, tmp_path, capsys):
@@ -155,13 +156,25 @@ class TestCheckCommand:
         assert "all ok" in out
 
 
-class TestLogging:
-    def test_env_var_sets_level(self, t1_file, capsys, monkeypatch):
-        import importlib
-        import logging
+@pytest.fixture
+def root_logger():
+    """The root logger, with its level and handlers given back after the test.
 
+    `basicConfig` binds its handler to the test's captured stderr, which is
+    closed once the test ends; left in place, it would log every later
+    test's engine lines at INFO into a closed file.
+    """
+    root = logging.getLogger()
+    level, handlers = root.level, root.handlers[:]
+    yield root
+    root.handlers[:] = handlers
+    root.setLevel(level)
+
+
+class TestLogging:
+    def test_env_var_sets_level(self, t1_file, capsys, monkeypatch, root_logger):
         monkeypatch.setenv("CYCLECLUSTER_LOG", "INFO")
         # force reconfiguration despite earlier basicConfig calls
-        logging.getLogger().handlers.clear()
+        root_logger.handlers.clear()
         assert main(["heuristic", "greedy", t1_file]) == EXIT_OK
-        assert logging.getLogger().level <= logging.INFO
+        assert root_logger.level <= logging.INFO

@@ -148,12 +148,17 @@ class TestSolve:
             assert ev.primal <= ev.dual + 1e-6
 
     def test_root_cut_loop_monotone(self):
-        inst = random_instance(8, 3, seed=7, alpha=1 / 1.001)
-        res = solve(inst, FAST)
-        vals = res.root_lp_values
-        assert len(vals) >= 2  # cuts were separated at the root
-        for a, b in zip(vals, vals[1:]):
-            assert b <= a + 1e-7
+        # the second instance has m >= 5, so every separator runs, and slack
+        # rows leave its root LP; deleting only basic rows keeps the optimum
+        aging, _ = generate(12, 5, forward_strength=0.25, rng_seed=[5, 12, 5, 5])
+        for inst, cfg in ((random_instance(8, 3, seed=7, alpha=1 / 1.001), FAST),
+                          (aging, SolverConfig(time_limit_s=60, node_limit=1))):
+            res = solve(inst, cfg)
+            vals = res.root_lp_values
+            assert len(vals) >= 2  # cuts were separated at the root
+            for a, b in zip(vals, vals[1:]):
+                assert b <= a + 1e-7
+        assert res.lp_rows_deleted > 0
 
     def test_determinism(self):
         inst = random_instance(8, 4, seed=11, alpha=1 / 1.001)
@@ -307,3 +312,61 @@ class TestSolve:
         assert kind == "final"
         assert float(primal) == pytest.approx(res.primal_bound)
         assert int(nodes) == res.nodes_processed
+
+
+def aging_instance() -> Instance:
+    """Weak-signal n=8, m=5: the root ages out cuts and linking rows, and
+    re-adds some linking rows, and the tree takes about 20 nodes."""
+    return generate(8, 5, forward_strength=0.25, rng_seed=[5, 8, 5, 0])[0]
+
+
+class TestRootAging:
+    def test_counted_points_satisfy_every_linking_row(self, monkeypatch):
+        inst = aging_instance()
+        model = build_cc(inst)
+        link = np.isin(np.asarray(model.row_family), ("same_link", "consec_link"))
+        rows, rhs = model.rows[link], model.rhs[link]
+        points, readded = [], 0
+        solve_node_lp = engine._Search.solve_node_lp
+
+        def spy(search):
+            nonlocal readded
+            out = search.link_out.sum()
+            sol = solve_node_lp(search)
+            readded += out - search.link_out.sum()
+            if search.nodes_processed == 1 and sol.optimal:  # a root round's value
+                points.append((sol.values, sol.objective_value * search.scale))
+            return sol
+
+        monkeypatch.setattr(engine._Search, "solve_node_lp", spy)
+        res = solve(inst, SolverConfig(time_limit_s=60, node_limit=1, heuristics=()))
+        assert res.lp_rows_deleted > 0
+        assert readded > 0  # linking rows left the LP and some were violated again
+        assert [value for _, value in points] == res.root_lp_values
+        for values, _ in points:
+            assert np.all(rows @ values - rhs <= 1e-9)
+
+    def test_first_root_lp_is_the_pinned_model(self):
+        inst, _ = generate(12, 5, forward_strength=0.25, rng_seed=[5, 12, 5])
+        res = solve(inst, SolverConfig(time_limit_s=60, node_limit=1))
+        # before aging the first root LP was one solve of a freshly loaded
+        # pinned model; aging acts only after it, so its value keeps every bit
+        search = engine._Search(inst, SolverConfig(), None)  # builds the pinned model, solves nothing
+        cold = solve_lp(lp_relaxation(search.model))
+        assert res.root_lp_values[0] == cold.objective_value * search.scale
+
+    def test_cut_pool_is_the_cuts_in_the_lp(self):
+        search = engine._Search(aging_instance(), SolverConfig(time_limit_s=60, heuristics=()), None)
+        search.run()
+        assert search.status == "optimal" and search.nodes_processed > 1
+        num_link = search.link_rhs.size
+        origin = search.row_origin
+        assert origin.size == search.lp.rows.shape[0]
+        in_lp = {search.cut_supports[j] for j in origin[origin >= num_link] - num_link}
+        assert search.pool_supports == in_lp  # an aged-out cut left the pool
+        assert len(set(search.cut_supports)) > len(in_lp)  # and some did age out
+        # the tree ran on every linking row, and only the root deleted rows
+        assert not search.link_out.any()
+        assert np.array_equal(np.sort(origin[(origin >= 0) & (origin < num_link)]), np.arange(num_link))
+        root_only = solve(aging_instance(), SolverConfig(time_limit_s=60, node_limit=1, heuristics=()))
+        assert search.lp_rows_deleted == root_only.lp_rows_deleted > 0

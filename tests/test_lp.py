@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize._highspy._core import MatrixFormat
 
 from cyclecluster import lp as lp_mod
 from cyclecluster.formulation import build_cc
@@ -19,6 +20,11 @@ def tiny_lp(obj, rows, senses, rhs, lo, hi):
         lo=np.asarray(lo, dtype=float),
         hi=np.asarray(hi, dtype=float),
     )
+
+
+def add_row(lp, cols, vals, sense, rhs):
+    row = sparse.csr_matrix((np.asarray(vals, dtype=float), (np.zeros(len(cols), dtype=int), np.asarray(cols))), shape=(1, lp.ncols))
+    lp.add_rows(row, np.array([sense]), np.array([rhs]))
 
 
 class TestSolveLp:
@@ -73,7 +79,7 @@ class TestResolveWithAddedRows:
     def test_nonviolated_row_keeps_objective(self):
         lp = tiny_lp([1.0], [[1.0]], ["<"], [0.5], [0.0], [1.0])
         prior = solve_lp(lp)
-        lp.add_rows([([0], [1.0], "<", 0.9)])
+        add_row(lp, [0], [1.0], "<", 0.9)
         after = solve_lp(lp)
         assert after.objective_value == pytest.approx(prior.objective_value)
 
@@ -83,7 +89,7 @@ class TestResolveWithAddedRows:
         prior = solve_lp(lp)
         # cap the largest objective column at half its LP value
         col = int(np.argmax(lp.objective * prior.values))
-        lp.add_rows([([col], [1.0], "<", float(prior.values[col]) / 2.0)])
+        add_row(lp, [col], [1.0], "<", float(prior.values[col]) / 2.0)
         after = solve_lp(lp)
         assert after.optimal
         assert after.objective_value <= prior.objective_value + 1e-9
@@ -100,7 +106,7 @@ class TestResolveWithAddedRows:
         for _ in range(16):
             cols = rng.choice(lp.ncols, size=3, replace=False)
             vals = rng.uniform(0.2, 1.0, size=3)
-            lp.add_rows([(cols.tolist(), vals.tolist(), "<", float(rng.uniform(0.5, 2.0)))])
+            add_row(lp, cols, vals, "<", float(rng.uniform(0.5, 2.0)))
             lo, hi = model.lo.copy(), model.hi.copy()
             fixed = rng.choice(num_x, size=int(rng.integers(0, 5)), replace=False)
             lo[fixed] = hi[fixed] = rng.integers(0, 2, size=fixed.size)
@@ -112,6 +118,52 @@ class TestResolveWithAddedRows:
                 assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
             statuses.add(cold.status)
         assert statuses == {"optimal", "infeasible"}
+
+
+def highs_rows(lp):
+    """The rows, senses and rhs HiGHS holds, in the mirror's form."""
+    model = lp._highs.getLp()
+    a = model.a_matrix_
+    shape = (a.num_row_, a.num_col_)
+    parts = (np.asarray(a.value_), np.asarray(a.index_), np.asarray(a.start_))
+    rows = (sparse.csr_matrix(parts, shape=shape) if a.format_ == MatrixFormat.kRowwise else sparse.csc_matrix(parts, shape=shape)).tocsr()
+    lower, upper = np.asarray(model.row_lower_), np.asarray(model.row_upper_)
+    senses = np.where(lower == upper, "=", np.where(np.isinf(lower), "<", ">"))
+    rhs = np.where(np.isinf(lower), upper, lower)
+    return rows, senses, rhs
+
+
+class TestDeleteRows:
+    def test_deleting_slack_rows_keeps_the_optimum(self):
+        inst = random_instance(9, 4, seed=2)
+        lp = lp_relaxation(build_cc(inst))
+        first = solve_lp(lp)
+        slack = lp.rhs - lp.rows @ first.values
+        idx = np.flatnonzero((lp.senses == "<") & (slack > 1e-6))
+        assert 0 < idx.size < lp.rows.shape[0]
+        lp.delete_rows(idx)
+        assert lp.rows.shape[0] == lp._highs.getNumRow() == len(lp.rhs) == slack.size - idx.size
+        again = solve_lp(lp)
+        assert again.optimal
+        assert again.iterations == 0  # every deleted row was basic, so the basis stays optimal
+        assert again.objective_value == pytest.approx(first.objective_value, rel=1e-12)
+
+    def test_mirror_matches_highs_row_for_row(self):
+        rng = np.random.default_rng(5)
+        inst = random_instance(6, 3, seed=1)
+        lp = lp_relaxation(build_cc(inst))
+        solve_lp(lp)
+        for _ in range(6):
+            k = int(rng.integers(1, 4))
+            block = sparse.random(k, lp.ncols, density=0.1, format="csr", random_state=rng)
+            lp.add_rows(block, rng.choice(np.array(["<", ">"]), size=k), rng.uniform(0.5, 2.0, size=k))
+            lp.delete_rows(rng.choice(lp.rows.shape[0], size=int(rng.integers(1, 5)), replace=False))
+            solve_lp(lp)
+            rows, senses, rhs = highs_rows(lp)
+            assert rows.shape == lp.rows.shape
+            assert (rows != lp.rows).nnz == 0
+            assert np.array_equal(senses, lp.senses)
+            assert np.array_equal(rhs, lp.rhs)
 
 
 def test_private_highs_binding_contract():
@@ -150,6 +202,13 @@ def test_private_highs_binding_contract():
     assert highs.getModelStatus() == HighsModelStatus.kInfeasible
     assert highs.modelStatusToString(highs.getModelStatus()) == "Infeasible"
 
+    # deleting x0 - x1 <= 1 and x0 + x1 <= 3 leaves x0 + x1 <= 4, so x1 = 4 fits with x0 = 0
+    highs.deleteRows(2, np.array([1, 2], dtype=np.int32))
+    assert highs.getNumRow() == 1
+    highs.run()
+    assert highs.getModelStatus() == HighsModelStatus.kOptimal
+    assert list(highs.getSolution().col_value) == pytest.approx([0.0, 4.0])
+
 
 def test_time_limit_is_counted_from_each_solve():
     inst = random_instance(14, 5, seed=1)
@@ -157,7 +216,7 @@ def test_time_limit_is_counted_from_each_solve():
     first = solve_lp(lp)
     spent = lp._highs.getRunTime()
     col = int(np.argmax(lp.objective * first.values))
-    lp.add_rows([([col], [1.0], "<", float(first.values[col]) / 2.0)])
+    add_row(lp, [col], [1.0], "<", float(first.values[col]) / 2.0)
     # the warm re-solve needs about a third of the first solve's time; a limit
     # read against the object's summed run time would already be over
     again = solve_lp(lp, 0.9 * spent)

@@ -9,16 +9,21 @@ place, so every solve starts warm from the previous basis.  Each LP gets the
 time left; a node whose LP hits the limit or fails goes back on the heap with
 the last bound proven for it, and the search stops with its incumbent.
 
-The root cut loop keeps its LP small by aging (Achterberg, Constraint Integer
-Programming, 2007): after each round's solve, every cut or linking row that
-has been slack for `ROW_AGE_LIMIT` solves in a row is deleted.  Such a row is
-basic, so the last optimum stays optimal.  A deleted cut leaves the pool, so
-the separators can find it again; a deleted linking row goes to a lazy pool
-that every LP solve checks exactly, re-adding the violated rows and solving
-again, so each LP value the loop counts satisfies the whole model.  The
-assign, cover and pair rows never leave.  When the root loop ends, every
-linking row goes back into the LP, and the tree runs on the full model plus
-the cuts that survived; tree nodes do not age rows.
+The root cut loop keeps its LP small with lazy rows and aging (Achterberg,
+Constraint Integer Programming, 2007).  The LP starts from the assign, cover
+and pair rows only, which never leave it; every linking row starts in a lazy
+pool.  The loop solves once per round.  After each solve it deletes every
+cut or linking row that has been slack for `ROW_AGE_LIMIT` solves in a row;
+such a row is basic, so the last optimum stays optimal.  Then the round's
+cuts and the pooled linking rows its point violates, checked exactly, go
+into the LP in one batch.  A deleted cut leaves the pool of cuts, so the
+separators can find it again; a deleted linking row goes back to the lazy
+pool.  An LP without some linking rows is a relaxation, so every round's
+value is a valid bound, but only rounds whose point satisfies the whole
+model count toward the round limit, and the loop ends at such a point
+unless the bound prunes or the time runs out.  When the root loop ends,
+every linking row goes back into the LP, and the tree runs on the full
+model plus the cuts that survived; tree nodes do not age rows.
 
 Shifting every cluster label one step around the cycle keeps the objective,
 so each clustering comes with m rotations of equal value.  Every search pins
@@ -69,7 +74,6 @@ LOG_EVERY_NODES = 100  # an INFO progress line after every this many nodes
 ROW_AGE_LIMIT = 2  # root solves a cut or linking row may stay slack before it is deleted
 TOL_SLACK = 1e-6  # a row with more slack than this is slack (and basic)
 TOL_LINK = 1e-9  # a lazy linking row violated by more than this goes back into the LP
-LINK_FAMILIES = ("same_link", "consec_link")
 CORE_ROW = -1  # origin of the assign, cover and pair rows, which never leave the LP
 
 
@@ -128,6 +132,7 @@ class SolveResult:
     lp_solves: int = 0
     simplex_iterations: int = 0
     lp_rows_deleted: int = 0
+    link_rows_readded: int = 0  # by the lazy pool, not counting the root-end restore
 
     @property
     def optimal(self) -> bool:
@@ -203,19 +208,21 @@ class _Search:
         self.model = build_cc(self.inst)
         self.space = self.model.space
         self.model.lo[self.space.x(0, 0)] = 1.0  # one clustering per rotation orbit
-        self.lp = lp_relaxation(self.model)
-        # The lazy pool: every linking row of the model as one CSR block, with
-        # `link_out[k]` set while row k is out of the LP.
-        is_link = np.isin(np.asarray(self.model.row_family), LINK_FAMILIES)
-        self.link_rows = self.model.rows[is_link]
-        self.link_rhs = self.model.rhs[is_link]
-        self.link_out = np.zeros(self.link_rows.shape[0], dtype=bool)
+        # The LP starts from the assign, cover and pair rows, the head of the
+        # model's rows.  The linking rows, its tail, start in the lazy pool: one
+        # CSR block, with `link_out[k]` set while row k is out of the LP.
+        num_core = self.inst.n + self.inst.m + len(self.space.pairs)
+        self.lp = lp_relaxation(self.model, num_core)
+        self.link_rows = self.model.rows[num_core:]
+        self.link_rhs = self.model.rhs[num_core:]
+        self.link_out = np.ones(self.link_rhs.size, dtype=bool)
         # One origin per LP row: CORE_ROW, k for linking row k, or
         # len(link_rhs) + j for the cut whose support is cut_supports[j].
-        self.row_origin = np.where(is_link, np.cumsum(is_link) - 1, CORE_ROW)
+        self.row_origin = np.full(num_core, CORE_ROW)
         self.cut_supports: list[tuple] = []
         self.row_age = np.zeros(0, dtype=np.int64)  # root solves slack in a row, per LP row
         self.lp_rows_deleted = 0
+        self.link_rows_readded = 0
         self.incumbent: Optional[Clustering] = None
         self.primal = -math.inf
         self.dual = math.inf
@@ -321,12 +328,21 @@ class _Search:
         self.row_age = self.row_age[keep]
         self.lp_rows_deleted += drop.size
 
+    def violated_linking_rows(self, values: np.ndarray) -> np.ndarray:
+        """The linking rows out of the LP that `values` violates."""
+        if not self.link_out.any():
+            return np.zeros(0, dtype=np.int64)
+        return np.flatnonzero(self.link_out & (self.link_rows @ values - self.link_rhs > TOL_LINK))
+
+    def add_linking_rows(self, rows: np.ndarray) -> None:
+        """Put the given linking rows of the lazy pool back into the LP."""
+        if rows.size:
+            self.link_out[rows] = False
+            self.append_rows(self.link_rows[rows], self.link_rhs[rows], rows)
+
     def restore_linking_rows(self) -> None:
         """Put every linking row of the lazy pool back into the LP."""
-        out = np.flatnonzero(self.link_out)
-        if out.size:
-            self.link_out[out] = False
-            self.append_rows(self.link_rows[out], self.link_rhs[out], out)
+        self.add_linking_rows(np.flatnonzero(self.link_out))
 
     def separate(self, point: np.ndarray) -> list[Cut]:
         cfg = self.config
@@ -353,18 +369,16 @@ class _Search:
     # -- LP solving ---------------------------------------------------------
 
     def solve_node_lp(self) -> LpSolution:
-        """Solve the LP until its optimum satisfies every lazy linking row."""
-        while True:
-            sol = solve_lp(self.lp, max(0.0, self.config.time_limit_s - self.elapsed()))
-            self.lp_solves += 1
-            self.simplex_iterations += sol.iterations
-            if not (sol.optimal and self.link_out.any()):
-                return sol
-            violated = np.flatnonzero(self.link_out & (self.link_rows @ sol.values - self.link_rhs > TOL_LINK))
-            if violated.size == 0:
-                return sol
-            self.link_out[violated] = False
-            self.append_rows(self.link_rows[violated], self.link_rhs[violated], violated)
+        """Solve the LP as it stands, with the time left.
+
+        During the root cut loop some linking rows may be out of the LP, so
+        the optimum may violate them; its value is then that of a
+        relaxation, still a valid bound.
+        """
+        sol = solve_lp(self.lp, max(0.0, self.config.time_limit_s - self.elapsed()))
+        self.lp_solves += 1
+        self.simplex_iterations += sol.iterations
+        return sol
 
     # -- heuristics ---------------------------------------------------------
 
@@ -446,23 +460,43 @@ class _Search:
             self.push(bound, {**fixings, branch_col: val})
 
     def cut_loop(self, parent_bound: float, rounds: int, is_root: bool) -> tuple[LpSolution, float, list[float]]:
-        """Solve and separate for up to `rounds` rounds; the root ages rows
-        before it separates.  Returns the last solution, the last bound proven
-        and the LP value of every round."""
+        """Solve the LP once per round, then add that round's cuts and the
+        linking rows its point violates in one batch; the root ages rows
+        before it separates.
+
+        A round counts toward `rounds` only when its point satisfies every
+        linking row.  Once `rounds` have counted, rounds add only violated
+        linking rows, so the loop ends at a point of the whole model plus its
+        cuts unless the bound prunes or the time runs out first.  Returns the
+        last solution, the last bound proven and the LP value of every round.
+        """
         bound = parent_bound
         lp_values: list[float] = []
+        counted = 0
         sol = self.solve_node_lp()
         while sol.optimal:
             bound = min(parent_bound, sol.objective_value + DUAL_PAD)
             lp_values.append(sol.objective_value)
-            if len(lp_values) > rounds or bound <= self.primal + EPSILON_GAP or self.out_of_time():
-                break
-            if is_root:
-                self.age_rows(sol.values)
-            added = self.add_cuts(self.separate(sol.values))
+            added = readded = 0
+            if bound > self.primal + EPSILON_GAP and not self.out_of_time():
+                violated = self.violated_linking_rows(sol.values)
+                if counted < rounds:
+                    counted += violated.size == 0
+                    if is_root:
+                        self.age_rows(sol.values)
+                    added = self.add_cuts(self.separate(sol.values))
+                self.add_linking_rows(violated)
+                readded = violated.size
+                self.link_rows_readded += readded
             if is_root and log.isEnabledFor(logging.INFO):
-                log.info("root round %d: LP %.10g, %d cuts added", len(lp_values), sol.objective_value * self.scale, added)
-            if not added:
+                log.info(
+                    "root round %d: LP %.10g, %d cuts added, %d linking rows re-added",
+                    len(lp_values),
+                    sol.objective_value * self.scale,
+                    added,
+                    readded,
+                )
+            if not (added or readded):
                 break
             sol = self.solve_node_lp()
         return sol, bound, lp_values
@@ -540,6 +574,7 @@ class _Search:
             lp_solves=self.lp_solves,
             simplex_iterations=self.simplex_iterations,
             lp_rows_deleted=self.lp_rows_deleted,
+            link_rows_readded=self.link_rows_readded,
         )
 
 

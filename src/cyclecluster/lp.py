@@ -101,12 +101,14 @@ class LpSolution:
         return self.status == "optimal"
 
 
-def lp_relaxation(model: Model) -> LinearProgram:
+def lp_relaxation(model: Model, num_rows: int | None = None) -> LinearProgram:
+    """The LP relaxation of the model's first `num_rows` rows, all by default."""
+    head = slice(num_rows)
     return LinearProgram(
         objective=model.objective,
-        rows=model.rows,
-        senses=model.senses,
-        rhs=model.rhs,
+        rows=model.rows[head],
+        senses=model.senses[head],
+        rhs=model.rhs[head],
         lo=model.lo,
         hi=model.hi,
     )

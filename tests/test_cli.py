@@ -47,7 +47,7 @@ class TestSolveCommand:
         assert payload["gap_percent"] == 0.0
         assert payload["best_clustering"] is not None
         assert min(payload["best_clustering"]) == 1  # clusters reported 1-based
-        for key in ("nodes_processed", "lp_solves", "simplex_iterations", "lp_rows_deleted", "cut_counts", "primal_integral", "dual_integral", "bound_history", "config"):
+        for key in ("nodes_processed", "lp_solves", "simplex_iterations", "lp_rows_deleted", "link_rows_readded", "cut_counts", "primal_integral", "dual_integral", "bound_history", "config"):
             assert key in payload
 
     def test_root_only_report(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cyclecluster.engine import (
 from cyclecluster.formulation import build_cc
 from cyclecluster.generator import generate
 from cyclecluster.instance import Instance, objective
-from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
+from cyclecluster.lp import LinearProgram, LpSolution, lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal
 from conftest import random_instance
 
@@ -187,7 +188,8 @@ class TestSolve:
     @pytest.mark.parametrize("limit", [2.0, 5.0])
     def test_time_limit_reaches_every_lp(self, limit):
         # the root cut loop of these weak-signal instances alone outlasts both
-        # limits (the default-signal ones close in about 5 s with vertex 0 pinned)
+        # limits, and 20 s too: most of its rounds end at points that violate
+        # linking rows, and such rounds do not count toward the round limit
         for k in range(4):
             inst, _ = generate(30, 5, forward_strength=0.25, rng_seed=[99, k])
             res = solve(inst, SolverConfig(time_limit_s=limit))
@@ -215,22 +217,24 @@ class TestSolve:
 
     @pytest.mark.parametrize("separators", [SEPARATOR_ORDER, ()], ids=["root_cut_round", "child_node"])
     def test_lp_error_keeps_incumbent(self, monkeypatch, separators):
-        # with separators the 3rd LP is a root cut round, without them a child node's
+        # with separators the 3rd LP fails, a root cut round's; without them
+        # the first LP after the root, a child node's
         inst = random_instance(8, 4, seed=11, alpha=1 / 1.001)
+        # sparsify is left out: its nested solve would take some of the calls
+        cfg = SolverConfig(time_limit_s=60, separators=separators, heuristics=("greedy", "rounding", "exchange"))
+        failing = 3 if separators else solve(inst, replace(cfg, node_limit=1)).lp_solves + 1
         calls = []
 
-        def third_fails(lp, time_limit=None):
+        def one_fails(lp, time_limit=None):
             calls.append(lp)
-            if len(calls) == 3:
+            if len(calls) == failing:
                 return LpSolution("error", None, None, 0)
             return solve_lp(lp, time_limit)
 
-        monkeypatch.setattr(engine, "solve_lp", third_fails)
-        # sparsify is left out: its nested solve would take some of the calls
-        cfg = SolverConfig(time_limit_s=60, separators=separators, heuristics=("greedy", "rounding", "exchange"))
+        monkeypatch.setattr(engine, "solve_lp", one_fails)
         res = solve(inst, cfg)
         _, best = enumerate_optimal(inst)
-        assert len(calls) == 3
+        assert len(calls) == failing
         assert res.status == "lp_error"
         assert res.best_clustering is not None
         assert objective(inst, res.best_clustering) == pytest.approx(res.primal_bound, rel=1e-12)
@@ -297,9 +301,10 @@ class TestSolve:
         rounds = [ln for ln in lines if ln.startswith("root round")]
         nodes = [ln for ln in lines if ln.endswith(" open")]
         assert len(rounds) + len(nodes) == len(lines)
-        assert 1 <= len(rounds) <= len(res.root_lp_values)
+        assert len(rounds) == len(res.root_lp_values) >= 2
         for k, (line, value) in enumerate(zip(rounds, res.root_lp_values), start=1):
             assert line.startswith(f"root round {k}: LP {value:.10g}, ")
+            assert line.endswith(" linking rows re-added")
         assert res.nodes_processed > 1 and len(nodes) == res.nodes_processed
         assert nodes[-1].startswith(f"{res.nodes_processed} nodes: primal ")
 
@@ -314,46 +319,65 @@ class TestSolve:
         assert int(nodes) == res.nodes_processed
 
 
+LINK_FAMILIES = ("same_link", "consec_link")
+
+
 def aging_instance() -> Instance:
-    """Weak-signal n=8, m=5: the root ages out cuts and linking rows, and
-    re-adds some linking rows, and the tree takes about 20 nodes."""
+    """Weak-signal n=8, m=5: the root re-adds linking rows and ages out cuts
+    and linking rows, and the tree takes about 20 nodes."""
     return generate(8, 5, forward_strength=0.25, rng_seed=[5, 8, 5, 0])[0]
 
 
 class TestRootAging:
-    def test_counted_points_satisfy_every_linking_row(self, monkeypatch):
-        inst = aging_instance()
-        model = build_cc(inst)
-        link = np.isin(np.asarray(model.row_family), ("same_link", "consec_link"))
+    @pytest.mark.parametrize("cap", [SolverConfig.cut_rounds_root, 1], ids=["default", "round_cap"])
+    def test_final_root_point_satisfies_every_linking_row(self, monkeypatch, cap):
+        # with a cap of 1 the point after the counted round still violates
+        # linking rows, so the loop has to finish by re-adding them alone
+        model = build_cc(aging_instance())
+        link = np.isin(np.asarray(model.row_family), LINK_FAMILIES)
         rows, rhs = model.rows[link], model.rhs[link]
-        points, readded = [], 0
+        points = []
         solve_node_lp = engine._Search.solve_node_lp
 
         def spy(search):
-            nonlocal readded
-            out = search.link_out.sum()
             sol = solve_node_lp(search)
-            readded += out - search.link_out.sum()
             if search.nodes_processed == 1 and sol.optimal:  # a root round's value
                 points.append((sol.values, sol.objective_value * search.scale))
             return sol
 
         monkeypatch.setattr(engine._Search, "solve_node_lp", spy)
-        res = solve(inst, SolverConfig(time_limit_s=60, node_limit=1, heuristics=()))
-        assert res.lp_rows_deleted > 0
-        assert readded > 0  # linking rows left the LP and some were violated again
+        res = solve(aging_instance(), SolverConfig(time_limit_s=60, node_limit=1, cut_rounds_root=cap, heuristics=()))
+        assert res.lp_rows_deleted > 0 and res.link_rows_readded > 0
         assert [value for _, value in points] == res.root_lp_values
-        for values, _ in points:
-            assert np.all(rows @ values - rhs <= 1e-9)
+        for a, b in zip(res.root_lp_values, res.root_lp_values[1:]):
+            assert b <= a + 1e-9
+        whole = [bool(np.all(rows @ values - rhs <= 1e-9)) for values, _ in points]
+        assert whole[-1]  # the point the tree would branch on
+        assert not whole[0]  # the first root LP has no linking row
+        if cap == 1:
+            counted = whole.index(True)
+            assert not whole[counted + 1]
 
-    def test_first_root_lp_is_the_pinned_model(self):
+    def test_first_root_lp_is_the_pinned_core_rows(self):
         inst, _ = generate(12, 5, forward_strength=0.25, rng_seed=[5, 12, 5])
         res = solve(inst, SolverConfig(time_limit_s=60, node_limit=1))
-        # before aging the first root LP was one solve of a freshly loaded
-        # pinned model; aging acts only after it, so its value keeps every bit
+        # the first root LP is one solve of a freshly loaded LP of the pinned
+        # assign, cover and pair rows; aging acts only after it
         search = engine._Search(inst, SolverConfig(), None)  # builds the pinned model, solves nothing
-        cold = solve_lp(lp_relaxation(search.model))
+        model = search.model
+        core = ~np.isin(np.asarray(model.row_family), LINK_FAMILIES)
+        cold = solve_lp(LinearProgram(model.objective, model.rows[core], model.senses[core], model.rhs[core], model.lo, model.hi))
         assert res.root_lp_values[0] == cold.objective_value * search.scale
+        assert cold.objective_value >= solve_lp(lp_relaxation(model)).objective_value
+
+    def test_no_linking_row_is_lost(self):
+        # without cuts the root ends at the optimum of the whole pinned model
+        inst, _ = generate(12, 5, forward_strength=0.25, rng_seed=[5, 12, 5])
+        res = solve(inst, SolverConfig(time_limit_s=60, node_limit=1, separators=()))
+        assert res.link_rows_readded > 0
+        search = engine._Search(inst, SolverConfig(), None)
+        cold = solve_lp(lp_relaxation(search.model)).objective_value
+        assert res.root_dual_bound == pytest.approx((cold + engine.DUAL_PAD) * search.scale, rel=1e-9, abs=0)
 
     def test_cut_pool_is_the_cuts_in_the_lp(self):
         search = engine._Search(aging_instance(), SolverConfig(time_limit_s=60, heuristics=()), None)

@@ -19,11 +19,13 @@ cuts and the pooled linking rows its point violates, checked exactly, go
 into the LP in one batch.  A deleted cut leaves the pool of cuts, so the
 separators can find it again; a deleted linking row goes back to the lazy
 pool.  An LP without some linking rows is a relaxation, so every round's
-value is a valid bound, but only rounds whose point satisfies the whole
-model count toward the round limit, and the loop ends at such a point
-unless the bound prunes or the time runs out.  When the root loop ends,
-every linking row goes back into the LP, and the tree runs on the full
-model plus the cuts that survived; tree nodes do not age rows.
+value is a valid bound.  Every round that separates counts toward the round
+limit; after the last one, rounds add only violated linking rows, so the loop
+ends at a point of the whole model unless the bound prunes.  A root whose
+time runs out at a point that violates linking rows goes back on the heap
+like one whose LP hit the limit.  When the root loop ends, every linking row
+goes back into the LP, and the tree runs on the full model plus the cuts that
+survived; tree nodes do not age rows.
 
 Shifting every cluster label one step around the cycle keeps the objective,
 so each clustering comes with m rotations of equal value.  Every search pins
@@ -208,10 +210,10 @@ class _Search:
         self.model = build_cc(self.inst)
         self.space = self.model.space
         self.model.lo[self.space.x(0, 0)] = 1.0  # one clustering per rotation orbit
-        # The LP starts from the assign, cover and pair rows, the head of the
-        # model's rows.  The linking rows, its tail, start in the lazy pool: one
-        # CSR block, with `link_out[k]` set while row k is out of the LP.
-        num_core = self.inst.n + self.inst.m + len(self.space.pairs)
+        # The LP starts from the model's core rows: assign, cover and pair.
+        # The linking rows after them start in the lazy pool: one CSR block,
+        # with `link_out[k]` set while row k is out of the LP.
+        num_core = self.model.core_rows
         self.lp = lp_relaxation(self.model, num_core)
         self.link_rows = self.model.rows[num_core:]
         self.link_rhs = self.model.rhs[num_core:]
@@ -464,30 +466,36 @@ class _Search:
         linking rows its point violates in one batch; the root ages rows
         before it separates.
 
-        A round counts toward `rounds` only when its point satisfies every
-        linking row.  Once `rounds` have counted, rounds add only violated
-        linking rows, so the loop ends at a point of the whole model plus its
-        cuts unless the bound prunes or the time runs out first.  Returns the
-        last solution, the last bound proven and the LP value of every round.
+        Every round that separates counts toward `rounds`.  After the last
+        one, rounds add only violated linking rows, so the loop ends at a
+        point of the whole model plus its cuts unless the bound prunes first.
+        If the time runs out at a point that violates linking rows, the
+        solution comes back with status "time_limit": its value is a bound,
+        but the point is not one of the whole model.  Returns the last
+        solution, the last bound proven and the LP value of every round.
         """
         bound = parent_bound
         lp_values: list[float] = []
-        counted = 0
+        separated = 0
         sol = self.solve_node_lp()
         while sol.optimal:
             bound = min(parent_bound, sol.objective_value + DUAL_PAD)
             lp_values.append(sol.objective_value)
             added = readded = 0
-            if bound > self.primal + EPSILON_GAP and not self.out_of_time():
+            if bound > self.primal + EPSILON_GAP:
                 violated = self.violated_linking_rows(sol.values)
-                if counted < rounds:
-                    counted += violated.size == 0
-                    if is_root:
-                        self.age_rows(sol.values)
-                    added = self.add_cuts(self.separate(sol.values))
-                self.add_linking_rows(violated)
-                readded = violated.size
-                self.link_rows_readded += readded
+                if self.out_of_time():
+                    if violated.size:
+                        sol = replace(sol, status="time_limit")
+                else:
+                    if separated < rounds:
+                        separated += 1
+                        if is_root:
+                            self.age_rows(sol.values)
+                        added = self.add_cuts(self.separate(sol.values))
+                    self.add_linking_rows(violated)
+                    readded = violated.size
+                    self.link_rows_readded += readded
             if is_root and log.isEnabledFor(logging.INFO):
                 log.info(
                     "root round %d: LP %.10g, %d cuts added, %d linking rows re-added",

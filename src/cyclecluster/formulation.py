@@ -138,6 +138,9 @@ class Model:
     lo: np.ndarray
     hi: np.ndarray
     row_family: list[str] = field(default_factory=list)
+    # The rows before this index must stay in every LP; the rest may wait in a
+    # lazy pool until a point violates them.  None: every row is a core row.
+    core_rows: int | None = None
 
     @property
     def ncols(self) -> int:
@@ -199,6 +202,7 @@ def build_cc(inst: Instance) -> Model:
     Rows: one-cluster-per-vertex equations, nonempty-cluster covers, the
     per-pair exclusion y + z + z' <= 1, and the two linking families that force
     y (resp. z) to one exactly for same-cluster (resp. consecutive) pairs.
+    The linking rows come last; `core_rows` counts the rows before them.
     Every column is bounded by [0, 1]; the solver pins vertex 0 to the first
     cluster on top of this model, which stays the paper's.
     """
@@ -219,6 +223,7 @@ def build_cc(inst: Instance) -> Model:
         rb.add([space.x(i, s) for i in range(n)], [1.0] * n, GREATER_EQUAL, 1.0, "cover")
     for (i, j) in space.pairs:
         rb.add([space.y(i, j), space.z(i, j), space.z(j, i)], [1.0, 1.0, 1.0], LESS_EQUAL, 1.0, "pair")
+    core_rows = len(rb.rhs)  # the linking rows come last, so a solver may add them lazily
     for (a, b) in space.pairs:
         for (i, j) in ((a, b), (b, a)):
             yij, zij = space.y(i, j), space.z(i, j)
@@ -252,6 +257,7 @@ def build_cc(inst: Instance) -> Model:
         lo=np.zeros(space.ncols),
         hi=np.ones(space.ncols),
         row_family=family,
+        core_rows=core_rows,
     )
 
 

@@ -188,8 +188,7 @@ class TestSolve:
     @pytest.mark.parametrize("limit", [2.0, 5.0])
     def test_time_limit_reaches_every_lp(self, limit):
         # the root cut loop of these weak-signal instances alone outlasts both
-        # limits, and 20 s too: most of its rounds end at points that violate
-        # linking rows, and such rounds do not count toward the round limit
+        # limits: it ends after 6-9 s, and none of them closes within 20 s
         for k in range(4):
             inst, _ = generate(30, 5, forward_strength=0.25, rng_seed=[99, k])
             res = solve(inst, SolverConfig(time_limit_s=limit))
@@ -329,15 +328,15 @@ def aging_instance() -> Instance:
 
 
 class TestRootAging:
-    @pytest.mark.parametrize("cap", [SolverConfig.cut_rounds_root, 1], ids=["default", "round_cap"])
+    @pytest.mark.parametrize("cap", [SolverConfig.cut_rounds_root, 2], ids=["default", "round_cap"])
     def test_final_root_point_satisfies_every_linking_row(self, monkeypatch, cap):
-        # with a cap of 1 the point after the counted round still violates
-        # linking rows, so the loop has to finish by re-adding them alone
+        # with a cap of 2 the point after the second separation round still
+        # violates linking rows, so the loop has to finish by re-adding them alone
         model = build_cc(aging_instance())
         link = np.isin(np.asarray(model.row_family), LINK_FAMILIES)
         rows, rhs = model.rows[link], model.rhs[link]
-        points = []
-        solve_node_lp = engine._Search.solve_node_lp
+        points, separated = [], []
+        solve_node_lp, separate = engine._Search.solve_node_lp, engine._Search.separate
 
         def spy(search):
             sol = solve_node_lp(search)
@@ -345,18 +344,38 @@ class TestRootAging:
                 points.append((sol.values, sol.objective_value * search.scale))
             return sol
 
+        def separate_spy(search, point):
+            separated.append(len(points))
+            return separate(search, point)
+
         monkeypatch.setattr(engine._Search, "solve_node_lp", spy)
+        monkeypatch.setattr(engine._Search, "separate", separate_spy)
         res = solve(aging_instance(), SolverConfig(time_limit_s=60, node_limit=1, cut_rounds_root=cap, heuristics=()))
-        assert res.lp_rows_deleted > 0 and res.link_rows_readded > 0
+        assert res.link_rows_readded > 0
         assert [value for _, value in points] == res.root_lp_values
         for a, b in zip(res.root_lp_values, res.root_lp_values[1:]):
             assert b <= a + 1e-9
         whole = [bool(np.all(rows @ values - rhs <= 1e-9)) for values, _ in points]
         assert whole[-1]  # the point the tree would branch on
         assert not whole[0]  # the first root LP has no linking row
-        if cap == 1:
-            counted = whole.index(True)
-            assert not whole[counted + 1]
+        if cap == 2:
+            # every separation round counts toward the cap, whatever its point
+            assert separated == [1, 2]
+            assert not whole[2] and len(points) > 3
+        else:
+            assert res.lp_rows_deleted > 0
+
+    def test_time_out_at_a_relaxed_point_is_a_time_limit(self, monkeypatch):
+        # The first root LP, without linking rows, is integral in x, so a root
+        # cut short there would offer its clustering and drop the node as
+        # solved; instead the node goes back on the heap with its bound.
+        search_out_of_time = engine._Search.out_of_time
+        monkeypatch.setattr(engine._Search, "out_of_time", lambda search: search.lp_solves >= 1 or search_out_of_time(search))
+        res = solve(aging_instance(), SolverConfig(time_limit_s=60, heuristics=("greedy",)))
+        assert res.lp_solves == 1 and res.nodes_processed == 1
+        assert res.status == "time_limit"
+        assert res.root_lp_values == []
+        assert res.dual_bound > res.primal_bound and res.gap_percent > 0
 
     def test_first_root_lp_is_the_pinned_core_rows(self):
         inst, _ = generate(12, 5, forward_strength=0.25, rng_seed=[5, 12, 5])

@@ -33,6 +33,10 @@ class TestBuildCc:
         assert model.row_count("pair") == 3
         assert model.row_count("same_link") == 18
         assert model.row_count("consec_link") == 18
+        # the core rows lead and the linking rows follow them
+        assert model.core_rows == 9
+        assert set(model.row_family[:9]) == {"assign", "cover", "pair"}
+        assert set(model.row_family[9:]) == {"same_link", "consec_link"}
 
     def test_zero_pair_gets_no_variables(self):
         q = np.zeros((4, 4))

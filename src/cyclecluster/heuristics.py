@@ -2,9 +2,14 @@
 with random perturbations, and the sparsified sub-solve.
 
 All of them operate on the assignment alone; the linearization variables of
-any formulation are implied by it.  Exchange computes each vertex's objective
-contribution against every cluster once per pass (O(n^2 m)) and then keeps it
-current column by column, so each move costs O(n m).
+any formulation are implied by it.  Greedy and exchange scale the weight
+matrices once per call into rows: row v of `coherence` and of `flow_in` holds
+(1 - alpha) q_plus[:, v] and alpha q_minus[:, v], which is what a move of v
+adds to or subtracts from whole columns.  Exchange computes each vertex's
+objective contribution against every cluster once per pass (O(n^2 m)) and
+then keeps it current column by column.  A flat index of each vertex's own
+cluster and a mask that reads +inf for moved vertices let every move search
+the whole (n, m) matrix, so a move costs O(n m) in a fixed dozen numpy calls.
 """
 
 from __future__ import annotations
@@ -26,20 +31,30 @@ def _contributions(inst: Instance, member: np.ndarray) -> np.ndarray:
     return (1.0 - alpha) * s_plus + alpha * (np.roll(s_mto, -1, axis=1) - np.roll(s_mto, 1, axis=1))
 
 
-def _move(inst: Instance, contrib: np.ndarray, v: int, a: int, t: int) -> None:
-    """Update contrib in place for v leaving cluster a for cluster t (O(n)).
+def _move(contrib: np.ndarray, coherence: np.ndarray, flow_in: np.ndarray, v: int, a: int, t: int) -> None:
+    """Update contrib in place for v leaving cluster a for cluster t (O(n)),
+    with the rows `_weight_rows` precomputed.
 
     Separate statements, not one fancy-indexed add: with m = 3 the columns
     a-1, a+1, t-1 and t+1 coincide in pairs."""
     m = contrib.shape[1]
-    coherence = (1.0 - inst.alpha) * inst.q_plus[:, v]
-    flow = inst.alpha * inst.q_minus[:, v]
-    contrib[:, a] -= coherence
-    contrib[:, t] += coherence
+    coh = coherence[v]
+    flow = flow_in[v]
+    contrib[:, a] -= coh
+    contrib[:, t] += coh
     contrib[:, (a - 1) % m] -= flow
     contrib[:, (a + 1) % m] += flow
     contrib[:, (t - 1) % m] += flow
     contrib[:, (t + 1) % m] -= flow
+
+
+def _weight_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """(coherence, flow_in): row v is (1 - alpha) q_plus[:, v] and
+    alpha q_minus[:, v], the same products as scaling those columns.
+    q_plus is symmetric, so its rows are its columns."""
+    coherence = (1.0 - inst.alpha) * inst.q_plus
+    flow_in = np.multiply(inst.alpha, inst.q_minus.T, order="C")
+    return coherence, flow_in
 
 
 def _improves(value: float, reference: float) -> bool:
@@ -55,11 +70,18 @@ def greedy(inst: Instance) -> Clustering:
     undirected weight, heaviest into cluster 0), then the (vertex, cluster)
     pair with the largest objective gain is committed until every vertex is
     placed.  Deterministic; ties break to the lowest vertex, then cluster.
+
+    A commit adds the placed vertex's precomputed weight rows to whole gain
+    columns.  Placed vertices' rows read -inf, which no finite weight
+    changes, so no mask of unplaced vertices is needed.  The flow out of v,
+    alpha q_minus[v, u], is -alpha q_minus[u, v] up to the sign of a zero,
+    so it is subtracted as the row flow_in[v].  The sign of a zero term
+    changes no sum here: gain starts at +0.0, so it never holds -0.0.
     """
     n, m = inst.n, inst.m
-    alpha = inst.alpha
     degree = inst.q_plus.sum(axis=1)
     seeds = sorted(range(n), key=lambda v: (-degree[v], v))[:m]
+    coherence, flow_in = _weight_rows(inst)
 
     assign = np.full(n, -1, dtype=np.int64)
     # gain[v, t]: objective delta of putting v into t given current partials
@@ -68,16 +90,14 @@ def greedy(inst: Instance) -> Clustering:
     def commit(v: int, t: int) -> None:
         assign[v] = t
         gain[v, :] = -np.inf
-        unplaced = assign < 0
-        if unplaced.any():
-            gain[unplaced, t] += (1.0 - alpha) * inst.q_plus[unplaced, v]
-            gain[unplaced, (t - 1) % m] += alpha * inst.q_minus[unplaced, v]
-            gain[unplaced, (t + 1) % m] += alpha * inst.q_minus[v, unplaced]
+        gain[:, t] += coherence[v]
+        gain[:, (t - 1) % m] += flow_in[v]
+        gain[:, (t + 1) % m] -= flow_in[v]
 
     for t, v in enumerate(seeds):
         commit(v, t)
     for _ in range(n - m):
-        flat = int(np.argmax(gain))  # first maximum = lowest (v, t) on ties
+        flat = int(gain.argmax())  # first maximum = lowest (v, t) on ties
         v, t = divmod(flat, m)
         commit(v, t)
     return Clustering(tuple(int(a) for a in assign), m)
@@ -114,12 +134,18 @@ def exchange(
     returns a clustering worse than `start`.
 
     Each pass computes the contribution matrix once (O(n^2 m)) and updates
-    it column by column after each move, so a move costs O(n m) and a pass
-    O(n^2 m).  Starting every pass from a fresh matrix bounds the rounding
-    drift to at most n rank-1 updates.
+    it column by column after each move from weight rows scaled once per
+    call, so a move costs O(n m) and a pass O(n^2 m).  Starting every pass
+    from a fresh matrix bounds the rounding drift to at most n rank-1
+    updates.  A move searches the whole matrix: `at` holds the flat
+    position v*m + assign[v] of each vertex's own cluster, and `moved`
+    reads +inf for vertices already moved this pass, so their rows and the
+    stay-put entries read -inf.  The first maximum is then the lowest
+    unmoved vertex, then the lowest cluster.
     """
     n, m = inst.n, inst.m
     rng = np.random.default_rng(rng_seed)
+    coherence, flow_in = _weight_rows(inst)
 
     best_assign = start.as_array()
     best_val = objective(inst, start)
@@ -130,33 +156,35 @@ def exchange(
         member = np.zeros((n, m))
         member[np.arange(n), assign] = 1.0
         contrib = _contributions(inst, member)
-        sizes = np.bincount(assign, minlength=m)
-        unmoved = np.arange(n)  # ascending, so argmax breaks ties to the lowest vertex
+        sizes = np.bincount(assign, minlength=m).tolist()
+        at = np.arange(n) * m + assign
+        moved = np.zeros(n)
         for _ in range(n):
-            rows = np.arange(len(unmoved))
-            cur = assign[unmoved]
-            delta = contrib[unmoved] - contrib[unmoved, cur][:, None]
-            delta[rows, cur] = -np.inf
-            if sizes.min() < 2:  # else no move empties or fills a cluster: every tier is 0
+            delta = contrib - (contrib.ravel().take(at) + moved)[:, None]
+            delta.put(at, -np.inf)
+            if min(sizes) < 2:  # else no move empties or fills a cluster: every tier is 0
+                counts = np.array(sizes)
                 # change in number of empty clusters per candidate move
-                empty_shift = np.where(sizes == 0, -1, 0)[None, :] + (sizes[cur] == 1).astype(int)[:, None]
+                empty_shift = np.where(counts == 0, -1, 0)[None, :] + (counts[assign] == 1).astype(int)[:, None]
                 empty_shift = np.where(np.isfinite(delta), empty_shift, np.inf)
                 tier = empty_shift.min()
                 if not np.isfinite(tier):
                     break
                 delta = np.where(empty_shift == tier, delta, -np.inf)
-            row, t = divmod(int(np.argmax(delta)), m)
-            if not np.isfinite(delta[row, t]):
+            flat = int(delta.argmax())
+            gain = delta.item(flat)
+            if gain == -np.inf:
                 break
-            v = int(unmoved[row])
+            v, t = divmod(flat, m)
             a = int(assign[v])
-            value += float(delta[row, t])
-            _move(inst, contrib, v, a, t)
+            value += gain
+            _move(contrib, coherence, flow_in, v, a, t)
             sizes[a] -= 1
             sizes[t] += 1
             assign[v] = t
-            unmoved = unmoved[unmoved != v]
-            if _improves(value, best_val) and sizes.min() >= 1:
+            at[v] = flat
+            moved[v] = np.inf
+            if _improves(value, best_val) and min(sizes) >= 1:
                 best_val = value
                 best_assign = assign.copy()
         return assign, value

@@ -1,10 +1,12 @@
-"""Reference exchange heuristic used only by the test suite.
+"""Reference greedy and exchange heuristics used only by the test suite.
 
-It recomputes every vertex's move delta from scratch before each move
-(O(n^2 m) per move), the way `heuristics.exchange` did before it kept its
-contribution matrix current column by column.  It shares no code with the
-production heuristic beyond the objective, so a test can hold the
-incremental version to the same clusterings.
+The exchange recomputes every vertex's move delta from scratch before each
+move (O(n^2 m) per move), the way `heuristics.exchange` did before it kept
+its contribution matrix current column by column.  The greedy scales the
+weight columns on every commit and adds them to the unplaced vertices only,
+the way `heuristics.greedy` did before it precomputed weight rows.  Neither
+shares code with the production heuristics beyond the objective, so a test
+can hold those to the same clusterings.
 """
 
 import numpy as np
@@ -20,6 +22,33 @@ def delta_matrix(inst, assign, member):
     contrib = (1.0 - alpha) * s_plus + alpha * (np.roll(s_mto, -1, axis=1) - np.roll(s_mto, 1, axis=1))
     current = contrib[np.arange(len(assign)), assign]
     return contrib - current[:, None]
+
+
+def greedy(inst):
+    """Same seeds, gains and tie-breaking as `heuristics.greedy`."""
+    n, m = inst.n, inst.m
+    alpha = inst.alpha
+    degree = inst.q_plus.sum(axis=1)
+    seeds = sorted(range(n), key=lambda v: (-degree[v], v))[:m]
+
+    assign = np.full(n, -1, dtype=np.int64)
+    gain = np.zeros((n, m))
+
+    def commit(v, t):
+        assign[v] = t
+        gain[v, :] = -np.inf
+        unplaced = assign < 0
+        if unplaced.any():
+            gain[unplaced, t] += (1.0 - alpha) * inst.q_plus[unplaced, v]
+            gain[unplaced, (t - 1) % m] += alpha * inst.q_minus[unplaced, v]
+            gain[unplaced, (t + 1) % m] += alpha * inst.q_minus[v, unplaced]
+
+    for t, v in enumerate(seeds):
+        commit(v, t)
+    for _ in range(n - m):
+        v, t = divmod(int(np.argmax(gain)), m)
+        commit(v, t)
+    return Clustering(tuple(int(a) for a in assign), m)
 
 
 def _improves(value, reference):

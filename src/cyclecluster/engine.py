@@ -1,6 +1,6 @@
 """Branch and cut on the compact formulation.
 
-Best timeout-aware best-bound search with x-variable branching, a global cut
+Best timeout-aware best-bound search with vertex branching, a global cut
 pool fed by the three separator families, LP bounding with a safety pad, and
 incumbents seeded by the primal heuristics before the tree and improved by
 the exchange heuristic on every new incumbent.  One LP serves the whole
@@ -23,9 +23,11 @@ value is a valid bound.  Every round that separates counts toward the round
 limit; after the last one, rounds add only violated linking rows, so the loop
 ends at a point of the whole model unless the bound prunes.  A root whose
 time runs out at a point that violates linking rows goes back on the heap
-like one whose LP hit the limit.  When the root loop ends, every linking row
-goes back into the LP, and the tree runs on the full model plus the cuts that
-survived; tree nodes do not age rows.
+like one whose LP hit the limit.  The linking rows still in the pool when the
+root ends stay there through the tree: each node's cut loop runs the same
+way, with `cut_rounds_node` separating rounds, so every node also ends at a
+point of the whole model, and a node whose time runs out before then goes
+back on the heap.  Tree nodes do not age rows.
 
 Shifting every cluster label one step around the cycle keeps the objective,
 so each clustering comes with m rotations of equal value.  Every search pins
@@ -33,10 +35,13 @@ vertex 0 to the first cluster by a lower bound of one on x[0,0]; each
 rotation orbit meets that subspace exactly once, so the optimum over it is
 the global one.  The model `build_cc` returns stays unpinned.
 
-Nodes whose LP optimum is integral in x but slack in the linearization
-variables (possible when clusters sit more than one step apart) fall back to
-branching on the most fractional y/z column; their fixings partition the
-subtree exactly like x fixings do.
+A node whose LP optimum is fractional in x branches on a whole vertex: the
+one whose largest x[i,s] is smallest.  It gets one child per cluster s the
+vertex may still join, each fixing the vertex's row of x to cluster s, so
+the children partition the subtree.  Nodes whose LP optimum is integral in
+x but slack in the linearization variables (possible when clusters sit more
+than one step apart) fall back to two children on the most fractional y/z
+column.
 """
 
 from __future__ import annotations
@@ -134,7 +139,7 @@ class SolveResult:
     lp_solves: int = 0
     simplex_iterations: int = 0
     lp_rows_deleted: int = 0
-    link_rows_readded: int = 0  # by the lazy pool, not counting the root-end restore
+    link_rows_readded: int = 0  # put back into the LP from the lazy pool, at the root and in the tree
 
     @property
     def optimal(self) -> bool:
@@ -342,10 +347,6 @@ class _Search:
             self.link_out[rows] = False
             self.append_rows(self.link_rows[rows], self.link_rhs[rows], rows)
 
-    def restore_linking_rows(self) -> None:
-        """Put every linking row of the lazy pool back into the LP."""
-        self.add_linking_rows(np.flatnonzero(self.link_out))
-
     def separate(self, point: np.ndarray) -> list[Cut]:
         cfg = self.config
         cuts: list[Cut] = []
@@ -373,9 +374,8 @@ class _Search:
     def solve_node_lp(self) -> LpSolution:
         """Solve the LP as it stands, with the time left.
 
-        During the root cut loop some linking rows may be out of the LP, so
-        the optimum may violate them; its value is then that of a
-        relaxation, still a valid bound.
+        Some linking rows may be out of the LP, so the optimum may violate
+        them; its value is then that of a relaxation, still a valid bound.
         """
         sol = solve_lp(self.lp, max(0.0, self.config.time_limit_s - self.elapsed()))
         self.lp_solves += 1
@@ -418,8 +418,6 @@ class _Search:
 
         rounds = cfg.cut_rounds_root if is_root else cfg.cut_rounds_node
         sol, bound, lp_values = self.cut_loop(parent_bound, rounds, is_root)
-        if is_root:
-            self.restore_linking_rows()
         if sol.status in ("time_limit", "error"):
             self.push(bound, fixings)  # with the last bound proven for it
             self.status = "lp_error" if sol.status == "error" else "time_limit"
@@ -445,7 +443,11 @@ class _Search:
                 self.offer(clustering, "node_integral")
                 if bound <= self.primal + EPSILON_GAP:
                     return
-            branch_col = self.pick_branch_column(values, fixings, self.space.num_x, self.space.ncols)
+            branch_col = self.pick_branch_column(values, fixings)
+            if branch_col is None:
+                return  # fully integral point; the bound check above already covers it
+            for val in (0.0, 1.0):
+                self.push(bound, {**fixings, branch_col: val})
         else:
             if "rounding" in cfg.heuristics:
                 self.heur_stats["rounding"]["runs"] += 1
@@ -454,12 +456,23 @@ class _Search:
                     self.offer(rounded, "rounding")
                     if bound <= self.primal + EPSILON_GAP:
                         return
-            branch_col = self.pick_branch_column(values, fixings, 0, self.space.num_x)
+            self.branch_on_vertex(self.branch_vertex(x, frac_x), fixings, bound)
 
-        if branch_col is None:
-            return  # fully integral point; the bound check above already covers it
-        for val in (0.0, 1.0):
-            self.push(bound, {**fixings, branch_col: val})
+    def branch_vertex(self, x: np.ndarray, frac_x: np.ndarray) -> int:
+        """The vertex, among those with a fractional column not fixed, whose
+        largest x is smallest: the first maximizer of 1 - max_s x[i,s]."""
+        shape = (self.inst.n, self.inst.m)
+        score = 1.0 - x.reshape(shape).max(axis=1)
+        return int(np.argmax(np.where(frac_x.reshape(shape).max(axis=1) > TOL_INTEGRALITY, score, -np.inf)))
+
+    def branch_on_vertex(self, i: int, fixings: dict[int, float], bound: float) -> None:
+        """Push one child per cluster s that vertex i may still join; child s
+        fixes x[i,s] to one and the rest of the row to zero, so the children
+        partition the node's subtree."""
+        row = [self.space.x(i, s) for s in range(self.inst.m)]
+        for col in row:
+            if fixings.get(col) != 0.0:
+                self.push(bound, {**fixings, **{c: float(c == col) for c in row}})
 
     def cut_loop(self, parent_bound: float, rounds: int, is_root: bool) -> tuple[LpSolution, float, list[float]]:
         """Solve the LP once per round, then add that round's cuts and the
@@ -509,12 +522,14 @@ class _Search:
             sol = self.solve_node_lp()
         return sol, bound, lp_values
 
-    def pick_branch_column(self, values: np.ndarray, fixings: dict[int, float], lo_col: int, hi_col: int) -> Optional[int]:
-        block = values[lo_col:hi_col]
+    def pick_branch_column(self, values: np.ndarray, fixings: dict[int, float]) -> Optional[int]:
+        """The most fractional y/z column not fixed, or None."""
+        lo_col = self.space.num_x
+        block = values[lo_col:]
         score = np.abs(block - 0.5)
         fractional = np.minimum(block, 1.0 - block) > TOL_INTEGRALITY
         score = np.where(fractional, score, np.inf)
-        fixed = [c - lo_col for c in fixings if lo_col <= c < hi_col]
+        fixed = [c - lo_col for c in fixings if c >= lo_col]
         if fixed:
             score[fixed] = np.inf
         col = int(np.argmin(score))

@@ -377,6 +377,38 @@ class TestRootAging:
         assert res.root_lp_values == []
         assert res.dual_bound > res.primal_bound and res.gap_percent > 0
 
+    def test_tree_time_out_at_a_relaxed_point_is_a_time_limit(self, monkeypatch):
+        # A child's first LP lacks the linking rows the root left in the pool;
+        # when the time runs out at its point, the child goes back on the heap.
+        cfg = SolverConfig(time_limit_s=60, heuristics=("greedy",))
+        root_solves = solve(aging_instance(), replace(cfg, node_limit=1)).lp_solves
+        search_out_of_time = engine._Search.out_of_time
+        monkeypatch.setattr(
+            engine._Search, "out_of_time", lambda search: search.lp_solves > root_solves or search_out_of_time(search)
+        )
+        violated, pushed = [], []
+        violated_linking_rows, push = engine._Search.violated_linking_rows, engine._Search.push
+
+        def violated_spy(search, values):
+            rows = violated_linking_rows(search, values)
+            violated.append(rows.size)
+            return rows
+
+        def push_spy(search, bound, fixings):
+            pushed.append((bound, fixings))
+            push(search, bound, fixings)
+
+        monkeypatch.setattr(engine._Search, "violated_linking_rows", violated_spy)
+        monkeypatch.setattr(engine._Search, "push", push_spy)
+        res = solve(aging_instance(), cfg)
+        assert res.lp_solves == root_solves + 1 and res.nodes_processed == 2
+        assert violated[-1] > 0  # the child's point is not one of the whole model
+        # the first child goes back, with the bound of its relaxed LP
+        (bound, fixings), (child_bound, child_fixings) = pushed[-1], pushed[1]
+        assert fixings == child_fixings and bound <= child_bound
+        assert res.status == "time_limit"
+        assert res.dual_bound > res.primal_bound and res.gap_percent > 0
+
     def test_first_root_lp_is_the_pinned_core_rows(self):
         inst, _ = generate(12, 5, forward_strength=0.25, rng_seed=[5, 12, 5])
         res = solve(inst, SolverConfig(time_limit_s=60, node_limit=1))
@@ -408,8 +440,73 @@ class TestRootAging:
         in_lp = {search.cut_supports[j] for j in origin[origin >= num_link] - num_link}
         assert search.pool_supports == in_lp  # an aged-out cut left the pool
         assert len(set(search.cut_supports)) > len(in_lp)  # and some did age out
-        # the tree ran on every linking row, and only the root deleted rows
-        assert not search.link_out.any()
-        assert np.array_equal(np.sort(origin[(origin >= 0) & (origin < num_link)]), np.arange(num_link))
+        # the linking rows in the LP are exactly those out of the lazy pool,
+        # some stayed in the pool through the tree, and only the root deleted rows
+        assert np.array_equal(np.sort(origin[(origin >= 0) & (origin < num_link)]), np.flatnonzero(~search.link_out))
+        assert search.link_out.any()
         root_only = solve(aging_instance(), SolverConfig(time_limit_s=60, node_limit=1, heuristics=()))
         assert search.lp_rows_deleted == root_only.lp_rows_deleted > 0
+
+
+def sparse_raw_counts(n: int, m: int, k: int) -> Instance:
+    """Transition counts near 1e6 in total, with the lightest 85% of pairs zeroed."""
+    base, _ = generate(n, m, rng_seed=[77, n, m, k])
+    q = np.round(base.Q * 1e6)
+    i, j = np.triu_indices(n, 1)
+    light = np.argsort(q[i, j] + q[j, i], kind="stable")[: int(0.85 * i.size)]
+    q[i[light], j[light]] = q[j[light], i[light]] = 0.0
+    return Instance(n=n, m=m, alpha=base.alpha, Q=q)
+
+
+class TestVertexBranching:
+    def test_children_fix_the_whole_row(self, monkeypatch):
+        inst = aging_instance()
+        search = engine._Search(inst, SolverConfig(time_limit_s=60, separators=(), heuristics=()), None)
+        points = []
+        solve_node_lp = engine._Search.solve_node_lp
+
+        def spy(search):
+            points.append(solve_node_lp(search))
+            return points[-1]
+
+        monkeypatch.setattr(engine._Search, "solve_node_lp", spy)
+        search.process_node({}, math.inf, is_root=True)
+        x = points[-1].values[: search.space.num_x].reshape(inst.n, inst.m)
+        children = [fixings for _, _, fixings in sorted(search.heap)]
+        i = min(children[0]) // inst.m
+        assert x[i].max() == x.max(axis=1).min() < 1.0 - engine.TOL_INTEGRALITY  # the row farthest from integral
+        row = [search.space.x(i, s) for s in range(inst.m)]
+        # one child per cluster, in cluster order; child s puts vertex i in cluster s
+        assert children == [{c: float(c == row[s]) for c in row} for s in range(inst.m)]
+        # pairwise disjoint, and each cluster of vertex i meets exactly one child
+        for a in range(inst.m):
+            for b in range(a + 1, inst.m):
+                assert any(children[a][c] != children[b][c] for c in row)
+        for s in range(inst.m):
+            assert sum(all(fix[c] == float(c == row[s]) for c in row) for fix in children) == 1
+
+    def test_excluded_clusters_get_no_child(self):
+        inst = aging_instance()
+        search = engine._Search(inst, SolverConfig(time_limit_s=60), None)
+        space = search.space
+        parent = {space.x(3, 1): 0.0, space.x(3, 4): 0.0, space.ncols - 1: 1.0}
+        search.branch_on_vertex(3, parent, 0.5)
+        children = [fixings for _, _, fixings in sorted(search.heap)]
+        row = [space.x(3, s) for s in range(inst.m)]
+        assert children == [{**parent, **{c: float(c == row[s]) for c in row}} for s in (0, 2, 3)]
+        assert all(bound == -0.5 for bound, _, _ in search.heap)
+
+    def test_sparse_raw_counts_match_oracle(self):
+        # without cuts or heuristics the tree does the work
+        cfg = SolverConfig(time_limit_s=60, separators=(), heuristics=())
+        branched = 0
+        for k in range(12):
+            m = 3 + k % 3
+            inst = sparse_raw_counts(9, m, k)
+            _, best = enumerate_optimal(inst)
+            res = solve(inst, cfg)
+            assert res.status == "optimal", f"m={m} k={k}"
+            assert abs(res.primal_bound - best) <= 1e-7 * max(1.0, abs(best)), f"m={m} k={k}: {res.primal_bound} vs {best}"
+            assert objective(inst, res.best_clustering) == pytest.approx(res.primal_bound, rel=1e-12)
+            branched += res.nodes_processed > 1
+        assert branched >= 1  # 4 of the 12 branch

@@ -59,7 +59,7 @@ from scipy import sparse
 from cyclecluster.formulation import LESS_EQUAL, ConversionError, build_cc, point_to_clustering
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, objective
-from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
+from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp, take_rows
 from cyclecluster.separation import Cut, separate_partition, separate_subtour_path, separate_triangle
 
 log = logging.getLogger(__name__)
@@ -283,9 +283,10 @@ class _Search:
 
     # -- cut pool -----------------------------------------------------------
 
-    def add_cuts(self, cuts: Sequence[Cut]) -> int:
-        """Append unseen cuts to the LP, where they stay unless the root cut
-        loop ages them out.
+    def add_rows(self, cuts: Sequence[Cut], link: np.ndarray) -> int:
+        """Append the unseen cuts and the given linking rows of the lazy pool
+        to the LP in one block, cuts first.  A cut stays in the LP unless the
+        root cut loop ages it out.
 
         Every separator emits globally valid cuts, so each node inherits the
         whole pool.  Returns the number of cuts added.
@@ -297,22 +298,28 @@ class _Search:
             self.pool_supports.add(cut.support)
             fresh.append(cut)
             self.cut_counts[cut.family] = self.cut_counts.get(cut.family, 0) + 1
-        if fresh:
-            indptr = np.zeros(len(fresh) + 1, dtype=np.int32)
-            np.cumsum([cut.cols.size for cut in fresh], out=indptr[1:])
-            block = sparse.csr_matrix(
-                (np.concatenate([cut.vals for cut in fresh]), np.concatenate([cut.cols for cut in fresh]).astype(np.int32), indptr),
-                shape=(len(fresh), self.space.ncols),
-            )
-            first = self.link_rhs.size + len(self.cut_supports)
-            self.cut_supports.extend(cut.support for cut in fresh)
-            self.append_rows(block, np.array([cut.rhs for cut in fresh]), np.arange(first, first + len(fresh)))
-        return len(fresh)
-
-    def append_rows(self, block: sparse.csr_matrix, rhs: np.ndarray, origins: np.ndarray) -> None:
-        """Append `<=` rows to the LP with their origins."""
+        if not (fresh or link.size):
+            return 0
+        # one CSR block: the cuts' rows, then the linking rows' own CSR arrays
+        cols = [cut.cols for cut in fresh]
+        vals = [cut.vals for cut in fresh]
+        indptr = np.zeros(len(fresh) + 1, dtype=np.int32)
+        np.cumsum([c.size for c in cols], out=indptr[1:])
+        if link.size:
+            link_vals, link_cols, link_indptr = take_rows(self.link_rows, link)
+            cols.append(link_cols)
+            vals.append(link_vals)
+            indptr = np.concatenate([indptr, link_indptr[1:] + indptr[-1]])
+        block = sparse.csr_matrix(
+            (np.concatenate(vals), np.concatenate(cols).astype(np.int32), indptr), shape=(indptr.size - 1, self.space.ncols)
+        )
+        first = self.link_rhs.size + len(self.cut_supports)
+        self.cut_supports.extend(cut.support for cut in fresh)
+        self.link_out[link] = False
+        rhs = np.concatenate([[cut.rhs for cut in fresh], self.link_rhs[link]])
         self.lp.add_rows(block, np.full(rhs.size, LESS_EQUAL), rhs)
-        self.row_origin = np.concatenate([self.row_origin, origins])
+        self.row_origin = np.concatenate([self.row_origin, np.arange(first, first + len(fresh)), link])
+        return len(fresh)
 
     def age_rows(self, values: np.ndarray) -> None:
         """Delete every cut and linking row slack at `ROW_AGE_LIMIT` solves in a row."""
@@ -326,7 +333,7 @@ class _Search:
         origin = self.row_origin[drop]
         num_link = self.link_rhs.size
         self.link_out[origin[origin < num_link]] = True
-        for j in origin[origin >= num_link] - num_link:
+        for j in (origin[origin >= num_link] - num_link).tolist():
             self.pool_supports.discard(self.cut_supports[j])
         self.lp.delete_rows(drop)
         keep = np.ones(slack.size, dtype=bool)
@@ -340,12 +347,6 @@ class _Search:
         if not self.link_out.any():
             return np.zeros(0, dtype=np.int64)
         return np.flatnonzero(self.link_out & (self.link_rows @ values - self.link_rhs > TOL_LINK))
-
-    def add_linking_rows(self, rows: np.ndarray) -> None:
-        """Put the given linking rows of the lazy pool back into the LP."""
-        if rows.size:
-            self.link_out[rows] = False
-            self.append_rows(self.link_rows[rows], self.link_rhs[rows], rows)
 
     def separate(self, point: np.ndarray) -> list[Cut]:
         cfg = self.config
@@ -501,12 +502,13 @@ class _Search:
                     if violated.size:
                         sol = replace(sol, status="time_limit")
                 else:
+                    cuts = []
                     if separated < rounds:
                         separated += 1
                         if is_root:
                             self.age_rows(sol.values)
-                        added = self.add_cuts(self.separate(sol.values))
-                    self.add_linking_rows(violated)
+                        cuts = self.separate(sol.values)
+                    added = self.add_rows(cuts, violated)
                     readded = violated.size
                     self.link_rows_readded += readded
             if is_root and log.isEnabledFor(logging.INFO):

@@ -22,6 +22,7 @@ x_i_s, y_i_j with i < j, and z_i_j.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Sequence
 
 import numpy as np
@@ -107,6 +108,22 @@ class VariableSpace(_Layout):
         k, offset = divmod(col - self.num_x, 3)
         i, j = self.pairs[k]
         return ("y_%d_%d" % (i, j), "z_%d_%d" % (i, j), "z_%d_%d" % (j, i))[offset]
+
+    @cached_property
+    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Masks over (i, j, k): three distinct vertices whose three pairs all
+        carry weight, then that set with i < k, then with j < k.  Triangle
+        separation reads them on every call, so they are built once."""
+        idx = np.arange(self.n)
+        E = self.ycol >= 0
+        distinct = (
+            (idx[:, None, None] != idx[None, :, None])
+            & (idx[None, :, None] != idx[None, None, :])
+            & (idx[:, None, None] != idx[None, None, :])
+        )
+        # all_pairs[i,j,k] requires the pairs (i,j), (j,k) and (i,k) to exist
+        base = distinct & E[:, :, None] & E[None, :, :] & E[:, None, :]
+        return base, base & (idx[:, None, None] < idx[None, None, :]), base & (idx[None, :, None] < idx[None, None, :])
 
     def point_matrices(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expand a point into dense (X: n x m, Y: n x n, Z: n x n) arrays.

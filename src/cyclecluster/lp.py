@@ -30,7 +30,12 @@ class LinearProgram:
 
     HiGHS solves the LP, but the rows, senses and rhs stay mirrored here: the
     root cut loop reads row slacks from them, the benchmark's tracer reads
-    `rows.shape[0]`, and tests check residuals against them.
+    `rows.shape[0]`, and tests check residuals against them.  The mirror is
+    kept on its raw CSR arrays: `add_rows` appends a block's data, indices and
+    shifted indptr, and `delete_rows` keeps the entries of the rows that
+    stay (`take_rows`), so each change costs O(nnz) numpy work and builds one
+    CSR matrix, with the entries in the order `sparse.vstack` and `rows[keep]`
+    would give.
     """
 
     objective: np.ndarray
@@ -56,7 +61,12 @@ class LinearProgram:
         if block.shape[0] == 0:
             return
         senses, rhs = np.asarray(senses), np.asarray(rhs, dtype=float)
-        self.rows = sparse.vstack([self.rows, block], format="csr")
+        rows = self.rows
+        self._set_rows(
+            np.concatenate([rows.data, block.data]),
+            np.concatenate([rows.indices, block.indices]),
+            np.concatenate([rows.indptr, block.indptr[1:] + rows.indptr[-1]]),
+        )
         self.senses = np.concatenate([self.senses, senses])
         self.rhs = np.concatenate([self.rhs, rhs])
         lower, upper = _row_bounds(senses, rhs)
@@ -75,10 +85,14 @@ class LinearProgram:
             return
         keep = np.ones(self.rows.shape[0], dtype=bool)
         keep[idx] = False
-        self.rows = self.rows[keep]
+        self._set_rows(*take_rows(self.rows, np.flatnonzero(keep)))
         self.senses = self.senses[keep]
         self.rhs = self.rhs[keep]
         self._highs.deleteRows(idx.size, idx)
+
+    def _set_rows(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> None:
+        """Make the mirror the CSR matrix of these raw arrays, taken as they are."""
+        self.rows = sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, self.ncols), copy=False)
 
     def set_bounds(self, lo: np.ndarray, hi: np.ndarray) -> None:
         changed = np.flatnonzero((lo != self.lo) | (hi != self.hi)).astype(np.int32)
@@ -133,6 +147,18 @@ def solve_lp(lp: LinearProgram, time_limit: float | None = None) -> LpSolution:
     if status == HighsModelStatus.kTimeLimit:
         return LpSolution("time_limit", None, None, iterations)
     return LpSolution("error", None, None, iterations)
+
+
+def take_rows(rows: sparse.csr_matrix, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The raw CSR arrays (data, indices, indptr) of the rows at `idx`, in
+    that order: the same entries that `rows[idx]` holds, without scipy's
+    indexing machinery."""
+    starts = rows.indptr[idx]
+    lengths = rows.indptr[idx + 1] - starts
+    indptr = np.zeros(idx.size + 1, dtype=rows.indptr.dtype)
+    np.cumsum(lengths, out=indptr[1:])
+    entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+    return rows.data[entries], rows.indices[entries], indptr
 
 
 def _row_bounds(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

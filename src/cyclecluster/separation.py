@@ -1,30 +1,39 @@
 """Separation of valid inequalities for the cycle clustering polytope.
 
 Three families are separated against a (fractional) point over the compact
-model's variables:
+model's variables, each over whole arrays rather than one candidate at a time:
 
 * triangle inequalities, by complete O(n^3) enumeration of vertex triples,
-  with the subfamilies gated on the cluster count they are stated for;
+  with the subfamilies gated on the cluster count they are stated for; each
+  subfamily's violated triples become one table of columns, a row per cut;
 * partition inequalities over disjoint seed sets (S, T), grown greedily from
-  almost-violated two-against-one triangles, capped at |S| + |T| <= 5;
+  almost-violated two-against-one triangles, capped at |S| + |T| <= 5; the
+  seeds grow in lockstep, one vertex per step, over (seeds, n) arrays;
 * extended subtour and path inequalities, via a maximum-weight-walk dynamic
-  program per start node in O(n^3 m); extracted walks that revisit a vertex
-  are discarded, so the walk value is only a search bound while every emitted
-  cut is sound.
+  program run for every start node at once over an (n, n, n) stack, still
+  O(n^3 m) in total; extracted walks that revisit a vertex are discarded, so
+  the walk value is only a search bound while every emitted cut is sound.
 
 A cut is one row over the model's columns: ascending column indices and
 their coefficients, so a batch of cuts goes into the LP as one CSR block.  It references only variables that exist for the instance.
 Terms with a positive coefficient may be dropped when their pair carries no
 weight (this only weakens the inequality); templates whose
 negative-coefficient variables are missing are skipped entirely.
+
+Each separator collects its candidates as a table of such rows and builds
+its cuts from it (`Cut.from_rows`); `_sorted_unique` keeps the first cut per
+support and orders them with one `np.lexsort`.  Every float is computed by
+the same operations in the same order as a scalar loop over the candidates
+would, so the cuts, their violations and their order do not depend on the
+vectorization.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,12 +45,15 @@ PARTITION_MAX_SEEDS = 50
 PARTITION_ALMOST_VIOLATED = 0.1
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Cut:
     """A sparse valid inequality  vals . v[cols] <= rhs  with its violation.
 
     `cols` ends up in ascending order with repeated columns merged into one
     coefficient, so two cuts are the same inequality iff their supports match.
+    `Cut(...)` merges through a dict; the separators, whose rows never repeat
+    a column, build their cuts with `from_rows`, which only sorts.  `support`
+    is computed once, when the cut is built.
     """
 
     cols: np.ndarray
@@ -49,6 +61,7 @@ class Cut:
     rhs: float
     family: str
     violation: float
+    support: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         merged: dict[int, float] = defaultdict(float)
@@ -57,10 +70,32 @@ class Cut:
         cols = sorted(merged)
         self.cols = np.array(cols, dtype=np.intp)
         self.vals = np.array([merged[col] for col in cols])
+        self.support = (self.rhs, self.cols.tobytes(), self.vals.tobytes())
 
-    @property
-    def support(self) -> tuple:
-        return (self.rhs, self.cols.tobytes(), self.vals.tobytes())
+    @classmethod
+    def from_rows(cls, cols: np.ndarray, vals: np.ndarray, rhs: Sequence, family: Sequence, violation: Sequence) -> list[Cut]:
+        """One cut per row of the (k, w) table `cols`, whose rows each hold
+        distinct columns, with -1 for an absent term; `vals` is a (k, w)
+        table or one row shared by all, and the rest hold one value per row.
+
+        Each row is sorted by `argsort`, so every cut is the one `Cut(...)`
+        would build from the row's present terms, without the merge."""
+        cols = np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=float)
+        order = cols.argsort(axis=1)
+        rows = np.arange(cols.shape[0])[:, None]
+        cols, vals = cols[rows, order], (vals[order] if vals.ndim == 1 else vals[rows, order])
+        absent = (cols < 0).sum(axis=1).tolist()  # sorted to the front of each row
+        rhs, family, violation = (np.asarray(x).tolist() for x in (rhs, family, violation))
+        cuts = []
+        for row_cols, row_vals, skip, rhs_r, family_r, violation_r in zip(cols, vals, absent, rhs, family, violation):
+            if skip:
+                row_cols, row_vals = row_cols[skip:], row_vals[skip:]
+            cut = cls.__new__(cls)
+            cut.cols, cut.vals, cut.rhs, cut.family, cut.violation = row_cols, row_vals, rhs_r, family_r, violation_r
+            cut.support = (rhs_r, row_cols.tobytes(), row_vals.tobytes())
+            cuts.append(cut)
+        return cuts
 
     def lhs(self, point: np.ndarray) -> float:
         return float(self.vals @ point[self.cols])
@@ -70,17 +105,71 @@ class Cut:
         return f"[{self.family}] {terms} <= {self.rhs:g}   (violation {self.violation:.6g})"
 
 
-def _sorted_unique(space: VariableSpace, cuts: Iterable[Cut]) -> list[Cut]:
-    """First cut per support, most violated first, ties broken by the support
-    with its terms in name order."""
-    by_support: dict[tuple, Cut] = {}
-    for cut in cuts:
-        by_support.setdefault(cut.support, cut)
+class _Rows(NamedTuple):
+    """Cuts not yet built: a (k, w) column table with -1 for an absent term,
+    its coefficients, and one rhs, family and violation per row."""
 
-    def key(cut: Cut) -> tuple:
-        return (-cut.violation, cut.rhs, tuple(sorted(zip(space.name_rank[cut.cols].tolist(), cut.vals.tolist()))))
+    cols: np.ndarray
+    vals: np.ndarray
+    rhs: np.ndarray
+    family: np.ndarray
+    violation: np.ndarray
 
-    return sorted(by_support.values(), key=key)
+    @classmethod
+    def stack(cls, parts: Sequence[tuple]) -> _Rows:
+        """The rows of every part in turn, padded with absent terms to the
+        widest.  A part is (cols, vals, rhs, family, violation): a (k, w)
+        column table, its coefficients as a table or one row shared by all,
+        rhs and family as one value or one per row, and k violations."""
+        total = sum(len(part[4]) for part in parts)
+        width = max(part[0].shape[1] for part in parts)
+        rows = cls(
+            np.full((total, width), -1, dtype=np.intp), np.zeros((total, width)), np.empty(total), np.empty(total, dtype=object), np.empty(total)
+        )
+        start = 0
+        for cols, vals, rhs, family, violation in parts:
+            k, w = cols.shape
+            at = slice(start, start + k)
+            rows.cols[at, :w], rows.vals[at, :w] = cols, vals
+            rows.rhs[at], rows.family[at], rows.violation[at] = rhs, family, violation
+            start += k
+        return rows
+
+    def take(self, idx: np.ndarray) -> _Rows:
+        return _Rows(*(field[idx] for field in self))
+
+
+_LAST = np.iinfo(np.intp).max  # sorts after every term
+
+
+def _sorted_unique(space: VariableSpace, rows: _Rows) -> list[Cut]:
+    """The cuts of the rows, first per support, most violated first, ties
+    broken by rhs, then by the terms in name order, compared as
+    (rank, coefficient) pairs.
+
+    One `np.lexsort` orders them.  When two cuts tie on violation and rhs,
+    each cut's terms fill a row of a table in name order, each term one
+    integer that orders as its (rank, coefficient) pair does, and the sort
+    reads that table too; a row is padded with -1 so that a cut whose terms
+    are a prefix of another's sorts first, as tuple comparison would have it."""
+    cuts = Cut.from_rows(*rows)
+    first: dict[tuple, int] = {}
+    for r, cut in enumerate(cuts):
+        first.setdefault(cut.support, r)
+    keep = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    keys = np.array([rows.rhs[keep], -rows.violation[keep]])
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    if (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any():
+        cols = rows.cols[keep]
+        present = cols >= 0
+        coef_values, coef_rank = np.unique(rows.vals[keep][present], return_inverse=True)
+        terms = np.full(cols.shape, _LAST)
+        terms[present] = space.name_rank[cols[present]] * coef_values.size + coef_rank.ravel()
+        terms.sort(axis=1)  # name order; ranks are distinct within a cut, and the padding goes last
+        terms[terms == _LAST] = -1
+        order = np.lexsort(np.concatenate([terms.T[::-1], keys]))
+    return [cuts[r] for r in keep[order].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +178,15 @@ def _sorted_unique(space: VariableSpace, cuts: Iterable[Cut]) -> list[Cut]:
 
 
 def _triple_hits(values: np.ndarray, mask: np.ndarray, bound: float, tol: float, limit: int | None):
-    """Violated triples as (i, j, k, violation), strongest first, capped."""
-    viol = values - bound
-    hit = mask & (viol > tol)
-    idx = np.argwhere(hit)
-    if idx.size == 0:
-        return []
-    v = viol[hit]
-    order = np.lexsort((idx[:, 2], idx[:, 1], idx[:, 0], -v))
-    if limit is not None:
-        order = order[:limit]
-    return [(int(idx[r, 0]), int(idx[r, 1]), int(idx[r, 2]), float(v[r])) for r in order]
+    """Violated triples as index arrays (i, j, k) and violations, strongest
+    first, then by (i, j, k), capped; `values` becomes the violations."""
+    values -= bound
+    hit = (mask & (values > tol)).ravel().nonzero()[0]  # in (i, j, k) order, which a stable sort keeps among equal violations
+    v = values.ravel()[hit]
+    order = (-v).argsort(kind="stable")[:limit]
+    n = values.shape[0]
+    i, jk = np.divmod(hit[order], n * n)
+    return (i, *np.divmod(jk, n)), v[order]
 
 
 def separate_triangle(
@@ -111,39 +198,29 @@ def separate_triangle(
     mixed y/z, half-integral and the strengthened two-against-one forms;
     m >= 5 replaces the strengthened form with the plain two-against-one pair.
     With `max_per_family`, only the most violated cuts per subfamily are built.
+    Every subfamily's lhs is evaluated on all triples at once, and its hits
+    become one table of columns, a row per cut.
     """
-    n, m = space.n, space.m
+    m = space.m
     _, Y, Z = space.point_matrices(point)
     yc, zc = space.ycol, space.zcol
-    E = yc >= 0
-    idx = np.arange(n)
-    distinct = (
-        (idx[:, None, None] != idx[None, :, None])
-        & (idx[None, :, None] != idx[None, None, :])
-        & (idx[:, None, None] != idx[None, None, :])
-    )
-    # all_pairs[i,j,k] requires the pairs (i,j), (j,k) and (i,k) to exist
-    all_pairs = E[:, :, None] & E[None, :, :] & E[:, None, :]
-    base_mask = distinct & all_pairs
+    base_mask, i_lt_k_mask, j_lt_k_mask = space.triples
 
-    cuts: list[Cut] = []
+    found = []  # parts of _Rows.stack
 
     def emit(lhs, mask, rhs, family, coefs, cols):
-        """One cut per violated triple; cols(i, j, k) lists the columns of coefs."""
-        for i, j, k, v in _triple_hits(lhs, mask, rhs, tol, max_per_family):
-            cuts.append(Cut(cols(i, j, k), coefs, rhs, family, v))
+        """One row per violated triple; cols(i, j, k) lists the columns of coefs."""
+        triples, viol = _triple_hits(lhs, mask, rhs, tol, max_per_family)
+        found.append((np.array(cols(*triples)).T, coefs, rhs, family, viol))
 
     if m == 3:
         vals = Z[:, :, None] + Z[None, :, :] - Z.T[:, None, :]
         emit(vals, base_mask, 1.0, "TriangleZ3", [1.0, 1.0, -1.0], lambda i, j, k: [zc[i, j], zc[j, k], zc[k, i]])
-        return _sorted_unique(space, cuts)
-
-    i_lt_k = idx[:, None, None] < idx[None, None, :]
-    j_lt_k = idx[None, :, None] < idx[None, None, :]
+        return _sorted_unique(space, _Rows.stack(found))
 
     # y-transitivity: y(i,j) + y(j,k) - y(i,k) <= 1, middle vertex j, i < k
     vals = Y[:, :, None] + Y[None, :, :] - Y[:, None, :]
-    emit(vals, base_mask & i_lt_k, 1.0, "TriangleY", [1.0, 1.0, -1.0], lambda i, j, k: [yc[i, j], yc[j, k], yc[i, k]])
+    emit(vals, i_lt_k_mask, 1.0, "TriangleY", [1.0, 1.0, -1.0], lambda i, j, k: [yc[i, j], yc[j, k], yc[i, k]])
 
     # same-cluster shift: y(i,j) + z(i,k) - z(j,k) <= 1 and y(i,j) + z(k,i) - z(k,j) <= 1
     vals = Y[:, :, None] + Z[:, None, :] - Z[None, :, :]
@@ -160,7 +237,7 @@ def separate_triangle(
     )
     emit(
         vals,
-        base_mask & i_lt_k,
+        i_lt_k_mask,
         1.0,
         "TriangleMixed",
         [1.0, 1.0, -1.0, 0.5, 0.5, 0.5, 0.5, -0.5, -0.5],
@@ -180,7 +257,7 @@ def separate_triangle(
         )
         emit(
             vals,
-            base_mask & j_lt_k,
+            j_lt_k_mask,
             0.0,
             "TriangleZZY4",
             [1.0, 1.0, -2.0, -1.0, -1.0, -1.0, -1.0],
@@ -189,11 +266,11 @@ def separate_triangle(
     else:
         # two-against-one: z(i,j) + z(i,k) - y(j,k) <= 1 and z(j,i) + z(k,i) - y(j,k) <= 1
         vals = Z[:, :, None] + Z[:, None, :] - Y[None, :, :]
-        emit(vals, base_mask & j_lt_k, 1.0, "TriangleZZY", [1.0, 1.0, -1.0], lambda i, j, k: [zc[i, j], zc[i, k], yc[j, k]])
+        emit(vals, j_lt_k_mask, 1.0, "TriangleZZY", [1.0, 1.0, -1.0], lambda i, j, k: [zc[i, j], zc[i, k], yc[j, k]])
         vals = Z.T[:, :, None] + Z.T[:, None, :] - Y[None, :, :]
-        emit(vals, base_mask & j_lt_k, 1.0, "TriangleZZY", [1.0, 1.0, -1.0], lambda i, j, k: [zc[j, i], zc[k, i], yc[j, k]])
+        emit(vals, j_lt_k_mask, 1.0, "TriangleZZY", [1.0, 1.0, -1.0], lambda i, j, k: [zc[j, i], zc[k, i], yc[j, k]])
 
-    return _sorted_unique(space, cuts)
+    return _sorted_unique(space, _Rows.stack(found))
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +278,19 @@ def separate_triangle(
 # ---------------------------------------------------------------------------
 
 
-def _partition_lhs(S: Sequence[int], T: Sequence[int], Y: np.ndarray, Z: np.ndarray) -> float:
-    lhs = sum(Z[i, j] for i in S for j in T)
-    lhs -= sum(Y[S[a], S[b]] for a in range(len(S)) for b in range(a + 1, len(S)))
-    lhs -= sum(Y[T[a], T[b]] for a in range(len(T)) for b in range(a + 1, len(T)))
-    return float(lhs)
-
-
-def _partition_cut(space: VariableSpace, S: Sequence[int], T: Sequence[int], violation: float) -> Cut:
-    z = [space.zcol[i, j] for i in S for j in T if space.has_pair(i, j)]
-    y = [space.ycol[i, j] for side in (S, T) for i, j in combinations(side, 2)]
-    return Cut(z + y, [1.0] * len(z) + [-1.0] * len(y), float(min(len(S), len(T))), "Partition", violation)
+def _partition_rows(space: VariableSpace, S: np.ndarray, T: np.ndarray, violation: np.ndarray) -> _Rows:
+    """One row per row of the vertex tables S and T, each side padded with
+    n: z on every present pair of S x T, minus y within each side."""
+    n = space.n
+    ycol = np.full((n + 1, n + 1), -1, dtype=np.intp)  # the padding vertex has no pairs
+    zcol = ycol.copy()
+    ycol[:n, :n], zcol[:n, :n] = space.ycol, space.zcol
+    z = zcol[S[:, :, None], T[:, None, :]].reshape(S.shape[0], -1)
+    a, b = np.array(list(combinations(range(S.shape[1]), 2)), dtype=np.intp).reshape(-1, 2).T
+    y = np.concatenate([ycol[S[:, a], S[:, b]], ycol[T[:, a], T[:, b]]], axis=1)
+    vals = np.concatenate([np.ones(z.shape[1]), -np.ones(y.shape[1])])
+    rhs = np.minimum((S < n).sum(axis=1), (T < n).sum(axis=1)).astype(float)
+    return _Rows.stack([(np.concatenate([z, y], axis=1), vals, rhs, "Partition", violation)])
 
 
 def _partition_seeds(Y: np.ndarray, Z: np.ndarray, E: np.ndarray, almost_violated: float) -> list[tuple]:
@@ -220,15 +299,48 @@ def _partition_seeds(Y: np.ndarray, Z: np.ndarray, E: np.ndarray, almost_violate
     and ((j, k), (i,)) for z(j,i) + z(k,i) - y(j,k), for j < k with all three
     pairs present.  Each slack takes the scalar expression's operations in
     the same order, so it is the same float as a scalar loop computes."""
-    # E has an empty diagonal, so E[i, j] & E[i, k] already keeps i apart from j and k
-    ok = E[:, :, None] & E[:, None, :] & np.triu(E, 1)[None, :, :]
-    slack_fwd = 1.0 - (Z[:, :, None] + Z[:, None, :] - Y[None, :, :])
-    slack_bwd = 1.0 - (Z.T[:, :, None] + Z.T[:, None, :] - Y[None, :, :])
-    fwd = np.argwhere(ok & (slack_fwd < almost_violated)).tolist()
-    bwd = np.argwhere(ok & (slack_bwd < almost_violated)).tolist()
-    seeds = [(slack_fwd[i, j, k], (i,), (j, k)) for i, j, k in fwd]
-    seeds += [(slack_bwd[i, j, k], (j, k), (i,)) for i, j, k in bwd]
-    return sorted(seeds)
+    # over the pairs j < k that carry weight; E has an empty diagonal, so
+    # E[i, j] & E[i, k] already keeps i apart from j and k
+    pj, pk = np.triu(E, 1).nonzero()
+    ok = E[:, pj] & E[:, pk]
+    slack_fwd = 1.0 - (Z[:, pj] + Z[:, pk] - Y[pj, pk])
+    slack_bwd = 1.0 - (Z.T[:, pj] + Z.T[:, pk] - Y[pj, pk])
+    fwd = ok & (slack_fwd < almost_violated)
+    bwd = ok & (slack_bwd < almost_violated)
+    (i, p), (bi, bp) = fwd.nonzero(), bwd.nonzero()
+    # the sides' vertices, with -1 after a one-vertex side: in tuple order a
+    # side that is a prefix of another sorts first
+    slack = np.concatenate([slack_fwd[fwd], slack_bwd[bwd]])
+    s0, s1 = np.concatenate([i, pj[bp]]), np.concatenate([np.full(i.size, -1), pk[bp]])
+    t0, t1 = np.concatenate([pj[p], bi]), np.concatenate([pk[p], np.full(bi.size, -1)])
+    order = np.lexsort((t1, t0, s1, s0, slack))
+    columns = (slack[order].tolist(), *(a[order].tolist() for a in (s0, s1, t0, t1)))
+    return [(x, (a,), (c, d)) if b < 0 else (x, (a, b), (c,)) for x, a, b, c, d in zip(*columns)]
+
+
+def _best_candidates(gain: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the vertex a scan in vertex order over the allowed ones picks
+    when a later vertex replaces the pick only with a gain more than 1e-12
+    larger: (vertex, gain), or (-1, -inf) for a row with none allowed.
+
+    The first argmax is that pick when it beats every allowed gain g before
+    it by the scan's own test, max > g + 1e-12: the scan then takes it, and
+    nothing after it beats max + 1e-12.  Only rows with a near-tie before
+    their first argmax run the scan itself."""
+    rows = np.arange(gain.shape[0])
+    masked = np.where(ok, gain, -np.inf)
+    best_v = masked.argmax(axis=1)
+    best_gain = masked[rows, best_v]
+    earlier = np.arange(gain.shape[1]) < best_v[:, None]
+    near = (earlier & ~(best_gain[:, None] > masked + 1e-12)).any(axis=1)
+    best_v[~ok.any(axis=1)] = -1
+    for r in near.nonzero()[0].tolist():
+        v_r, g_r = -1, -np.inf
+        for v, g in zip(ok[r].nonzero()[0].tolist(), gain[r][ok[r]].tolist()):
+            if g > g_r + 1e-12:
+                v_r, g_r = v, g
+        best_v[r], best_gain[r] = v_r, g_r
+    return best_v, best_gain
 
 
 def separate_partition(
@@ -243,66 +355,96 @@ def separate_partition(
 
     Seeds are two-against-one triangles within `almost_violated` of being
     tight; the smaller side is then grown by the vertex with the best lhs
-    gain.  Growing a side requires its internal y-variables to exist (their
-    coefficient is negative); missing z-terms are simply dropped.
+    gain (S on a tie of sizes when its gain is at least T's), and a seed
+    stops when no vertex may join.  Growing a side requires its internal
+    y-variables to exist (their coefficient is negative); missing z-terms
+    are simply dropped.  Every seed grows in the same step: its sides are
+    rows of (seeds, size) vertex tables, padded with n, which indexes a
+    zero row of the weights, so each gain is summed term by term in the
+    order the sides were grown, plus exact zeros.
     """
     n, m = space.n, space.m
     if m < 3:
         return []
     _, Y, Z = space.point_matrices(point)
     E = space.ycol >= 0
+    seeds = _partition_seeds(Y, Z, E, almost_violated)[:max_seeds]  # every seed is a distinct (S, T)
+    if not seeds:
+        return []
+    # weights with a zero row and column for the padding vertex n; pairs
+    # with the padding vertex count as present, so padding excludes nothing
+    Yp, Zp = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
+    Yp[:n, :n], Zp[:n, :n] = Y, Z
+    Ep = np.ones((n + 1, n + 1), dtype=bool)
+    Ep[:n, :n] = E
 
-    seeds = _partition_seeds(Y, Z, E, almost_violated)
+    k = len(seeds)
+    seed_ids = np.arange(k)[:, None]
+    width = max(max_size, 3)
+    # a seed is ((i,), (j, k)) or ((j, k), (i,)): its three vertices in order, and |S|
+    vertices = np.array([S0 + T0 for _, S0, T0 in seeds])
+    size_s = np.array([len(S0) for _, S0, _ in seeds])
+    sides = np.full((2, k, width), n)
+    S, T = sides  # views, so growing `sides` grows S and T
+    one = size_s == 1
+    S[:, 0], S[:, 1] = vertices[:, 0], np.where(one, n, vertices[:, 1])
+    T[:, 0], T[:, 1] = np.where(one, vertices[:, 1], vertices[:, 2]), np.where(one, vertices[:, 2], n)
+    size = np.array([size_s, 3 - size_s])
 
-    def best_candidate(side: list[int], other: list[int], into_s: bool):
-        # the gain of every vertex at once, summed term by term in list
-        # order so that each gain is the same float as a scalar sum
-        z_gain = np.zeros(n)
-        for j in other:
-            z_gain += Z[:, j] if into_s else Z[j, :]
-        y_loss = np.zeros(n)
-        for u in side:
-            y_loss += Y[:, u]
-        gain = z_gain - y_loss
-        ok = E[:, side].all(axis=1)  # else an internal y-term would be missing
-        ok[side] = ok[other] = False
-        best_v, best_gain = -1, -np.inf
-        for v, g in zip(np.flatnonzero(ok).tolist(), gain[ok].tolist()):
-            if g > best_gain + 1e-12:
-                best_v, best_gain = v, g
-        return best_v, best_gain
+    # the lhs of each seed: z over S x T, then y within S and within T
+    lhs = np.zeros(k)
+    for a in range(2):
+        for b in range(2):
+            lhs += Zp[S[:, a], T[:, b]]
+    for side in sides:
+        lhs -= Yp[side[:, 0], side[:, 1]]
+    best_viol = lhs - size.min(axis=0)
+    best_size = size.copy()
+    active = np.ones(k, dtype=bool)
 
-    cuts: list[Cut] = []
-    for _, S0, T0 in seeds[:max_seeds]:  # every seed is a distinct (S, T)
-        S, T = list(S0), list(T0)
-        lhs = _partition_lhs(S, T, Y, Z)
-        best_viol = lhs - min(len(S), len(T))
-        best_sets = (tuple(S), tuple(T))
-        while len(S) + len(T) < max_size:
-            if len(S) < len(T):
-                choice = best_candidate(S, T, True) + ("S",)
-            elif len(T) < len(S):
-                choice = best_candidate(T, S, False) + ("T",)
-            else:
-                cand_s = best_candidate(S, T, True)
-                cand_t = best_candidate(T, S, False)
-                choice = cand_s + ("S",) if cand_s[1] >= cand_t[1] else cand_t + ("T",)
-            v, gain, side = choice
-            if v < 0:
-                break
-            if side == "S":
-                S.append(v)
-            else:
-                T.append(v)
-            lhs += gain
-            viol = lhs - min(len(S), len(T))
-            if viol > best_viol:
-                best_viol = viol
-                best_sets = (tuple(S), tuple(T))
-        if best_viol > tol:
-            cuts.append(_partition_cut(space, list(best_sets[0]), list(best_sets[1]), best_viol))
+    def candidates(side: np.ndarray, other: np.ndarray, into_s: bool) -> tuple[np.ndarray, np.ndarray]:
+        toward = Zp.T if into_s else Zp  # row j holds z(v, j) for joining S, z(j, v) for joining T
+        z_gain = np.zeros((k, n + 1))
+        y_loss = np.zeros((k, n + 1))
+        ok = np.ones((k, n + 1), dtype=bool)
+        for p in range(size.max()):  # past every side's end each term would add an exact zero
+            z_gain += toward[other[:, p]]
+            y_loss += Yp[side[:, p]]
+            ok &= Ep[side[:, p]]  # else an internal y-term would be missing
+        ok[seed_ids, side] = ok[seed_ids, other] = False
+        return _best_candidates((z_gain - y_loss)[:, :n], ok[:, :n])
 
-    return _sorted_unique(space, cuts)
+    for _ in range(3, max_size):  # one vertex per step, from size 3 up to max_size
+        if not active.any():
+            break
+        v_s, gain_s = candidates(S, T, True)
+        v_t, gain_t = candidates(T, S, False)
+        into_s = (size[0] < size[1]) | ((size[0] == size[1]) & (gain_s >= gain_t))
+        v = np.where(into_s, v_s, v_t)
+        active &= v >= 0
+        side = np.where(into_s, 0, 1)
+        grow = active.nonzero()[0]
+        sides[side[grow], grow, size[side[grow], grow]] = v[grow]
+        size[side[grow], grow] += 1
+        lhs = np.where(active, lhs + np.where(into_s, gain_s, gain_t), lhs)
+        viol = lhs - size.min(axis=0)
+        better = active & (viol > best_viol)
+        best_viol = np.where(better, viol, best_viol)
+        best_size[:, better] = size[:, better]
+
+    # the sides at their best, padded with n; one row per distinct (S, T),
+    # since the same sets give the same support, and the first one stays
+    width = int(best_size.max())
+    keep = np.arange(width)[None, :] < best_size[:, :, None]
+    S, T = np.where(keep[0], S[:, :width], n), np.where(keep[1], T[:, :width], n)
+    first: dict[tuple, int] = {}
+    for r, sets, violated in zip(range(k), np.concatenate([S, T], axis=1).tolist(), (best_viol > tol).tolist()):
+        if violated:
+            first.setdefault(tuple(sets), r)
+    if not first:
+        return []
+    winners = list(first.values())
+    return _sorted_unique(space, _partition_rows(space, S[winners], T[winners], best_viol[winners]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,82 +452,83 @@ def separate_partition(
 # ---------------------------------------------------------------------------
 
 
-def _walk_dp(C: np.ndarray, i1: int, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    n = C.shape[0]
-    W = np.full((max_len + 1, n), -np.inf)
-    P = np.full((max_len + 1, n), -1, dtype=np.int64)
-    W[1] = C[i1]
-    P[1][np.isfinite(W[1])] = i1
+def _walk_dp(C: np.ndarray, starts: np.ndarray, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """W[ell, s, v]: the heaviest walk of ell arcs from starts[s] to v over the
+    arc weights C[s], and P its predecessor of v, -1 where no walk exists."""
+    k, n = C.shape[0], C.shape[1]
+    W = np.full((max_len + 1, k, n), -np.inf)
+    P = np.full((max_len + 1, k, n), -1, dtype=np.int64)
+    W[1] = C[np.arange(k), starts]
+    P[1] = np.where(np.isfinite(W[1]), starts[:, None], -1)
     for ell in range(2, max_len + 1):
-        cand = W[ell - 1][:, None] + C
-        W[ell] = cand.max(axis=0)
-        P[ell] = cand.argmax(axis=0)
+        cand = W[ell - 1][:, :, None] + C
+        P[ell] = cand.argmax(axis=1)
+        W[ell] = cand.max(axis=1)  # the value at P[ell]: a max of floats is one of them
         P[ell][~np.isfinite(W[ell])] = -1
     return W, P
 
 
-def _extract_walk(P: np.ndarray, ell: int, end: int) -> list[int] | None:
-    nodes = [end]
-    cur = end
+def _extract_walks(P: np.ndarray, s: np.ndarray, ends: np.ndarray, ell: int) -> np.ndarray:
+    """The walks of ell arcs into `ends` from start s, a row each.  Every
+    walk asked for has a finite weight, so its predecessors all exist."""
+    nodes = np.empty((s.size, ell + 1), dtype=np.intp)
+    nodes[:, ell] = ends
     for step in range(ell, 0, -1):
-        cur = int(P[step][cur])
-        if cur < 0:
-            return None
-        nodes.append(cur)
-    nodes.reverse()
+        nodes[:, step - 1] = P[step, s, nodes[:, step]]
     return nodes
 
 
-def _walk_cols(space: VariableSpace, walk: list[int]) -> list[int]:
-    """z on every arc of the walk, y on every arc but the first."""
-    tails, heads = walk[:-1], walk[1:]
-    return [space.zcol[u, v] for u, v in zip(tails, heads)] + [space.ycol[u, v] for u, v in zip(tails[1:], heads[1:])]
+def _distinct_rows(nodes: np.ndarray) -> np.ndarray:
+    ordered = nodes.copy()
+    ordered.sort(axis=1)
+    return (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
 
 
-def _subtour_cut(space: VariableSpace, walk: list[int], violation: float) -> Cut:
-    cols = _walk_cols(space, walk)
-    return Cut(cols, [1.0] * len(cols), float(len(walk) - 2), "Subtour", violation)
+def _walk_cols(space: VariableSpace, walks: np.ndarray) -> np.ndarray:
+    """z on every arc of each walk, y on every arc but the first."""
+    tails, heads = walks[:, :-1], walks[:, 1:]
+    return np.concatenate([space.zcol[tails, heads], space.ycol[tails[:, 1:], heads[:, 1:]]], axis=1)
 
 
-def _path_cut(space: VariableSpace, walk: list[int], violation: float) -> Cut:
-    cols = _walk_cols(space, walk)
-    i1, end = walk[0], walk[-1]
-    if space.has_pair(i1, end):
-        cols.append(space.ycol[i1, end])
-    return Cut(cols, [1.0] * len(cols), float(len(walk) - 1), "Path", violation)
-
-
-def _separate_from_start(
-    space: VariableSpace, Y: np.ndarray, Z: np.ndarray, i1: int, tol: float
-) -> list[Cut]:
+def _walk_rows(space: VariableSpace, Y: np.ndarray, Z: np.ndarray, starts: np.ndarray, tol: float) -> _Rows:
+    """The subtour and path rows of each start in turn: per start, subtours
+    by length, then paths by end vertex."""
     n, m = space.n, space.m
-    C = Z + Y
-    C[i1, :] = Z[i1, :]
+    k = starts.size
+    C = (Z + Y)[None].repeat(k, axis=0)
+    C[np.arange(k), starts] = Z[starts]
     C[C <= 0.0] = -np.inf
-    np.fill_diagonal(C, -np.inf)
-    W, P = _walk_dp(C, i1, m - 1)
+    C[:, np.arange(n), np.arange(n)] = -np.inf
+    W, P = _walk_dp(C, starts, m - 1)
 
-    cuts: list[Cut] = []
+    found = []  # parts of _Rows.stack
+    keys = []  # the place of each row in the order above
     for ell in range(2, m):
-        w = float(W[ell][i1])
-        if w > ell - 1 + tol:
-            walk = _extract_walk(P, ell, i1)
-            if walk is not None and len(set(walk[:-1])) == ell:
-                cuts.append(_subtour_cut(space, walk, w - (ell - 1)))
+        w = W[ell, np.arange(k), starts]
+        s = (w > ell - 1 + tol).nonzero()[0]
+        walks = _extract_walks(P, s, starts[s], ell)
+        keep = _distinct_rows(walks[:, :-1])
+        s, walks = s[keep], walks[keep]
+        found.append((_walk_cols(space, walks), 1.0, float(ell - 1), "Subtour", w[s] - (ell - 1)))
+        keys.append(s * (m + n) + ell)
     ell = m - 1
     if ell >= 2:
-        for v in range(n):
-            if v == i1:
-                continue
-            w = float(W[ell][v])
-            if not np.isfinite(w):
-                continue
-            total = w + Y[i1, v]
-            if total > m - 1 + tol:
-                walk = _extract_walk(P, ell, v)
-                if walk is not None and len(set(walk)) == len(walk):
-                    cuts.append(_path_cut(space, walk, total - (m - 1)))
-    return cuts
+        total = W[ell] + Y[starts]
+        total[np.arange(k), starts] = -np.inf
+        s, v = (total > m - 1 + tol).nonzero()
+        walks = _extract_walks(P, s, v, ell)
+        keep = _distinct_rows(walks)
+        s, v, walks = s[keep], v[keep], walks[keep]
+        # the closing y(start, end) where that pair carries weight, else -1
+        cols = np.concatenate([_walk_cols(space, walks), space.ycol[starts[s], v][:, None]], axis=1)
+        found.append((cols, 1.0, float(m - 1), "Path", total[s, v] - (m - 1)))
+        keys.append(s * (m + n) + m + v)
+    return _Rows.stack(found).take(np.concatenate(keys).argsort(kind="stable"))
+
+
+def _separate_from_start(space: VariableSpace, Y: np.ndarray, Z: np.ndarray, i1: int, tol: float) -> list[Cut]:
+    """The subtour and path cuts of walks from start i1 alone."""
+    return Cut.from_rows(*_walk_rows(space, Y, Z, np.array([i1]), tol))
 
 
 def separate_subtour_path(space: VariableSpace, point: np.ndarray, tol: float = DEFAULT_TOL) -> list[Cut]:
@@ -394,12 +537,9 @@ def separate_subtour_path(space: VariableSpace, point: np.ndarray, tol: float = 
     Arc weights are z for arcs leaving the start node and z + y elsewhere, so
     the y-terms cover every cycle arc but the first one.  Closed walks of
     length 2..m-1 give subtour cuts; walks of exactly m-1 arcs plus the
-    closing same-cluster term give path cuts.
+    closing same-cluster term give path cuts.  One DP serves every start.
     """
     if space.m < 3:
         return []
     _, Y, Z = space.point_matrices(point)
-    cuts: list[Cut] = []
-    for i1 in range(space.n):
-        cuts.extend(_separate_from_start(space, Y, Z, i1, tol))
-    return _sorted_unique(space, cuts)
+    return _sorted_unique(space, _walk_rows(space, Y, Z, np.arange(space.n), tol))

@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from cyclecluster.formulation import VariableSpace, clustering_to_point
-from cyclecluster.instance import Clustering
+from cyclecluster.instance import Clustering, Instance
 from cyclecluster.oracle import check_cut_validity
 from cyclecluster import separation
 from cyclecluster.separation import (
     Cut,
+    _best_candidates,
     _partition_seeds,
     _separate_from_start,
     separate_partition,
     separate_subtour_path,
     separate_triangle,
 )
+import sep_ref
 from conftest import random_clustering, random_instance
 from sep_brute import (
     brute_best_subtour_path_violation,
@@ -297,6 +299,91 @@ class TestPartitionSeeds:
         assert cuts_seen > 1000  # the points exercise the separator
 
 
+def half_integral_points():
+    """(space, point) pairs whose entries are all 0, 1/2 or 1, so violations
+    and partition gains tie exactly and often: every third averages two
+    clusterings, the rest draw each pair's (y, z, z') from the half-integral
+    vectors with sum at most one."""
+    rng = np.random.default_rng(12)
+    blocks = np.array([(a, b, c) for a in (0, 1, 2) for b in (0, 1, 2) for c in (0, 1, 2) if a + b + c <= 2]) / 2
+    for trial in range(150):
+        n, m = 7 + trial % 6, 3 + trial % 5
+        space = VariableSpace(random_instance(n, m, seed=500 + trial, density=(1.0, 0.6)[trial % 2]))
+        a, b = (clustering_to_point(space, Clustering(random_clustering(n, m, rng), m)) for _ in range(2))
+        point = (a + b) / 2
+        if trial % 3:
+            point[space.num_x :] = blocks[rng.integers(len(blocks), size=len(space.pairs))].ravel()
+        yield space, point
+
+
+def near_tie_point():
+    """A partition point whose first seed, S = (0,) and T = (1, 2), grows S
+    by vertex 3 or vertex 4, with gains that differ by less than 1e-12 and
+    vertex 4's the larger: the scan keeps vertex 3, the first one, where a
+    plain argmax would take vertex 4.  The pair (3, 4) carries no weight, so
+    neither vertex can join S after the other."""
+    inst = random_instance(6, 5, seed=11)
+    Q = inst.Q.copy()
+    Q[3, 4] = Q[4, 3] = 0.0
+    space = VariableSpace(Instance(n=6, m=5, alpha=inst.alpha, Q=Q))
+    entries = {("z", 0, 1): 1.0, ("z", 0, 2): 1.0}
+    entries.update({("z", 3, 1): 0.6, ("z", 3, 2): 0.6, ("z", 4, 1): 0.6 + 5e-13, ("z", 4, 2): 0.6})
+    return space, point_with(space, entries)
+
+
+class TestBulkMatchesReference:
+    """Each separator returns bitwise the cuts of `sep_ref`, which keeps the
+    separators that looped in Python per start vertex, per seed and per cut,
+    in the same order."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.cols.tolist() == b.cols.tolist()
+            assert a.vals.tobytes() == b.vals.tobytes()
+            assert (a.rhs, a.family) == (b.rhs, b.family)
+            assert float(a.violation).hex() == float(b.violation).hex()
+
+    def check(self, space, point):
+        """The number of cuts compared."""
+        compared = 0
+        for name, kwargs in (
+            ("separate_triangle", {}),
+            ("separate_triangle", {"max_per_family": 200}),
+            ("separate_subtour_path", {}),
+            ("separate_partition", {}),
+        ):
+            got = getattr(separation, name)(space, point, TOL, **kwargs)
+            self.assert_same(got, getattr(sep_ref, name)(space, point, TOL, **kwargs))
+            compared += len(got)
+        return compared
+
+    def test_partition_test_points(self):
+        assert sum(self.check(space, point) for space, point in partition_test_points()) > 1000
+
+    def test_half_integral_points(self):
+        assert sum(self.check(space, point) for space, point in half_integral_points()) > 100
+
+    def test_near_tie_takes_the_first_vertex(self):
+        space, point = near_tie_point()
+        _, Y, Z = space.point_matrices(point)
+        gains = [Z[v, 1] + Z[v, 2] - Y[v, 0] for v in (3, 4)]
+        assert 0 < gains[1] - gains[0] < 1e-12
+        self.check(space, point)
+        (cut,) = separate_partition(space, point, TOL, max_seeds=1)
+        self.assert_same([cut], sep_ref.separate_partition(space, point, TOL, max_seeds=1))
+        terms = named(space, cut)
+        assert {"z_0_1", "z_3_1", "y_0_3"} <= set(terms) and "z_4_1" not in terms
+
+    def test_best_candidates_rule(self):
+        gain = np.array([[0.5, 0.5 + 5e-13, 0.2], [0.1, 0.5, 0.5], [0.3, 0.3, 0.3]])
+        ok = np.array([[True, True, True], [True, True, True], [False, False, False]])
+        v, g = _best_candidates(gain, ok)
+        assert v.tolist() == [0, 1, -1]
+        assert g.tolist() == [0.5, 0.5, -np.inf]
+
+
 class TestSoundness:
     def test_reported_violation_matches_recomputation(self):
         rng = np.random.default_rng(7)
@@ -326,6 +413,22 @@ def test_cut_sorts_and_merges_columns():
     assert cut.vals.tolist() == [-1.0, 2.0, 1.5]
     assert cut.support == Cut([5, 7, 3], [2.0, 1.5, -1.0], 1.0, "Subtour", 0.3).support
     assert cut.lhs(np.arange(8.0)) == pytest.approx(-3.0 + 10.0 + 10.5)
+
+
+def test_from_rows_builds_what_cut_builds():
+    # rows of distinct columns, -1 for an absent term, in any order
+    cols = np.array([[7, 3, 5], [-1, 9, 2], [4, -1, -1]])
+    vals = np.array([[1.0, -1.0, 0.5], [0.0, 2.0, -2.0], [1.5, 0.0, 0.0]])
+    cuts = Cut.from_rows(cols, vals, [1.0, 2.0, 0.0], ["A", "B", "C"], [0.25, 0.5, 0.75])
+    for cut, row_cols, row_vals, rhs, family, violation in zip(
+        cuts, cols, vals, [1.0, 2.0, 0.0], "ABC", [0.25, 0.5, 0.75]
+    ):
+        present = row_cols >= 0
+        want = Cut(row_cols[present], row_vals[present], rhs, family, violation)
+        assert cut.cols.tolist() == want.cols.tolist() and cut.cols.dtype == want.cols.dtype
+        assert cut.vals.tobytes() == want.vals.tobytes()
+        assert cut.support == want.support
+        assert (cut.rhs, cut.family, cut.violation) == (rhs, family, violation)
 
 
 def test_order_follows_names():

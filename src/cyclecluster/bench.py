@@ -28,7 +28,8 @@ TIME_SHIFT = 10.0
 NODE_SHIFT = 100.0
 INTEGRAL_SHIFT = 1000.0
 
-SEPA_ALIASES = {"subtour": "subtour_path", "subtour_path": "subtour_path", "triangle": "triangle", "partition": "partition"}
+# every name a separator spec may use, and the separator each one means
+SEPA_ALIASES = {"triangle": "triangle", "subtour": "subtour_path", "subtour_path": "subtour_path", "partition": "partition"}
 
 
 def shifted_geomean(values: Sequence[float], shift: float) -> float:
@@ -51,7 +52,7 @@ def parse_separator_spec(spec: str) -> tuple:
     for tok in spec.replace("+", ",").split(","):
         tok = tok.strip()
         if tok not in SEPA_ALIASES:
-            raise ValueError(f"unknown separator {tok!r} (use triangle, subtour, partition, none, all)")
+            raise ValueError(f"unknown separator {tok!r} (use {', '.join(SEPA_ALIASES)}, none or all)")
         names.append(SEPA_ALIASES[tok])
     return tuple(dict.fromkeys(names))
 
@@ -66,7 +67,7 @@ def parse_heuristic_spec(spec: str) -> tuple:
     for tok in spec.replace("+", ",").split(","):
         tok = tok.strip()
         if tok not in HEURISTIC_NAMES:
-            raise ValueError(f"unknown heuristic {tok!r} (use greedy, sparsify, rounding, exchange, none, all)")
+            raise ValueError(f"unknown heuristic {tok!r} (use {', '.join(HEURISTIC_NAMES)}, none or all)")
         names.append(tok)
     return tuple(dict.fromkeys(names))
 

@@ -24,6 +24,7 @@ import numpy as np
 from cyclecluster import bench as bench_mod
 from cyclecluster.engine import (
     GAP_INFINITE,
+    HEURISTIC_NAMES,
     SolverConfig,
     SolveResult,
     dual_integral,
@@ -43,8 +44,8 @@ from cyclecluster.instance import (
     save_instance,
 )
 from cyclecluster.lp import lp_relaxation, solve_lp
-from cyclecluster.oracle import check_cut_validity, enumerate_optimal
-from cyclecluster.separation import separate_partition, separate_subtour_path, separate_triangle
+from cyclecluster.oracle import enumerate_optimal, max_integral_violation
+from cyclecluster.separation import Cuts, separate_partition, separate_subtour_path, separate_triangle
 
 log = logging.getLogger("cyclecluster")
 
@@ -118,6 +119,8 @@ def _result_payload(path: str, inst: Instance, cfg: SolverConfig, res: SolveResu
             "separators": list(cfg.separators),
             "heuristics": list(cfg.heuristics),
             "rng_seed": cfg.rng_seed,
+            "cut_rounds_root": cfg.cut_rounds_root,
+            "cut_rounds_node": cfg.cut_rounds_node,
         },
         "bound_history": [
             [ev.time_s, ev.nodes, None if not math.isfinite(ev.primal) else ev.primal,
@@ -318,14 +321,8 @@ def cmd_check(args) -> int:
             over = tail.sum(axis=1)
             tail *= np.where(over > 1.0, 1.0 / over, 1.0)[:, None]
             point = np.concatenate([x, tail.ravel()])
-            cuts = (
-                separate_triangle(space, point, 1e-4)
-                + separate_subtour_path(space, point, 1e-4)
-                + separate_partition(space, point, 1e-4)
-            )
-            for cut in cuts:
-                if not check_cut_validity(inst, cut):
-                    bad += 1
+            cuts = Cuts.concat([separate(space, point, 1e-4) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
+            bad += int((max_integral_violation(inst, cuts) > 1e-9).sum())
         failures += bad > 0
         print(f"cut-validity n={n} m={m}: {'ok' if bad == 0 else f'{bad} INVALID CUTS'}")
     print("check: " + ("all ok" if failures == 0 else f"{failures} failures"))
@@ -345,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_instance_opts(p_solve)
     p_solve.add_argument("--time-limit", type=float, default=300.0, help="seconds (default 300)")
     p_solve.add_argument("--node-limit", type=int, default=None)
-    p_solve.add_argument("--sepa", default="all", help="triangle,subtour,partition | none | all")
-    p_solve.add_argument("--heur", default="all", help="greedy,rounding,exchange,sparsify | none | all")
+    p_solve.add_argument("--sepa", default="all", help=f"{','.join(bench_mod.SEPA_ALIASES)} | none | all")
+    p_solve.add_argument("--heur", default="all", help=f"{','.join(HEURISTIC_NAMES)} | none | all")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--cut-rounds-root", type=int, default=10)
     p_solve.add_argument("--cut-rounds-node", type=int, default=2)
@@ -356,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_heur = sub.add_parser("heuristic", help="run a single primal heuristic")
-    p_heur.add_argument("name", choices=["greedy", "exchange", "rounding", "sparsify"])
+    p_heur.add_argument("name", choices=HEURISTIC_NAMES)
     p_heur.add_argument("instance")
     add_instance_opts(p_heur)
     p_heur.add_argument("--seed", type=int, default=0)

@@ -50,17 +50,17 @@ import heapq
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import IO, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from cyclecluster.formulation import LESS_EQUAL, ConversionError, build_cc, point_to_clustering
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, objective
-from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp, take_rows
-from cyclecluster.separation import Cut, separate_partition, separate_subtour_path, separate_triangle
+from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp, stack_rows, take_rows
+from cyclecluster.separation import Cuts, first_rows, separate_partition, separate_subtour_path, separate_triangle
 
 log = logging.getLogger(__name__)
 
@@ -224,9 +224,9 @@ class _Search:
         self.link_rhs = self.model.rhs[num_core:]
         self.link_out = np.ones(self.link_rhs.size, dtype=bool)
         # One origin per LP row: CORE_ROW, k for linking row k, or
-        # len(link_rhs) + j for the cut whose support is cut_supports[j].
+        # len(link_rhs) + j for the cut whose support key is cut_supports[j].
         self.row_origin = np.full(num_core, CORE_ROW)
-        self.cut_supports: list[tuple] = []
+        self.cut_supports = np.zeros(0, dtype=object)
         self.row_age = np.zeros(0, dtype=np.int64)  # root solves slack in a row, per LP row
         self.lp_rows_deleted = 0
         self.link_rows_readded = 0
@@ -234,7 +234,7 @@ class _Search:
         self.primal = -math.inf
         self.dual = math.inf
         self.history: list[BoundEvent] = []
-        self.cut_counts: dict[str, int] = {}
+        self.cut_counts: Counter[str] = Counter()
         self.heur_stats = {name: {"runs": 0, "successes": 0} for name in HEURISTIC_NAMES}
         self.nodes_processed = 0
         self.status = "optimal"
@@ -242,7 +242,7 @@ class _Search:
         self.root_dual_bound = math.inf
         self.lp_solves = 0
         self.simplex_iterations = 0
-        self.pool_supports: set = set()
+        self.pool_supports: set[bytes] = set()  # the support keys of the cuts in the LP
         # search tree
         self.heap: list[tuple[float, int, dict[int, float]]] = []
         self.next_id = 0
@@ -283,43 +283,28 @@ class _Search:
 
     # -- cut pool -----------------------------------------------------------
 
-    def add_rows(self, cuts: Sequence[Cut], link: np.ndarray) -> int:
-        """Append the unseen cuts and the given linking rows of the lazy pool
-        to the LP in one block, cuts first.  A cut stays in the LP unless the
-        root cut loop ages it out.
+    def add_rows(self, cuts: Cuts, link: np.ndarray) -> int:
+        """Append the first row per support key of the cuts not already in
+        the LP, then the given linking rows of the lazy pool, to the LP in one
+        block.  A cut stays in the LP unless the root cut loop ages it out.
 
         Every separator emits globally valid cuts, so each node inherits the
         whole pool.  Returns the number of cuts added.
         """
-        fresh = []
-        for cut in cuts:
-            if cut.support in self.pool_supports:
-                continue
-            self.pool_supports.add(cut.support)
-            fresh.append(cut)
-            self.cut_counts[cut.family] = self.cut_counts.get(cut.family, 0) + 1
-        if not (fresh or link.size):
+        keys = cuts.keys
+        fresh = first_rows(keys, self.pool_supports)
+        if not (fresh.size or link.size):
             return 0
-        # one CSR block: the cuts' rows, then the linking rows' own CSR arrays
-        cols = [cut.cols for cut in fresh]
-        vals = [cut.vals for cut in fresh]
-        indptr = np.zeros(len(fresh) + 1, dtype=np.int32)
-        np.cumsum([c.size for c in cols], out=indptr[1:])
-        if link.size:
-            link_vals, link_cols, link_indptr = take_rows(self.link_rows, link)
-            cols.append(link_cols)
-            vals.append(link_vals)
-            indptr = np.concatenate([indptr, link_indptr[1:] + indptr[-1]])
-        block = sparse.csr_matrix(
-            (np.concatenate(vals), np.concatenate(cols).astype(np.int32), indptr), shape=(indptr.size - 1, self.space.ncols)
-        )
-        first = self.link_rhs.size + len(self.cut_supports)
-        self.cut_supports.extend(cut.support for cut in fresh)
+        self.pool_supports.update(keys[fresh])
+        self.cut_counts.update(cuts.family[fresh].tolist())
+        first = self.link_rhs.size + self.cut_supports.size
+        self.cut_supports = np.concatenate([self.cut_supports, keys[fresh]])
         self.link_out[link] = False
-        rhs = np.concatenate([[cut.rhs for cut in fresh], self.link_rhs[link]])
+        block = stack_rows([take_rows(rows, idx) for rows, idx in ((cuts, fresh), (self.link_rows, link)) if idx.size])
+        rhs = np.concatenate([cuts.rhs[fresh], self.link_rhs[link]])
         self.lp.add_rows(block, np.full(rhs.size, LESS_EQUAL), rhs)
-        self.row_origin = np.concatenate([self.row_origin, np.arange(first, first + len(fresh)), link])
-        return len(fresh)
+        self.row_origin = np.concatenate([self.row_origin, np.arange(first, first + fresh.size), link])
+        return fresh.size
 
     def age_rows(self, values: np.ndarray) -> None:
         """Delete every cut and linking row slack at `ROW_AGE_LIMIT` solves in a row."""
@@ -333,8 +318,7 @@ class _Search:
         origin = self.row_origin[drop]
         num_link = self.link_rhs.size
         self.link_out[origin[origin < num_link]] = True
-        for j in (origin[origin >= num_link] - num_link).tolist():
-            self.pool_supports.discard(self.cut_supports[j])
+        self.pool_supports.difference_update(self.cut_supports[origin[origin >= num_link] - num_link])
         self.lp.delete_rows(drop)
         keep = np.ones(slack.size, dtype=bool)
         keep[drop] = False
@@ -348,27 +332,26 @@ class _Search:
             return np.zeros(0, dtype=np.int64)
         return np.flatnonzero(self.link_out & (self.link_rows @ values - self.link_rhs > TOL_LINK))
 
-    def separate(self, point: np.ndarray) -> list[Cut]:
+    def separate(self, point: np.ndarray) -> Cuts:
+        """Each separator's cuts in turn, the first `MAX_CUTS_PER_FAMILY`
+        of each family."""
         cfg = self.config
-        cuts: list[Cut] = []
-        for name in SEPARATOR_ORDER:
-            if name not in cfg.separators:
-                continue
-            if name == "triangle":
-                found = separate_triangle(self.space, point, TOL_CUT, max_per_family=MAX_CUTS_PER_FAMILY)
-            elif name == "subtour_path":
-                found = separate_subtour_path(self.space, point, TOL_CUT)
-            else:
-                if self.inst.m < PARTITION_MIN_M:
-                    continue
-                found = separate_partition(self.space, point, TOL_CUT)
-            per_family: dict[str, int] = {}
-            for cut in found:
-                k = per_family.get(cut.family, 0)
-                if k < MAX_CUTS_PER_FAMILY:
-                    per_family[cut.family] = k + 1
-                    cuts.append(cut)
-        return cuts
+        found = []
+        if "triangle" in cfg.separators:
+            found.append(separate_triangle(self.space, point, TOL_CUT, max_per_family=MAX_CUTS_PER_FAMILY))
+        if "subtour_path" in cfg.separators:
+            found.append(separate_subtour_path(self.space, point, TOL_CUT))
+        if "partition" in cfg.separators and self.inst.m >= PARTITION_MIN_M:
+            found.append(separate_partition(self.space, point, TOL_CUT))
+        cuts = Cuts.concat(found)
+        if len(cuts) <= MAX_CUTS_PER_FAMILY:  # no family can pass the cap
+            return cuts
+        # each row's rank within its family, in order
+        _, family = np.unique(cuts.family, return_inverse=True)
+        by_family = family.argsort(kind="stable")
+        rank = np.empty(len(cuts), dtype=np.intp)
+        rank[by_family] = np.arange(len(cuts)) - np.searchsorted(family[by_family], family[by_family])
+        return cuts.take(np.flatnonzero(rank < MAX_CUTS_PER_FAMILY))
 
     # -- LP solving ---------------------------------------------------------
 
@@ -502,7 +485,7 @@ class _Search:
                     if violated.size:
                         sol = replace(sol, status="time_limit")
                 else:
-                    cuts = []
+                    cuts = Cuts.empty()
                     if separated < rounds:
                         separated += 1
                         if is_root:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import accumulate
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -56,23 +57,20 @@ class LinearProgram:
     def ncols(self) -> int:
         return self.objective.shape[0]
 
-    def add_rows(self, block: sparse.csr_matrix, senses: np.ndarray, rhs: np.ndarray) -> None:
-        """Append the rows of a CSR block over this LP's columns."""
-        if block.shape[0] == 0:
+    def add_rows(self, block, senses: np.ndarray, rhs: np.ndarray) -> None:
+        """Append the rows of a block over this LP's columns: anything that
+        holds CSR arrays, as `stack_rows` takes."""
+        num_rows = block.indptr.size - 1
+        if num_rows == 0:
             return
         senses, rhs = np.asarray(senses), np.asarray(rhs, dtype=float)
-        rows = self.rows
-        self._set_rows(
-            np.concatenate([rows.data, block.data]),
-            np.concatenate([rows.indices, block.indices]),
-            np.concatenate([rows.indptr, block.indptr[1:] + rows.indptr[-1]]),
-        )
+        self._set_rows(*stack_rows([self.rows, block]))
         self.senses = np.concatenate([self.senses, senses])
         self.rhs = np.concatenate([self.rhs, rhs])
         lower, upper = _row_bounds(senses, rhs)
         indptr = block.indptr.astype(np.int32)
         indices = block.indices.astype(np.int32)
-        self._highs.addRows(block.shape[0], lower, upper, block.nnz, indptr[:-1], indices, block.data.astype(float))
+        self._highs.addRows(num_rows, lower, upper, int(indptr[-1]), indptr[:-1], indices, block.data.astype(float))
 
     def delete_rows(self, idx: np.ndarray) -> None:
         """Delete the rows at the given positions; the rest keep their order.
@@ -149,16 +147,38 @@ def solve_lp(lp: LinearProgram, time_limit: float | None = None) -> LpSolution:
     return LpSolution("error", None, None, iterations)
 
 
-def take_rows(rows: sparse.csr_matrix, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The raw CSR arrays (data, indices, indptr) of the rows at `idx`, in
-    that order: the same entries that `rows[idx]` holds, without scipy's
-    indexing machinery."""
+class CsrRows(NamedTuple):
+    """The raw CSR arrays of some rows."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+def take_rows(rows, idx: np.ndarray) -> CsrRows:
+    """The rows at `idx`, in that order, of anything that holds CSR arrays
+    (`data`, `indices`, `indptr`): the same entries that `rows[idx]` holds
+    for a csr_matrix, without scipy's indexing machinery."""
     starts = rows.indptr[idx]
     lengths = rows.indptr[idx + 1] - starts
     indptr = np.zeros(idx.size + 1, dtype=rows.indptr.dtype)
     np.cumsum(lengths, out=indptr[1:])
     entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-    return rows.data[entries], rows.indices[entries], indptr
+    return CsrRows(rows.data[entries], rows.indices[entries], indptr)
+
+
+def stack_rows(parts: Sequence) -> CsrRows:
+    """The rows of every part in turn; a part is anything that holds CSR
+    arrays whose `indptr` starts at 0: a csr_matrix, `CsrRows` or
+    `separation.Cuts`."""
+    if len(parts) == 1:
+        return CsrRows(parts[0].data, parts[0].indices, parts[0].indptr)
+    offsets = accumulate((int(p.indptr[-1]) for p in parts), initial=0)  # Python ints keep each indptr's dtype
+    return CsrRows(
+        np.concatenate([p.data for p in parts]),
+        np.concatenate([p.indices for p in parts]),
+        np.concatenate([parts[0].indptr[:1]] + [p.indptr[1:] + offset for p, offset in zip(parts, offsets)]),
+    )
 
 
 def _row_bounds(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -184,22 +184,23 @@ def universe_columns(inst: Instance) -> np.ndarray:
     return np.concatenate([np.arange(n * m), (blocks[:, None] + np.arange(3)).ravel()])
 
 
-def cut_vector(inst: Instance, cut) -> np.ndarray:
-    """Dense full-universe vector of a cut over the instance's model columns."""
-    vec = np.zeros(full_universe_size(inst.n, inst.m))
-    np.add.at(vec, universe_columns(inst)[cut.cols], cut.vals)
-    return vec
+def cut_vectors(inst: Instance, cuts) -> np.ndarray:
+    """Dense full-universe vectors of a `separation.Cuts` batch over the
+    instance's model columns, one row per cut."""
+    vecs = np.zeros((len(cuts), full_universe_size(inst.n, inst.m)))
+    np.add.at(vecs, (cuts.entry_rows(), universe_columns(inst)[cuts.indices]), cuts.data)
+    return vecs
 
 
-def check_cut_validity(inst: Instance, cut, tol: float = 1e-9) -> bool:
-    """True iff every feasible incidence vector of the instance satisfies the cut."""
-    return max_integral_violation(inst, cut) <= tol
+def check_cut_validity(inst: Instance, cuts, tol: float = 1e-9) -> bool:
+    """True iff every feasible incidence vector of the instance satisfies every cut."""
+    return bool((max_integral_violation(inst, cuts) <= tol).all())
 
 
-def max_integral_violation(inst: Instance, cut) -> float:
-    """Largest lhs - rhs of the cut over all feasible incidence vectors."""
+def max_integral_violation(inst: Instance, cuts) -> np.ndarray:
+    """Per cut, the largest lhs - rhs over all feasible incidence vectors."""
     pts = feasible_point_matrix(inst.n, inst.m)
-    return float((pts @ cut_vector(inst, cut)).max() - cut.rhs)
+    return (pts @ cut_vectors(inst, cuts).T).max(axis=0) - cuts.rhs
 
 
 def surjection_count(n: int, m: int) -> int:

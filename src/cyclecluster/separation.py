@@ -14,30 +14,33 @@ model's variables, each over whole arrays rather than one candidate at a time:
   O(n^3 m) in total; extracted walks that revisit a vertex are discarded, so
   the walk value is only a search bound while every emitted cut is sound.
 
-A cut is one row over the model's columns: ascending column indices and
-their coefficients, so a batch of cuts goes into the LP as one CSR block.  It references only variables that exist for the instance.
-Terms with a positive coefficient may be dropped when their pair carries no
-weight (this only weakens the inequality); templates whose
-negative-coefficient variables are missing are skipped entirely.
+Every separator returns one `Cuts` batch, the only form a cut takes from
+separator to LP: CSR rows over the model's columns, with ascending column
+indices, so a batch goes into the LP as one block.  A cut references only
+variables that exist for the instance.  Terms with a positive coefficient
+may be dropped when their pair carries no weight (this only weakens the
+inequality); templates whose negative-coefficient variables are missing are
+skipped entirely.
 
-Each separator collects its candidates as a table of such rows and builds
-its cuts from it (`Cut.from_rows`); `_sorted_unique` keeps the first cut per
-support and orders them with one `np.lexsort`.  Every float is computed by
-the same operations in the same order as a scalar loop over the candidates
+Each separator collects its candidates as tables of columns, a row per cut
+with -1 for an absent term, and turns each table into a batch
+(`Cuts.from_tables`); `_sorted_unique` keeps the first row per support key
+and orders the rows with one `np.lexsort`.  Every float is computed by the
+same operations in the same order as a scalar loop over the candidates
 would, so the cuts, their violations and their order do not depend on the
 vectorization.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import AbstractSet, Sequence
 
 import numpy as np
 
 from cyclecluster.formulation import VariableSpace
+from cyclecluster.lp import stack_rows, take_rows
 
 DEFAULT_TOL = 1e-4
 PARTITION_MAX_SIZE = 5
@@ -45,131 +48,134 @@ PARTITION_MAX_SEEDS = 50
 PARTITION_ALMOST_VIOLATED = 0.1
 
 
-@dataclass(eq=False, slots=True)
-class Cut:
-    """A sparse valid inequality  vals . v[cols] <= rhs  with its violation.
+@dataclass(frozen=True, eq=False)
+class Cuts:
+    """A batch of sparse valid inequalities, row r being
 
-    `cols` ends up in ascending order with repeated columns merged into one
-    coefficient, so two cuts are the same inequality iff their supports match.
-    `Cut(...)` merges through a dict; the separators, whose rows never repeat
-    a column, build their cuts with `from_rows`, which only sorts.  `support`
-    is computed once, when the cut is built.
+        data[a:b] . v[indices[a:b]] <= rhs[r],   a, b = indptr[r], indptr[r + 1],
+
+    with its family and its violation at the point it was separated from.
+    The rows are CSR with ascending columns and absent terms dropped, so a
+    batch goes into the LP as it is.  `keys` holds one support key per row:
+    the bytes of a (rhs, column, coefficient) triple per term, all as floats
+    (every column is exact).  Every row has a term, so two rows are the same
+    inequality iff their keys are equal.
     """
 
-    cols: np.ndarray
-    vals: np.ndarray
-    rhs: float
-    family: str
-    violation: float
-    support: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        merged: dict[int, float] = defaultdict(float)
-        for col, val in zip(self.cols, self.vals):
-            merged[int(col)] += float(val)
-        cols = sorted(merged)
-        self.cols = np.array(cols, dtype=np.intp)
-        self.vals = np.array([merged[col] for col in cols])
-        self.support = (self.rhs, self.cols.tobytes(), self.vals.tobytes())
-
-    @classmethod
-    def from_rows(cls, cols: np.ndarray, vals: np.ndarray, rhs: Sequence, family: Sequence, violation: Sequence) -> list[Cut]:
-        """One cut per row of the (k, w) table `cols`, whose rows each hold
-        distinct columns, with -1 for an absent term; `vals` is a (k, w)
-        table or one row shared by all, and the rest hold one value per row.
-
-        Each row is sorted by `argsort`, so every cut is the one `Cut(...)`
-        would build from the row's present terms, without the merge."""
-        cols = np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals, dtype=float)
-        order = cols.argsort(axis=1)
-        rows = np.arange(cols.shape[0])[:, None]
-        cols, vals = cols[rows, order], (vals[order] if vals.ndim == 1 else vals[rows, order])
-        absent = (cols < 0).sum(axis=1).tolist()  # sorted to the front of each row
-        rhs, family, violation = (np.asarray(x).tolist() for x in (rhs, family, violation))
-        cuts = []
-        for row_cols, row_vals, skip, rhs_r, family_r, violation_r in zip(cols, vals, absent, rhs, family, violation):
-            if skip:
-                row_cols, row_vals = row_cols[skip:], row_vals[skip:]
-            cut = cls.__new__(cls)
-            cut.cols, cut.vals, cut.rhs, cut.family, cut.violation = row_cols, row_vals, rhs_r, family_r, violation_r
-            cut.support = (rhs_r, row_cols.tobytes(), row_vals.tobytes())
-            cuts.append(cut)
-        return cuts
-
-    def lhs(self, point: np.ndarray) -> float:
-        return float(self.vals @ point[self.cols])
-
-    def text(self, space: VariableSpace) -> str:
-        terms = " ".join(f"{'+' if v >= 0 else '-'} {abs(v):g} {space.name(c)}" for c, v in zip(self.cols, self.vals))
-        return f"[{self.family}] {terms} <= {self.rhs:g}   (violation {self.violation:.6g})"
-
-
-class _Rows(NamedTuple):
-    """Cuts not yet built: a (k, w) column table with -1 for an absent term,
-    its coefficients, and one rhs, family and violation per row."""
-
-    cols: np.ndarray
-    vals: np.ndarray
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
     rhs: np.ndarray
     family: np.ndarray
     violation: np.ndarray
+    keys: np.ndarray
 
     @classmethod
-    def stack(cls, parts: Sequence[tuple]) -> _Rows:
-        """The rows of every part in turn, padded with absent terms to the
-        widest.  A part is (cols, vals, rhs, family, violation): a (k, w)
-        column table, its coefficients as a table or one row shared by all,
-        rhs and family as one value or one per row, and k violations."""
-        total = sum(len(part[4]) for part in parts)
-        width = max(part[0].shape[1] for part in parts)
-        rows = cls(
-            np.full((total, width), -1, dtype=np.intp), np.zeros((total, width)), np.empty(total), np.empty(total, dtype=object), np.empty(total)
-        )
+    def from_tables(cls, tables: Sequence[tuple]) -> Cuts:
+        """The rows of every table in turn.  A table is (cols, vals, rhs,
+        family, violation): a (k, w) array whose rows each hold distinct
+        columns, with -1 for an absent term; their coefficients, as a (k, w)
+        array or one row shared by all; rhs as one value or k; one family;
+        and k violations.  The tables are stacked, padded with absent terms
+        to the widest, and each row is sorted by `argsort`."""
+        tables = [table for table in tables if len(table[4])]
+        if not tables:
+            return cls.empty()
+        counts = [len(table[4]) for table in tables]
+        cols = np.full((sum(counts), max(table[0].shape[1] for table in tables)), -1, dtype=np.intp)
+        vals, rhs, violation = np.zeros(cols.shape), np.empty(cols.shape[0]), np.empty(cols.shape[0])
         start = 0
-        for cols, vals, rhs, family, violation in parts:
-            k, w = cols.shape
-            at = slice(start, start + k)
-            rows.cols[at, :w], rows.vals[at, :w] = cols, vals
-            rows.rhs[at], rows.family[at], rows.violation[at] = rhs, family, violation
+        for (table_cols, table_vals, table_rhs, _, table_violation), k in zip(tables, counts):
+            at, w = slice(start, start + k), table_cols.shape[1]
+            cols[at, :w], vals[at, :w], rhs[at], violation[at] = table_cols, table_vals, table_rhs, table_violation
             start += k
-        return rows
+        order = cols.argsort(axis=1)
+        rows = np.arange(cols.shape[0])[:, None]
+        cols, vals = cols[rows, order], vals[rows, order]
+        present = cols >= 0
+        indptr = np.zeros(cols.shape[0] + 1, dtype=np.intp)
+        np.cumsum(present.sum(axis=1), out=indptr[1:])
+        # a row's present terms come last, so its key is the tail of its row of triples
+        triples = np.empty(cols.shape + (3,))
+        triples[:, :, 0], triples[:, :, 1], triples[:, :, 2] = rhs[:, None], cols, vals
+        raw, end = triples.tobytes(), 24 * cols.shape[1] * np.arange(1, cols.shape[0] + 1)
+        bounds = zip((end - 24 * (indptr[1:] - indptr[:-1])).tolist(), end.tolist())
+        keys = np.fromiter((raw[a:b] for a, b in bounds), dtype=object, count=cols.shape[0])
+        family = np.repeat([table[3] for table in tables], counts)
+        return cls(vals[present], cols[present], indptr, rhs, family, violation, keys)
 
-    def take(self, idx: np.ndarray) -> _Rows:
-        return _Rows(*(field[idx] for field in self))
+    @classmethod
+    def empty(cls) -> Cuts:
+        no_rows = np.zeros(0)
+        return cls(no_rows, np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp), no_rows, np.zeros(0, dtype=str), no_rows, np.zeros(0, dtype=object))
+
+    @classmethod
+    def concat(cls, parts: Sequence[Cuts]) -> Cuts:
+        """The rows of every part in turn."""
+        parts = [part for part in parts if len(part)]
+        if len(parts) < 2:
+            return parts[0] if parts else cls.empty()
+        fields = ("rhs", "family", "violation", "keys")
+        return cls(*stack_rows(parts), *(np.concatenate([getattr(p, name) for p in parts]) for name in fields))
+
+    def __len__(self) -> int:
+        return self.rhs.size
+
+    def take(self, idx: np.ndarray) -> Cuts:
+        """The rows at `idx`, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return Cuts(*take_rows(self, idx), self.rhs[idx], self.family[idx], self.violation[idx], self.keys[idx])
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.arange(len(self)).repeat(self.indptr[1:] - self.indptr[:-1])
+
+    def lhs(self, point: np.ndarray) -> np.ndarray:
+        """Each row's left-hand side at `point`."""
+        return np.bincount(self.entry_rows(), weights=self.data * point[self.indices], minlength=len(self))
+
+    def text(self, space: VariableSpace) -> str:
+        """One readable line per row."""
+        lines = []
+        for r, (cols, vals) in enumerate(zip(np.split(self.indices, self.indptr[1:-1]), np.split(self.data, self.indptr[1:-1]))):
+            terms = " ".join(f"{'+' if v >= 0 else '-'} {abs(v):g} {space.name(c)}" for c, v in zip(cols.tolist(), vals.tolist()))
+            lines.append(f"[{self.family[r]}] {terms} <= {self.rhs[r]:g}   (violation {self.violation[r]:.6g})")
+        return "\n".join(lines)
 
 
-_LAST = np.iinfo(np.intp).max  # sorts after every term
+def first_rows(keys: np.ndarray, seen: AbstractSet = frozenset()) -> np.ndarray:
+    """The positions of the first row per key, in ascending order, leaving
+    out the keys in `seen`."""
+    first = dict(zip(keys[::-1].tolist(), range(keys.size - 1, -1, -1)))
+    for key in first.keys() & seen:
+        del first[key]
+    return np.sort(np.fromiter(first.values(), dtype=np.intp, count=len(first)))
 
 
-def _sorted_unique(space: VariableSpace, rows: _Rows) -> list[Cut]:
-    """The cuts of the rows, first per support, most violated first, ties
-    broken by rhs, then by the terms in name order, compared as
-    (rank, coefficient) pairs.
+def _sorted_unique(space: VariableSpace, cuts: Cuts) -> Cuts:
+    """The first row per key, most violated first, ties broken by rhs, then
+    by the terms in name order, compared as (rank, coefficient) pairs.
 
-    One `np.lexsort` orders them.  When two cuts tie on violation and rhs,
-    each cut's terms fill a row of a table in name order, each term one
-    integer that orders as its (rank, coefficient) pair does, and the sort
-    reads that table too; a row is padded with -1 so that a cut whose terms
-    are a prefix of another's sorts first, as tuple comparison would have it."""
-    cuts = Cut.from_rows(*rows)
-    first: dict[tuple, int] = {}
-    for r, cut in enumerate(cuts):
-        first.setdefault(cut.support, r)
-    keep = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    keys = np.array([rows.rhs[keep], -rows.violation[keep]])
+    One `np.lexsort` orders them.  When two rows tie on violation and rhs,
+    each row's terms fill a row of a table in name order, a rank column and
+    a coefficient column per term, and the sort reads that table too; the
+    ranks are padded with -1 so that a cut whose terms are a prefix of
+    another's sorts first, as tuple comparison would have it."""
+    if len(cuts) < 2:
+        return cuts
+    keep = first_rows(cuts.keys)
+    keys = np.array([cuts.rhs[keep], -cuts.violation[keep]])
     order = np.lexsort(keys)
     ordered = keys[:, order]
     if (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any():
-        cols = rows.cols[keep]
-        present = cols >= 0
-        coef_values, coef_rank = np.unique(rows.vals[keep][present], return_inverse=True)
-        terms = np.full(cols.shape, _LAST)
-        terms[present] = space.name_rank[cols[present]] * coef_values.size + coef_rank.ravel()
-        terms.sort(axis=1)  # name order; ranks are distinct within a cut, and the padding goes last
-        terms[terms == _LAST] = -1
-        order = np.lexsort(np.concatenate([terms.T[::-1], keys]))
-    return [cuts[r] for r in keep[order].tolist()]
+        rows, ranks = cuts.entry_rows(), space.name_rank[cuts.indices]
+        by_name = np.lexsort((ranks, rows))  # ranks are distinct within a cut
+        at = (rows, np.arange(rows.size) - cuts.indptr[rows])
+        table = np.zeros((len(cuts), at[1].max() + 1, 2))
+        table[:, :, 0] = -1
+        table[at] = np.column_stack([ranks[by_name], cuts.data[by_name]])
+        order = np.lexsort(np.concatenate([table[keep].reshape(keep.size, -1).T[::-1], keys]))
+    return cuts.take(keep[order])
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +197,7 @@ def _triple_hits(values: np.ndarray, mask: np.ndarray, bound: float, tol: float,
 
 def separate_triangle(
     space: VariableSpace, point: np.ndarray, tol: float = DEFAULT_TOL, max_per_family: int | None = None
-) -> list[Cut]:
+) -> Cuts:
     """All violated triangle inequalities applicable to the instance's m.
 
     m == 3 uses the pure-z cyclic implication; m == 4 uses the y-transitivity,
@@ -206,7 +212,7 @@ def separate_triangle(
     yc, zc = space.ycol, space.zcol
     base_mask, i_lt_k_mask, j_lt_k_mask = space.triples
 
-    found = []  # parts of _Rows.stack
+    found = []
 
     def emit(lhs, mask, rhs, family, coefs, cols):
         """One row per violated triple; cols(i, j, k) lists the columns of coefs."""
@@ -216,7 +222,7 @@ def separate_triangle(
     if m == 3:
         vals = Z[:, :, None] + Z[None, :, :] - Z.T[:, None, :]
         emit(vals, base_mask, 1.0, "TriangleZ3", [1.0, 1.0, -1.0], lambda i, j, k: [zc[i, j], zc[j, k], zc[k, i]])
-        return _sorted_unique(space, _Rows.stack(found))
+        return _sorted_unique(space, Cuts.from_tables(found))
 
     # y-transitivity: y(i,j) + y(j,k) - y(i,k) <= 1, middle vertex j, i < k
     vals = Y[:, :, None] + Y[None, :, :] - Y[:, None, :]
@@ -270,7 +276,7 @@ def separate_triangle(
         vals = Z.T[:, :, None] + Z.T[:, None, :] - Y[None, :, :]
         emit(vals, j_lt_k_mask, 1.0, "TriangleZZY", [1.0, 1.0, -1.0], lambda i, j, k: [zc[j, i], zc[k, i], yc[j, k]])
 
-    return _sorted_unique(space, _Rows.stack(found))
+    return _sorted_unique(space, Cuts.from_tables(found))
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +284,19 @@ def separate_triangle(
 # ---------------------------------------------------------------------------
 
 
-def _partition_rows(space: VariableSpace, S: np.ndarray, T: np.ndarray, violation: np.ndarray) -> _Rows:
+def _partition_rows(space: VariableSpace, S: np.ndarray, T: np.ndarray, violation: np.ndarray) -> Cuts:
     """One row per row of the vertex tables S and T, each side padded with
     n: z on every present pair of S x T, minus y within each side."""
     n = space.n
     ycol = np.full((n + 1, n + 1), -1, dtype=np.intp)  # the padding vertex has no pairs
     zcol = ycol.copy()
     ycol[:n, :n], zcol[:n, :n] = space.ycol, space.zcol
-    z = zcol[S[:, :, None], T[:, None, :]].reshape(S.shape[0], -1)
+    z = zcol[S[:, :, None], T[:, None, :]].reshape(S.shape[0], S.shape[1] * T.shape[1])
     a, b = np.array(list(combinations(range(S.shape[1]), 2)), dtype=np.intp).reshape(-1, 2).T
     y = np.concatenate([ycol[S[:, a], S[:, b]], ycol[T[:, a], T[:, b]]], axis=1)
     vals = np.concatenate([np.ones(z.shape[1]), -np.ones(y.shape[1])])
     rhs = np.minimum((S < n).sum(axis=1), (T < n).sum(axis=1)).astype(float)
-    return _Rows.stack([(np.concatenate([z, y], axis=1), vals, rhs, "Partition", violation)])
+    return Cuts.from_tables([(np.concatenate([z, y], axis=1), vals, rhs, "Partition", violation)])
 
 
 def _partition_seeds(Y: np.ndarray, Z: np.ndarray, E: np.ndarray, almost_violated: float) -> list[tuple]:
@@ -350,7 +356,7 @@ def separate_partition(
     max_size: int = PARTITION_MAX_SIZE,
     max_seeds: int = PARTITION_MAX_SEEDS,
     almost_violated: float = PARTITION_ALMOST_VIOLATED,
-) -> list[Cut]:
+) -> Cuts:
     """Heuristic separation of sum z(S->T) - y(S) - y(T) <= min(|S|, |T|).
 
     Seeds are two-against-one triangles within `almost_violated` of being
@@ -365,12 +371,12 @@ def separate_partition(
     """
     n, m = space.n, space.m
     if m < 3:
-        return []
+        return Cuts.empty()
     _, Y, Z = space.point_matrices(point)
     E = space.ycol >= 0
     seeds = _partition_seeds(Y, Z, E, almost_violated)[:max_seeds]  # every seed is a distinct (S, T)
     if not seeds:
-        return []
+        return Cuts.empty()
     # weights with a zero row and column for the padding vertex n; pairs
     # with the padding vertex count as present, so padding excludes nothing
     Yp, Zp = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
@@ -432,19 +438,13 @@ def separate_partition(
         best_viol = np.where(better, viol, best_viol)
         best_size[:, better] = size[:, better]
 
-    # the sides at their best, padded with n; one row per distinct (S, T),
-    # since the same sets give the same support, and the first one stays
+    # the sides at their best, padded with n; of seeds that reach the same
+    # sets, `_sorted_unique` keeps the first
     width = int(best_size.max())
     keep = np.arange(width)[None, :] < best_size[:, :, None]
     S, T = np.where(keep[0], S[:, :width], n), np.where(keep[1], T[:, :width], n)
-    first: dict[tuple, int] = {}
-    for r, sets, violated in zip(range(k), np.concatenate([S, T], axis=1).tolist(), (best_viol > tol).tolist()):
-        if violated:
-            first.setdefault(tuple(sets), r)
-    if not first:
-        return []
-    winners = list(first.values())
-    return _sorted_unique(space, _partition_rows(space, S[winners], T[winners], best_viol[winners]))
+    violated = best_viol > tol
+    return _sorted_unique(space, _partition_rows(space, S[violated], T[violated], best_viol[violated]))
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +490,10 @@ def _walk_cols(space: VariableSpace, walks: np.ndarray) -> np.ndarray:
     return np.concatenate([space.zcol[tails, heads], space.ycol[tails[:, 1:], heads[:, 1:]]], axis=1)
 
 
-def _walk_rows(space: VariableSpace, Y: np.ndarray, Z: np.ndarray, starts: np.ndarray, tol: float) -> _Rows:
-    """The subtour and path rows of each start in turn: per start, subtours
-    by length, then paths by end vertex."""
+def _walk_rows(space: VariableSpace, Y: np.ndarray, Z: np.ndarray, starts: np.ndarray, tol: float) -> Cuts:
+    """The subtour rows by length, then the path rows, of walks from the
+    starts.  No two rows share a support key: the z-terms of a simple walk
+    fix the walk, and its one arc without a y-term fixes the start."""
     n, m = space.n, space.m
     k = starts.size
     C = (Z + Y)[None].repeat(k, axis=0)
@@ -501,8 +502,7 @@ def _walk_rows(space: VariableSpace, Y: np.ndarray, Z: np.ndarray, starts: np.nd
     C[:, np.arange(n), np.arange(n)] = -np.inf
     W, P = _walk_dp(C, starts, m - 1)
 
-    found = []  # parts of _Rows.stack
-    keys = []  # the place of each row in the order above
+    found = []
     for ell in range(2, m):
         w = W[ell, np.arange(k), starts]
         s = (w > ell - 1 + tol).nonzero()[0]
@@ -510,7 +510,6 @@ def _walk_rows(space: VariableSpace, Y: np.ndarray, Z: np.ndarray, starts: np.nd
         keep = _distinct_rows(walks[:, :-1])
         s, walks = s[keep], walks[keep]
         found.append((_walk_cols(space, walks), 1.0, float(ell - 1), "Subtour", w[s] - (ell - 1)))
-        keys.append(s * (m + n) + ell)
     ell = m - 1
     if ell >= 2:
         total = W[ell] + Y[starts]
@@ -522,16 +521,10 @@ def _walk_rows(space: VariableSpace, Y: np.ndarray, Z: np.ndarray, starts: np.nd
         # the closing y(start, end) where that pair carries weight, else -1
         cols = np.concatenate([_walk_cols(space, walks), space.ycol[starts[s], v][:, None]], axis=1)
         found.append((cols, 1.0, float(m - 1), "Path", total[s, v] - (m - 1)))
-        keys.append(s * (m + n) + m + v)
-    return _Rows.stack(found).take(np.concatenate(keys).argsort(kind="stable"))
+    return Cuts.from_tables(found)
 
 
-def _separate_from_start(space: VariableSpace, Y: np.ndarray, Z: np.ndarray, i1: int, tol: float) -> list[Cut]:
-    """The subtour and path cuts of walks from start i1 alone."""
-    return Cut.from_rows(*_walk_rows(space, Y, Z, np.array([i1]), tol))
-
-
-def separate_subtour_path(space: VariableSpace, point: np.ndarray, tol: float = DEFAULT_TOL) -> list[Cut]:
+def separate_subtour_path(space: VariableSpace, point: np.ndarray, tol: float = DEFAULT_TOL) -> Cuts:
     """Extended subtour and path cuts from maximum-weight walks per start node.
 
     Arc weights are z for arcs leaving the start node and z + y elsewhere, so
@@ -540,6 +533,6 @@ def separate_subtour_path(space: VariableSpace, point: np.ndarray, tol: float = 
     closing same-cluster term give path cuts.  One DP serves every start.
     """
     if space.m < 3:
-        return []
+        return Cuts.empty()
     _, Y, Z = space.point_matrices(point)
     return _sorted_unique(space, _walk_rows(space, Y, Z, np.arange(space.n), tol))

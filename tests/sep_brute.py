@@ -12,7 +12,7 @@ import numpy as np
 
 from cyclecluster.formulation import clustering_to_point
 from cyclecluster.instance import Clustering
-from cyclecluster.separation import Cut
+from cyclecluster.separation import Cuts
 
 
 def column(space, var):
@@ -27,12 +27,12 @@ def _val(space, point, var):
 
 
 def named_cut(space, coeffs, rhs, family="", violation=0.0):
-    """The column form of a cut given by variable name."""
-    return Cut([column(space, v) for v in coeffs], list(coeffs.values()), rhs, family, violation)
+    """The column form of a cut given by variable name, as a batch of one."""
+    return Cuts.from_tables([(np.array([[column(space, v) for v in coeffs]]), list(coeffs.values()), rhs, family, [violation])])
 
 
 def _support(space, coeffs, rhs):
-    return named_cut(space, coeffs, rhs).support
+    return named_cut(space, coeffs, rhs).keys[0]
 
 
 def brute_triangle_cuts(space, point, tol):

@@ -23,8 +23,8 @@ from cyclecluster.generator import benchmark_suite, generate
 from cyclecluster.heuristics import exchange, greedy, rounding
 from cyclecluster.instance import Clustering, Instance, objective
 from cyclecluster.lp import lp_relaxation, solve_lp
-from cyclecluster.oracle import cut_vector, enumerate_optimal, feasible_point_matrix, polytope_dimension
-from cyclecluster.separation import _separate_from_start, separate_partition, separate_subtour_path, separate_triangle
+from cyclecluster.oracle import enumerate_optimal, max_integral_violation, polytope_dimension
+from cyclecluster.separation import Cuts, _walk_rows, separate_partition, separate_subtour_path, separate_triangle
 from conftest import random_clustering, random_instance
 from sep_brute import brute_best_subtour_path_violation, brute_triangle_cuts, random_box_point, random_fractional_point
 
@@ -39,15 +39,6 @@ def report(capfd, criterion: int, ok: bool, detail: str) -> None:
     with capfd.disabled():
         print(line, flush=True)
     assert ok, line
-
-
-def max_cut_violation_over_integral_points(inst: Instance, cuts) -> float:
-    if not cuts:
-        return -math.inf
-    pts = feasible_point_matrix(inst.n, inst.m)
-    mat = np.stack([cut_vector(inst, c) for c in cuts], axis=1)
-    rhs = np.asarray([c.rhs for c in cuts])
-    return float((pts @ mat - rhs[None, :]).max())
 
 
 def test_criterion_1_oracle_equivalence(capfd):
@@ -147,13 +138,9 @@ def test_criterion_3_cut_validity(capfd):
                 point = random_box_point(space, rng)
             else:
                 point = random_fractional_point(space, rng, components=3, noise=0.3)
-            cuts = (
-                separate_triangle(space, point, 1e-4)
-                + separate_subtour_path(space, point, 1e-4)
-                + separate_partition(space, point, 1e-4)
-            )
+            cuts = Cuts.concat([separate(space, point, 1e-4) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
             checked += len(cuts)
-            worst = max_cut_violation_over_integral_points(inst, cuts)
+            worst = max_integral_violation(inst, cuts).max(initial=-math.inf)
             assert worst <= 1e-9, f"invalid cut on (n={n}, m={m}) trial {trial}: violation {worst}"
     report(capfd, 3, True, f"{checked} emitted cuts over {len(grid)}x200 points, zero integral violations")
 
@@ -165,7 +152,8 @@ def test_criterion_4_separation_completeness(capfd):
         space = VariableSpace(random_instance(n, m, seed=n + m, alpha=1 / 1.001))
         for trial in range(10):
             point = random_box_point(space, rng) if trial % 2 else random_fractional_point(space, rng, noise=0.25)
-            got = {c.support: c.violation for c in separate_triangle(space, point, 1e-4)}
+            cuts = separate_triangle(space, point, 1e-4)
+            got = dict(zip(cuts.keys, cuts.violation))
             want = brute_triangle_cuts(space, point, 1e-4)
             assert set(got) == set(want), f"triangle sets differ on (n={n}, m={m})"
             for sup, viol in want.items():
@@ -178,8 +166,8 @@ def test_criterion_4_separation_completeness(capfd):
         point = random_fractional_point(space, rng, components=3, noise=0.15)
         _, Y, Z = space.point_matrices(point)
         for i1 in range(7):
-            emitted = _separate_from_start(space, Y, Z, i1, 1e-4)
-            got = max((c.violation for c in emitted), default=0.0)
+            emitted = _walk_rows(space, Y, Z, np.array([i1]), 1e-4)  # the rows of start i1 alone
+            got = emitted.violation.max(initial=0.0)
             want = brute_best_subtour_path_violation(space, point, i1, 1e-4)
             assert abs(got - want) <= 1e-9, f"DP vs brute at start {i1}, trial {trial}: {got} vs {want}"
         trials += 1

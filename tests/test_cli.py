@@ -3,7 +3,9 @@ import logging
 
 import pytest
 
-from cyclecluster.cli import EXIT_BAD_FILE, EXIT_BAD_PARAMS, EXIT_OK, main
+from cyclecluster.bench import parse_heuristic_spec
+from cyclecluster.cli import EXIT_BAD_FILE, EXIT_BAD_PARAMS, EXIT_OK, build_parser, main
+from cyclecluster.engine import HEURISTIC_NAMES
 from cyclecluster.formulation import build_cc
 from cyclecluster.instance import load_instance, save_instance
 from cyclecluster.lp import lp_relaxation, solve_lp
@@ -81,10 +83,37 @@ class TestSolveCommand:
         capsys.readouterr()
         assert main(["solve", t1_file, "--json", "--time-limit", "60"]) == EXIT_OK
         config = json.loads(capsys.readouterr().out)["config"]
-        assert sorted(config) == ["heuristics", "node_limit", "rng_seed", "separators", "time_limit_s"]
+        assert sorted(config) == [
+            "cut_rounds_node",
+            "cut_rounds_root",
+            "heuristics",
+            "node_limit",
+            "rng_seed",
+            "separators",
+            "time_limit_s",
+        ]
+
+    def test_config_echo_reproduces_the_run(self, t1_file, capsys):
+        argv = ["solve", t1_file, "--json", "--time-limit", "60", "--cut-rounds-root", "3", "--cut-rounds-node", "1"]
+        assert main(argv + ["--sepa", "triangle", "--heur", "greedy,exchange", "--seed", "4"]) == EXIT_OK
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {
+            "time_limit_s": 60.0,
+            "node_limit": None,
+            "separators": ["triangle"],
+            "heuristics": ["greedy", "exchange"],
+            "rng_seed": 4,
+            "cut_rounds_root": 3,
+            "cut_rounds_node": 1,
+        }
 
 
 class TestHeuristicCommand:
+    @pytest.mark.parametrize("name", HEURISTIC_NAMES)
+    def test_every_heuristic_name_parses(self, name):
+        assert parse_heuristic_spec(name) == (name,)
+        assert build_parser().parse_args(["heuristic", name, "x.cc"]).name == name
+
     def test_greedy_prints_feasible(self, t1_file, capsys):
         assert main(["heuristic", "greedy", t1_file]) == EXIT_OK
         out = capsys.readouterr().out

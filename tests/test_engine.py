@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from cyclecluster.generator import generate
 from cyclecluster.instance import Instance, objective
 from cyclecluster.lp import LinearProgram, LpSolution, lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal
+import sep_ref
 from conftest import random_instance
 
 FAST = SolverConfig(time_limit_s=60)
@@ -510,3 +512,60 @@ class TestVertexBranching:
             assert objective(inst, res.best_clustering) == pytest.approx(res.primal_bound, rel=1e-12)
             branched += res.nodes_processed > 1
         assert branched >= 1  # 4 of the 12 branch
+
+
+class TestCutIntake:
+    """How a round's cuts go into the LP, against the cuts `sep_ref` finds."""
+
+    @staticmethod
+    def expected(space, point):
+        """The cuts of one round as `sep_ref` builds them: each separator's in
+        turn, the first `MAX_CUTS_PER_FAMILY` of each family, then the first
+        per support; with the number of cuts the cap left out and, per
+        family, the number of cuts equal to an earlier one."""
+        found = (
+            sep_ref.separate_triangle(space, point, engine.TOL_CUT, max_per_family=engine.MAX_CUTS_PER_FAMILY),
+            sep_ref.separate_subtour_path(space, point, engine.TOL_CUT),
+            sep_ref.separate_partition(space, point, engine.TOL_CUT),
+        )
+        kept, per_family = [], Counter()
+        for cuts in found:
+            for cut in cuts:
+                per_family[cut.family] += 1
+                if per_family[cut.family] <= engine.MAX_CUTS_PER_FAMILY:
+                    kept.append(cut)
+        first, repeats = {}, Counter()
+        for cut in kept:
+            if cut.support in first:
+                repeats[(cut.family, first[cut.support].family)] += 1
+            first.setdefault(cut.support, cut)
+        return list(first.values()), sum(map(len, found)) - len(kept), repeats
+
+    def test_cap_order_and_dedupe(self):
+        # the first instance of the benchmark's root slice, weak signal, n=12, m=5
+        inst, _ = generate(12, 5, forward_strength=0.25, rng_seed=[20240116, 12, 5, 25, 0])
+        search = engine._Search(inst, SolverConfig(heuristics=()), None)
+        assert inst.m >= engine.PARTITION_MIN_M
+        no_link = np.zeros(0, dtype=np.int64)
+        in_lp, capped, repeats = [], 0, Counter()
+        for _ in range(3):  # on this instance the cap acts in rounds 1 and 2, repeats come in round 3
+            point = search.solve_node_lp().values
+            want, capped_now, repeats_now = self.expected(search.space, point)
+            capped, repeats = capped + capped_now, repeats + repeats_now
+            want = [cut for cut in want if cut.support not in {c.support for c in in_lp}]
+            start = search.lp.rows.shape[0]
+            assert search.add_rows(search.separate(point), no_link) == len(want)
+            rows = search.lp.rows[start:]
+            assert rows.shape[0] == len(want)
+            for r, cut in enumerate(want):
+                at = slice(rows.indptr[r], rows.indptr[r + 1])
+                assert rows.indices[at].tolist() == cut.cols.tolist()
+                assert rows.data[at].tobytes() == cut.vals.tobytes()
+                assert search.lp.rhs[start + r] == cut.rhs
+            in_lp += want
+            # a batch whose cuts are all in the LP adds nothing
+            assert search.add_rows(search.separate(point), no_link) == 0
+            assert search.lp.rows.shape[0] == start + len(want)
+        assert capped > 0  # the cap acted
+        assert repeats[("Partition", "TriangleZZY")] > 0  # a partition cut repeated a triangle
+        assert search.cut_counts == Counter(cut.family for cut in in_lp)

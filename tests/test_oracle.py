@@ -10,7 +10,7 @@ from cyclecluster.oracle import (
     full_universe_size,
     max_integral_violation,
     check_cut_validity,
-    cut_vector,
+    cut_vectors,
     polytope_dimension,
     surjection_count,
     worst_value,
@@ -131,7 +131,7 @@ class TestCutValidity:
         space = VariableSpace(inst)
         assert not space.has_pair(0, 1) and space.has_pair(0, 2)
         cut = named_cut(space, {("z", 2, 0): 1.0, ("y", 0, 2): 1.0}, 0.0)
-        vec = cut_vector(inst, cut)
+        (vec,) = cut_vectors(inst, cut)
         block = 6 * 4 + 3 * 1  # pair (0, 2) is the second of the full universe
         assert np.flatnonzero(vec).tolist() == [block, block + 2]
         assert max_integral_violation(inst, cut) == pytest.approx(1.0)

@@ -6,10 +6,11 @@ from cyclecluster.instance import Clustering, Instance
 from cyclecluster.oracle import check_cut_validity
 from cyclecluster import separation
 from cyclecluster.separation import (
-    Cut,
+    Cuts,
     _best_candidates,
     _partition_seeds,
-    _separate_from_start,
+    _walk_rows,
+    first_rows,
     separate_partition,
     separate_subtour_path,
     separate_triangle,
@@ -40,9 +41,21 @@ def point_with(space, entries):
     return pt
 
 
-def named(space, cut):
-    """The cut's coefficients by readable column name."""
-    return {space.name(c): v for c, v in zip(cut.cols, cut.vals)}
+def named(space, cuts, r=0):
+    """The coefficients of row r by readable column name."""
+    at = slice(cuts.indptr[r], cuts.indptr[r + 1])
+    return {space.name(c): v for c, v in zip(cuts.indices[at].tolist(), cuts.data[at].tolist())}
+
+
+def of_family(cuts, family):
+    return cuts.take(np.flatnonzero(cuts.family == family))
+
+
+def assert_same_cuts(a, b):
+    """The two batches hold the same rows, bit for bit, in the same order."""
+    assert a.indptr.tolist() == b.indptr.tolist() and a.indices.tolist() == b.indices.tolist()
+    assert a.data.tobytes() == b.data.tobytes() and a.violation.tobytes() == b.violation.tobytes()
+    assert a.rhs.tolist() == b.rhs.tolist() and a.family.tolist() == b.family.tolist()
 
 
 class TestTriangle:
@@ -51,18 +64,16 @@ class TestTriangle:
         pt = point_with(space, {("z", 0, 1): 1.0, ("z", 1, 2): 1.0})
         cuts = separate_triangle(space, pt, TOL)
         assert len(cuts) == 1
-        cut = cuts[0]
-        assert cut.family == "TriangleZ3"
-        assert cut.violation == pytest.approx(1.0)
-        assert named(space, cut) == {"z_0_1": 1.0, "z_1_2": 1.0, "z_2_0": -1.0}
+        assert cuts.family[0] == "TriangleZ3"
+        assert cuts.violation[0] == pytest.approx(1.0)
+        assert named(space, cuts) == {"z_0_1": 1.0, "z_1_2": 1.0, "z_2_0": -1.0}
 
     def test_m4_strengthened_example(self):
         space = dense_space(4, 4)
         pt = point_with(space, {("z", 0, 1): 1.0, ("z", 0, 2): 1.0})
         cuts = separate_triangle(space, pt, TOL)
-        best = cuts[0]
-        assert best.family == "TriangleZZY4"
-        assert best.violation == pytest.approx(2.0)
+        assert cuts.family[0] == "TriangleZZY4"
+        assert cuts.violation[0] == pytest.approx(2.0)
 
     def test_integral_points_produce_no_cuts(self):
         rng = np.random.default_rng(0)
@@ -72,7 +83,7 @@ class TestTriangle:
             for _ in range(10):
                 c = Clustering(random_clustering(n, m, rng), m)
                 pt = clustering_to_point(space, c)
-                assert separate_triangle(space, pt, TOL) == []
+                assert len(separate_triangle(space, pt, TOL)) == 0
 
     @pytest.mark.parametrize("n,m", [(4, 3), (5, 4), (6, 5), (7, 4)])
     def test_completeness_vs_brute_force(self, n, m):
@@ -81,7 +92,7 @@ class TestTriangle:
         for trial in range(15):
             pt = random_box_point(space, rng) if trial % 2 else random_fractional_point(space, rng, noise=0.3)
             cuts = separate_triangle(space, pt, TOL)
-            got = {c.support: c.violation for c in cuts}
+            got = dict(zip(cuts.keys, cuts.violation))
             expected = brute_triangle_cuts(space, pt, TOL)
             assert set(got) == set(expected)
             for sup, viol in expected.items():
@@ -99,7 +110,7 @@ class TestTriangle:
             families = set()
             for _ in range(10):
                 pt = random_box_point(space, rng)
-                families |= {c.family for c in separate_triangle(space, pt, TOL)}
+                families |= set(separate_triangle(space, pt, TOL).family.tolist())
             assert families <= allowed
             assert families  # random points do violate something
 
@@ -108,7 +119,7 @@ class TestTriangle:
         rng = np.random.default_rng(9)
         pt = random_box_point(space, rng)
         cuts = separate_triangle(space, pt, TOL)
-        viols = [c.violation for c in cuts]
+        viols = cuts.violation.tolist()
         assert viols == sorted(viols, reverse=True)
 
     def test_validity_on_sparse_instance(self):
@@ -119,35 +130,31 @@ class TestTriangle:
         assert len(space.pairs) < 15
         for trial in range(10):
             pt = random_box_point(space, rng)
-            for cut in separate_triangle(space, pt, TOL)[:40]:
-                assert check_cut_validity(inst, cut)
+            cuts = separate_triangle(space, pt, TOL)
+            assert check_cut_validity(inst, cuts), cuts.text(space)
 
 
 class TestSubtourPath:
     def test_two_cycle_example(self):
         space = dense_space(3, 3)
         pt = point_with(space, {("z", 0, 1): 0.6, ("z", 1, 0): 0.6})
-        cuts = separate_subtour_path(space, pt, TOL)
-        sub = [c for c in cuts if c.family == "Subtour"]
-        assert sub
-        best = sub[0]
-        assert best.violation == pytest.approx(0.2)
-        assert named(space, best)["z_0_1"] == 1.0
-        assert named(space, best)["z_1_0"] == 1.0
-        assert best.rhs == 1.0
+        sub = of_family(separate_subtour_path(space, pt, TOL), "Subtour")
+        assert len(sub)
+        assert sub.violation[0] == pytest.approx(0.2)
+        assert named(space, sub)["z_0_1"] == 1.0
+        assert named(space, sub)["z_1_0"] == 1.0
+        assert sub.rhs[0] == 1.0
 
     def test_extended_dominates_plain(self):
         # same support: the y-augmented lhs is never below the plain z-sum
         space = dense_space(5, 4, seed=3)
         rng = np.random.default_rng(2)
+        is_z = np.array([space.name(c).startswith("z") for c in range(space.ncols)])
         for _ in range(20):
             pt = random_box_point(space, rng)
-            cuts = separate_subtour_path(space, pt, TOL)
-            for cut in cuts:
-                if cut.family != "Subtour":
-                    continue
-                z_only = sum(v * pt[c] for c, v in zip(cut.cols, cut.vals) if space.name(c).startswith("z"))
-                assert cut.lhs(pt) >= z_only - 1e-12
+            sub = of_family(separate_subtour_path(space, pt, TOL), "Subtour")
+            z_only = np.bincount(sub.entry_rows(), weights=sub.data * pt[sub.indices] * is_z[sub.indices], minlength=len(sub))
+            assert (sub.lhs(pt) >= z_only - 1e-12).all()
 
     def test_integral_points_produce_no_cuts(self):
         rng = np.random.default_rng(1)
@@ -157,7 +164,7 @@ class TestSubtourPath:
             for _ in range(10):
                 c = Clustering(random_clustering(n, m, rng), m)
                 pt = clustering_to_point(space, c)
-                assert separate_subtour_path(space, pt, TOL) == []
+                assert len(separate_subtour_path(space, pt, TOL)) == 0
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_dp_matches_brute_enumeration(self, m):
@@ -169,8 +176,8 @@ class TestSubtourPath:
             pt = random_fractional_point(space, rng, components=3, noise=0.15)
             _, Y, Z = space.point_matrices(pt)
             for i1 in range(n):
-                emitted = _separate_from_start(space, Y, Z, i1, TOL)
-                got = max((c.violation for c in emitted), default=0.0)
+                emitted = _walk_rows(space, Y, Z, np.array([i1]), TOL)  # the rows of start i1 alone
+                got = emitted.violation.max(initial=0.0)
                 want = brute_best_subtour_path_violation(space, pt, i1, TOL)
                 assert got == pytest.approx(want, abs=1e-9), f"start {i1}, trial {trial}"
 
@@ -185,13 +192,11 @@ class TestSubtourPath:
             ("y", 0, 3): 0.8,
         }
         pt = point_with(space, entries)
-        cuts = separate_subtour_path(space, pt, TOL)
-        paths = [c for c in cuts if c.family == "Path"]
-        assert paths
-        best = paths[0]
-        assert best.rhs == 3.0
-        assert named(space, best).get("y_0_3") == 1.0
-        assert best.violation == pytest.approx(1.0 + 1.0 + 0.9 + 0.8 - 3.0)
+        paths = of_family(separate_subtour_path(space, pt, TOL), "Path")
+        assert len(paths)
+        assert paths.rhs[0] == 3.0
+        assert named(space, paths).get("y_0_3") == 1.0
+        assert paths.violation[0] == pytest.approx(1.0 + 1.0 + 0.9 + 0.8 - 3.0)
 
 
 class TestPartition:
@@ -202,23 +207,22 @@ class TestPartition:
             {("z", 0, 2): 1.0, ("z", 0, 3): 1.0, ("z", 1, 2): 1.0, ("z", 1, 3): 1.0},
         )
         cuts = separate_partition(space, pt, TOL)
-        assert cuts
-        best = cuts[0]
-        assert best.violation == pytest.approx(2.0)
-        assert best.rhs == 2.0
-        assert named(space, best)["z_0_2"] == 1.0
-        assert named(space, best)["y_0_1"] == -1.0
-        assert named(space, best)["y_2_3"] == -1.0
+        assert len(cuts)
+        assert cuts.violation[0] == pytest.approx(2.0)
+        assert cuts.rhs[0] == 2.0
+        assert named(space, cuts)["z_0_2"] == 1.0
+        assert named(space, cuts)["y_0_1"] == -1.0
+        assert named(space, cuts)["y_2_3"] == -1.0
 
     def test_singleton_seed_matches_triangle(self):
         # S={i}, T={j,k} reduces to the two-against-one template
         space = dense_space(5, 5, seed=2)
         pt = point_with(space, {("z", 0, 1): 0.9, ("z", 0, 2): 0.9, ("y", 1, 2): 0.1})
         cuts = separate_partition(space, pt, TOL)
-        assert cuts
-        viols = {c.support: c.violation for c in cuts}
+        assert len(cuts)
+        viols = dict(zip(cuts.keys, cuts.violation))
         singleton = named_cut(space, {("z", 0, 1): 1.0, ("z", 0, 2): 1.0, ("y", 1, 2): -1.0}, 1.0)
-        assert singleton.support in viols or any(v == pytest.approx(0.7) for v in viols.values())
+        assert singleton.keys[0] in viols or any(v == pytest.approx(0.7) for v in viols.values())
 
     def test_validity_by_enumeration(self):
         rng = np.random.default_rng(3)
@@ -226,19 +230,19 @@ class TestPartition:
             inst = random_instance(n, m, seed=n * 7 + m)
             space = VariableSpace(inst)
             for _ in range(25):
-                pt = random_box_point(space, rng)
-                for cut in separate_partition(space, pt, TOL):
-                    assert check_cut_validity(inst, cut), cut.text(space)
+                cuts = separate_partition(space, random_box_point(space, rng), TOL)
+                assert check_cut_validity(inst, cuts), cuts.text(space)
 
     def test_size_cap_respected(self):
         space = dense_space(8, 5, seed=4)
         rng = np.random.default_rng(4)
         for _ in range(10):
             pt = random_box_point(space, rng)
-            for cut in separate_partition(space, pt, TOL):
+            cuts = separate_partition(space, pt, TOL)
+            for r in range(len(cuts)):
                 support_vertices = set()
-                for c in cut.cols:
-                    support_vertices.update(space.name(c).split("_")[1:])
+                for name in named(space, cuts, r):
+                    support_vertices.update(name.split("_")[1:])
                 assert len(support_vertices) <= 5
 
 
@@ -288,13 +292,7 @@ class TestPartitionSeeds:
             got.append(separate_partition(space, point, TOL))
         monkeypatch.setattr(separation, "_partition_seeds", partition_seeds)
         for (space, point), cuts in zip(points, got):
-            want = separate_partition(space, point, TOL)
-            assert len(cuts) == len(want)
-            for a, b in zip(cuts, want):
-                assert a.cols.tolist() == b.cols.tolist()
-                assert a.vals.tobytes() == b.vals.tobytes()
-                assert (a.rhs, a.family) == (b.rhs, b.family)
-                assert float(a.violation).hex() == float(b.violation).hex()
+            assert_same_cuts(cuts, separate_partition(space, point, TOL))
             cuts_seen += len(cuts)
         assert cuts_seen > 1000  # the points exercise the separator
 
@@ -338,12 +336,13 @@ class TestBulkMatchesReference:
 
     @staticmethod
     def assert_same(got, want):
+        """The batch `got` holds the reference's list of cuts `want`, bit for bit."""
         assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.cols.tolist() == b.cols.tolist()
-            assert a.vals.tobytes() == b.vals.tobytes()
-            assert (a.rhs, a.family) == (b.rhs, b.family)
-            assert float(a.violation).hex() == float(b.violation).hex()
+        assert np.diff(got.indptr).tolist() == [b.cols.size for b in want]
+        assert got.indices.tolist() == [c for b in want for c in b.cols.tolist()]
+        assert got.data.tobytes() == b"".join(b.vals.tobytes() for b in want)
+        assert got.rhs.tolist() == [b.rhs for b in want] and got.family.tolist() == [b.family for b in want]
+        assert got.violation.tobytes() == np.array([b.violation for b in want], dtype=float).tobytes()
 
     def check(self, space, point):
         """The number of cuts compared."""
@@ -371,8 +370,9 @@ class TestBulkMatchesReference:
         gains = [Z[v, 1] + Z[v, 2] - Y[v, 0] for v in (3, 4)]
         assert 0 < gains[1] - gains[0] < 1e-12
         self.check(space, point)
-        (cut,) = separate_partition(space, point, TOL, max_seeds=1)
-        self.assert_same([cut], sep_ref.separate_partition(space, point, TOL, max_seeds=1))
+        cut = separate_partition(space, point, TOL, max_seeds=1)
+        assert len(cut) == 1
+        self.assert_same(cut, sep_ref.separate_partition(space, point, TOL, max_seeds=1))
         terms = named(space, cut)
         assert {"z_0_1", "z_3_1", "y_0_3"} <= set(terms) and "z_4_1" not in terms
 
@@ -390,45 +390,43 @@ class TestSoundness:
         space = dense_space(6, 4, seed=5)
         for _ in range(10):
             pt = random_box_point(space, rng)
-            all_cuts = (
-                separate_triangle(space, pt, TOL)
-                + separate_subtour_path(space, pt, TOL)
-                + separate_partition(space, pt, TOL)
-            )
-            for cut in all_cuts:
-                assert cut.violation > TOL
-                assert cut.lhs(pt) - cut.rhs == pytest.approx(cut.violation, abs=1e-9)
+            cuts = Cuts.concat([separate(space, pt, TOL) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
+            assert len(cuts) and (cuts.violation > TOL).all()
+            assert (cuts.lhs(pt) - cuts.rhs).tolist() == pytest.approx(cuts.violation.tolist(), abs=1e-9)
 
 
 def test_cut_str_is_readable():
     space = dense_space(3, 3)
-    cut = Cut([space.z(0, 1), space.y(0, 1)], [1.0, -1.0], 1.0, "TriangleZZY", 0.25)
+    cut = Cuts.from_tables([(np.array([[space.z(0, 1), space.y(0, 1)]]), [1.0, -1.0], 1.0, "TriangleZZY", [0.25])])
     text = cut.text(space)
     assert "TriangleZZY" in text and "+ 1 z_0_1" in text and "- 1 y_0_1" in text and "<= 1" in text
 
 
-def test_cut_sorts_and_merges_columns():
-    cut = Cut([7, 3, 7, 5], [1.0, -1.0, 0.5, 2.0], 1.0, "Path", 0.0)
-    assert cut.cols.tolist() == [3, 5, 7]
-    assert cut.vals.tolist() == [-1.0, 2.0, 1.5]
-    assert cut.support == Cut([5, 7, 3], [2.0, 1.5, -1.0], 1.0, "Subtour", 0.3).support
-    assert cut.lhs(np.arange(8.0)) == pytest.approx(-3.0 + 10.0 + 10.5)
-
-
-def test_from_rows_builds_what_cut_builds():
-    # rows of distinct columns, -1 for an absent term, in any order
-    cols = np.array([[7, 3, 5], [-1, 9, 2], [4, -1, -1]])
-    vals = np.array([[1.0, -1.0, 0.5], [0.0, 2.0, -2.0], [1.5, 0.0, 0.0]])
-    cuts = Cut.from_rows(cols, vals, [1.0, 2.0, 0.0], ["A", "B", "C"], [0.25, 0.5, 0.75])
-    for cut, row_cols, row_vals, rhs, family, violation in zip(
-        cuts, cols, vals, [1.0, 2.0, 0.0], "ABC", [0.25, 0.5, 0.75]
-    ):
-        present = row_cols >= 0
-        want = Cut(row_cols[present], row_vals[present], rhs, family, violation)
-        assert cut.cols.tolist() == want.cols.tolist() and cut.cols.dtype == want.cols.dtype
-        assert cut.vals.tobytes() == want.vals.tobytes()
-        assert cut.support == want.support
-        assert (cut.rhs, cut.family, cut.violation) == (rhs, family, violation)
+def test_from_tables_sorts_rows_and_keys_the_inequality():
+    # rows of distinct columns, -1 for an absent term, in any order; tables of
+    # different widths
+    cuts = Cuts.from_tables(
+        [
+            (np.array([[7, 3, 5], [-1, 9, 2]]), np.array([[1.0, -1.0, 0.5], [0.0, 2.0, -2.0]]), [1.0, 2.0], "A", [0.25, 0.5]),
+            (np.array([[4, -1]]), [1.5, 0.0], 0.0, "C", [0.75]),
+        ]
+    )
+    assert cuts.indptr.tolist() == [0, 3, 5, 6]
+    assert cuts.indices.tolist() == [3, 5, 7, 2, 9, 4]
+    assert cuts.data.tolist() == [-1.0, 0.5, 1.0, -2.0, 2.0, 1.5]
+    assert (cuts.rhs.tolist(), cuts.family.tolist(), cuts.violation.tolist()) == ([1.0, 2.0, 0.0], list("AAC"), [0.25, 0.5, 0.75])
+    assert cuts.lhs(np.arange(10.0)).tolist() == [-3.0 + 2.5 + 7.0, -4.0 + 18.0, 6.0]
+    # the key is the inequality's: family and violation do not enter it, rhs and every term do
+    same = Cuts.from_tables([(np.array([[5, 7, 3]]), [0.5, 1.0, -1.0], 1.0, "B", [0.0])])
+    others = Cuts.from_tables(
+        [(np.array([[5, 7, 3], [5, 7, 3], [5, 7, -1]]), np.array([[0.5, 1.0, -1.0], [0.5, 1.0, -2.0], [0.5, 1.0, 0.0]]), [2.0, 1.0, 1.0], "A", np.zeros(3))]
+    )
+    both = Cuts.concat([cuts, same, others])
+    keys = both.keys
+    assert keys[3] == keys[0] and len(set(keys.tolist())) == 6
+    assert first_rows(keys).tolist() == [0, 1, 2, 4, 5, 6]
+    assert first_rows(keys, {keys[1]}).tolist() == [0, 2, 4, 5, 6]
+    assert_same_cuts(both.take([3, 1]), Cuts.concat([same, cuts.take([1])]))
 
 
 def test_order_follows_names():

@@ -56,10 +56,10 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from cyclecluster.formulation import LESS_EQUAL, ConversionError, build_cc, point_to_clustering
+from cyclecluster.formulation import LESS_EQUAL, ConversionError, Csr, build_cc, point_to_clustering
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, objective
-from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp, stack_rows, take_rows
+from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
 from cyclecluster.separation import Cuts, first_rows, separate_partition, separate_subtour_path, separate_triangle
 
 log = logging.getLogger(__name__)
@@ -300,7 +300,7 @@ class _Search:
         first = self.link_rhs.size + self.cut_supports.size
         self.cut_supports = np.concatenate([self.cut_supports, keys[fresh]])
         self.link_out[link] = False
-        block = stack_rows([take_rows(rows, idx) for rows, idx in ((cuts, fresh), (self.link_rows, link)) if idx.size])
+        block = Csr.stack([rows.take(idx) for rows, idx in ((cuts, fresh), (self.link_rows, link)) if idx.size])
         rhs = np.concatenate([cuts.rhs[fresh], self.link_rhs[link]])
         self.lp.add_rows(block, np.full(rhs.size, LESS_EQUAL), rhs)
         self.row_origin = np.concatenate([self.row_origin, np.arange(first, first + fresh.size), link])
@@ -343,7 +343,7 @@ class _Search:
             found.append(separate_subtour_path(self.space, point, TOL_CUT))
         if "partition" in cfg.separators and self.inst.m >= PARTITION_MIN_M:
             found.append(separate_partition(self.space, point, TOL_CUT))
-        cuts = Cuts.concat(found)
+        cuts = Cuts.concat(found) if found else Cuts.empty(self.space.ncols)
         if len(cuts) <= MAX_CUTS_PER_FAMILY:  # no family can pass the cap
             return cuts
         # each row's rank within its family, in order
@@ -485,7 +485,7 @@ class _Search:
                     if violated.size:
                         sol = replace(sol, status="time_limit")
                 else:
-                    cuts = Cuts.empty()
+                    cuts = Cuts.empty(self.space.ncols)
                     if separated < rounds:
                         separated += 1
                         if is_root:

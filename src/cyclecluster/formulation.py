@@ -17,16 +17,20 @@ Variables are plain column indices.  `VariableSpace` maps vertex pairs to the
 y/z columns through n x n arrays (`RltSpace` to the w columns through an
 n x n x m x m array), and holds the one place readable names are made:
 x_i_s, y_i_j with i < j, and z_i_j.
+
+Every block of rows is a `Csr`, the one row format: a model's rows, the
+LP's mirror of its rows, the solver's lazy pool of linking rows, and
+`separation.Cuts`, which adds a right-hand side and more per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import IO, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from cyclecluster.instance import Clustering, Instance, ParameterError
 
@@ -142,13 +146,75 @@ class VariableSpace(_Layout):
         return X, Y, Z
 
 
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """Rows in compressed sparse row form over `ncols` columns: row r holds
+    data[a:b] at the columns indices[a:b], a, b = indptr[r], indptr[r + 1],
+    and indptr[0] is 0.  The arrays are not written after construction,
+    so `entry_rows` is computed once per block.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    ncols: int
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.ncols
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @cached_property
+    def entry_rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.arange(len(self)).repeat(self.indptr[1:] - self.indptr[:-1])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """Each row's sum of data * v[indices], summed in entry order from
+        0.0, which gives bitwise the sums of scipy's CSR matrix-vector product."""
+        return np.bincount(self.entry_rows, weights=self.data * v[self.indices], minlength=len(self))
+
+    def __getitem__(self, rows: slice | np.ndarray) -> Csr:
+        """The rows at a slice, a boolean mask or an index array, in order."""
+        return self.take(np.arange(len(self))[rows])
+
+    def take(self, idx: np.ndarray) -> Csr:
+        """The rows at `idx`, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        starts = self.indptr[idx]
+        lengths = self.indptr[idx + 1] - starts
+        indptr = np.zeros(idx.size + 1, dtype=self.indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return Csr(self.data[entries], self.indices[entries], indptr, self.ncols)
+
+    @staticmethod
+    def stack(parts: Sequence[Csr]) -> Csr:
+        """The rows of every part in turn; the parts share their columns."""
+        if len(parts) == 1:
+            return parts[0]
+        offsets = accumulate((p.nnz for p in parts), initial=0)  # Python ints keep each indptr's dtype
+        return Csr(
+            np.concatenate([p.data for p in parts]),
+            np.concatenate([p.indices for p in parts]),
+            np.concatenate([parts[0].indptr[:1]] + [p.indptr[1:] + offset for p, offset in zip(parts, offsets)]),
+            parts[0].ncols,
+        )
+
+
 @dataclass
 class Model:
     """A bounded mixed-binary model: maximize objective @ v over the rows."""
 
     space: VariableSpace
     objective: np.ndarray
-    rows: sparse.csr_matrix
+    rows: Csr
     senses: np.ndarray  # '<', '=', '>'
     rhs: np.ndarray
     integrality: np.ndarray  # bool per column
@@ -205,11 +271,8 @@ class _RowBuilder:
         self.rhs.append(rhs)
         self.family.append(family)
 
-    def freeze(self, ncols: int) -> tuple[sparse.csr_matrix, np.ndarray, np.ndarray, list[str]]:
-        mat = sparse.csr_matrix(
-            (np.asarray(self.data), np.asarray(self.cols, dtype=np.int32), np.asarray(self.indptr, dtype=np.int32)),
-            shape=(len(self.rhs), ncols),
-        )
+    def freeze(self, ncols: int) -> tuple[Csr, np.ndarray, np.ndarray, list[str]]:
+        mat = Csr(np.asarray(self.data, dtype=float), np.asarray(self.cols, dtype=np.int32), np.asarray(self.indptr, dtype=np.int32), ncols)
         return mat, np.asarray(self.senses), np.asarray(self.rhs, dtype=float), self.family
 
 
@@ -391,7 +454,7 @@ def write_lp(model: Model, target: IO[str], name: str = "cyclecluster") -> None:
     for c, v in terms:
         target.write(f" {'+' if v >= 0 else '-'} {abs(v):.17g} {names[c]}")
     target.write("\nSubject To\n")
-    rows = model.rows.tocsr()
+    rows = model.rows
     sense_txt = {LESS_EQUAL: "<=", EQUAL: "=", GREATER_EQUAL: ">="}
     for k in range(model.nrows):
         lo, hi = rows.indptr[k], rows.indptr[k + 1]

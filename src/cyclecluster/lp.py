@@ -1,28 +1,65 @@
 """Box-bounded linear programming used for relaxations and the cut loop.
 
-A `LinearProgram` is changed in place: `add_rows` appends a CSR block of
-rows, `delete_rows` removes rows and `set_bounds` changes column bounds.
-Each LP owns one HiGHS object, loaded when the LP is built, and every change
-goes to it too.  So every solve runs HiGHS's dual simplex (Huangfu & Hall,
-MPC 2018) from the basis the previous solve left, which after a bound change
-or added rows is still dual feasible, and after deleting rows that were
-basic (slack) is still optimal.  Solves are deterministic for a fixed
-sequence of changes.
+A `LinearProgram` is changed in place: `add_rows` appends a block of rows,
+`delete_rows` removes rows and `set_bounds` changes column bounds.  Each LP
+owns one HiGHS object, loaded when the LP is built, and every change goes to
+it too.  So every solve runs HiGHS's dual simplex (Huangfu & Hall, MPC 2018)
+from the basis the previous solve left, which after a bound change or added
+rows is still dual feasible, and after deleting rows that were basic (slack)
+is still optimal.  Solves are deterministic for a fixed sequence of changes.
+
+HiGHS comes with scipy, as the extension module
+`scipy.optimize._highspy._core`.  This module loads that file alone, under
+its own name in `sys.modules`, so that the solver starts without importing
+the rest of `scipy.optimize`, which would cost most of a start-up; a later
+`import scipy.optimize` finds the module there and uses it.  For the same
+reason `linprog`, a name only the benchmark's tracer reads, is imported
+from `scipy.optimize` on its first read.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
-from itertools import accumulate
-from typing import Any, NamedTuple, Sequence
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+from typing import Any
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog  # noqa: F401 - only the benchmark's tracer uses this name
-from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, MatrixFormat, _Highs
 
-from cyclecluster.formulation import GREATER_EQUAL, LESS_EQUAL, Model
+from cyclecluster.formulation import GREATER_EQUAL, LESS_EQUAL, Csr, Model
+
+
+def _highs_module():
+    """HiGHS's extension module: the one in `sys.modules`, else loaded from
+    its file in scipy's install directory and registered there."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "optimize", "_highspy")
+    paths = [package / f"_core{suffix}" for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"no HiGHS extension module in {package}")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_core = _highs_module()
+HighsLp, HighsModelStatus, MatrixFormat, _Highs = _core.HighsLp, _core.HighsModelStatus, _core.MatrixFormat, _core._Highs
+
+
+def __getattr__(name: str):
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(eq=False)
@@ -31,16 +68,13 @@ class LinearProgram:
 
     HiGHS solves the LP, but the rows, senses and rhs stay mirrored here: the
     root cut loop reads row slacks from them, the benchmark's tracer reads
-    `rows.shape[0]`, and tests check residuals against them.  The mirror is
-    kept on its raw CSR arrays: `add_rows` appends a block's data, indices and
-    shifted indptr, and `delete_rows` keeps the entries of the rows that
-    stay (`take_rows`), so each change costs O(nnz) numpy work and builds one
-    CSR matrix, with the entries in the order `sparse.vstack` and `rows[keep]`
-    would give.
+    `rows.shape[0]`, and tests check residuals against them.  Each change
+    makes a new `Csr` of the mirror in O(nnz) numpy work: `add_rows` stacks
+    the block under the rows, and `delete_rows` takes the rows that stay.
     """
 
     objective: np.ndarray
-    rows: sparse.csr_matrix
+    rows: Csr
     senses: np.ndarray
     rhs: np.ndarray
     lo: np.ndarray
@@ -57,14 +91,13 @@ class LinearProgram:
     def ncols(self) -> int:
         return self.objective.shape[0]
 
-    def add_rows(self, block, senses: np.ndarray, rhs: np.ndarray) -> None:
-        """Append the rows of a block over this LP's columns: anything that
-        holds CSR arrays, as `stack_rows` takes."""
-        num_rows = block.indptr.size - 1
+    def add_rows(self, block: Csr, senses: np.ndarray, rhs: np.ndarray) -> None:
+        """Append the rows of a block over this LP's columns."""
+        num_rows = len(block)
         if num_rows == 0:
             return
         senses, rhs = np.asarray(senses), np.asarray(rhs, dtype=float)
-        self._set_rows(*stack_rows([self.rows, block]))
+        self.rows = Csr.stack([self.rows, block])
         self.senses = np.concatenate([self.senses, senses])
         self.rhs = np.concatenate([self.rhs, rhs])
         lower, upper = _row_bounds(senses, rhs)
@@ -81,16 +114,12 @@ class LinearProgram:
         idx = np.unique(np.asarray(idx, dtype=np.int32))  # HiGHS takes an ascending set
         if idx.size == 0:
             return
-        keep = np.ones(self.rows.shape[0], dtype=bool)
+        keep = np.ones(len(self.rows), dtype=bool)
         keep[idx] = False
-        self._set_rows(*take_rows(self.rows, np.flatnonzero(keep)))
+        self.rows = self.rows[keep]
         self.senses = self.senses[keep]
         self.rhs = self.rhs[keep]
         self._highs.deleteRows(idx.size, idx)
-
-    def _set_rows(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> None:
-        """Make the mirror the CSR matrix of these raw arrays, taken as they are."""
-        self.rows = sparse.csr_matrix((data, indices, indptr), shape=(indptr.size - 1, self.ncols), copy=False)
 
     def set_bounds(self, lo: np.ndarray, hi: np.ndarray) -> None:
         changed = np.flatnonzero((lo != self.lo) | (hi != self.hi)).astype(np.int32)
@@ -147,40 +176,6 @@ def solve_lp(lp: LinearProgram, time_limit: float | None = None) -> LpSolution:
     return LpSolution("error", None, None, iterations)
 
 
-class CsrRows(NamedTuple):
-    """The raw CSR arrays of some rows."""
-
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-
-
-def take_rows(rows, idx: np.ndarray) -> CsrRows:
-    """The rows at `idx`, in that order, of anything that holds CSR arrays
-    (`data`, `indices`, `indptr`): the same entries that `rows[idx]` holds
-    for a csr_matrix, without scipy's indexing machinery."""
-    starts = rows.indptr[idx]
-    lengths = rows.indptr[idx + 1] - starts
-    indptr = np.zeros(idx.size + 1, dtype=rows.indptr.dtype)
-    np.cumsum(lengths, out=indptr[1:])
-    entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-    return CsrRows(rows.data[entries], rows.indices[entries], indptr)
-
-
-def stack_rows(parts: Sequence) -> CsrRows:
-    """The rows of every part in turn; a part is anything that holds CSR
-    arrays whose `indptr` starts at 0: a csr_matrix, `CsrRows` or
-    `separation.Cuts`."""
-    if len(parts) == 1:
-        return CsrRows(parts[0].data, parts[0].indices, parts[0].indptr)
-    offsets = accumulate((int(p.indptr[-1]) for p in parts), initial=0)  # Python ints keep each indptr's dtype
-    return CsrRows(
-        np.concatenate([p.data for p in parts]),
-        np.concatenate([p.indices for p in parts]),
-        np.concatenate([parts[0].indptr[:1]] + [p.indptr[1:] + offset for p, offset in zip(parts, offsets)]),
-    )
-
-
 def _row_bounds(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lower = np.where(senses == LESS_EQUAL, -np.inf, rhs)
     upper = np.where(senses == GREATER_EQUAL, np.inf, rhs)
@@ -190,7 +185,7 @@ def _row_bounds(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
 def _load(lp: LinearProgram):
     model = HighsLp()
     model.num_col_ = lp.ncols
-    model.num_row_ = lp.rows.shape[0]
+    model.num_row_ = len(lp.rows)
     model.col_cost_ = -lp.objective
     model.col_lower_ = lp.lo
     model.col_upper_ = lp.hi
@@ -198,7 +193,7 @@ def _load(lp: LinearProgram):
     matrix = model.a_matrix_
     matrix.format_ = MatrixFormat.kRowwise
     matrix.num_col_ = lp.ncols
-    matrix.num_row_ = lp.rows.shape[0]
+    matrix.num_row_ = len(lp.rows)
     matrix.start_ = lp.rows.indptr
     matrix.index_ = lp.rows.indices
     matrix.value_ = lp.rows.data

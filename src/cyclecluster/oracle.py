@@ -188,7 +188,7 @@ def cut_vectors(inst: Instance, cuts) -> np.ndarray:
     """Dense full-universe vectors of a `separation.Cuts` batch over the
     instance's model columns, one row per cut."""
     vecs = np.zeros((len(cuts), full_universe_size(inst.n, inst.m)))
-    np.add.at(vecs, (cuts.entry_rows(), universe_columns(inst)[cuts.indices]), cuts.data)
+    np.add.at(vecs, (cuts.entry_rows, universe_columns(inst)[cuts.indices]), cuts.data)
     return vecs
 
 

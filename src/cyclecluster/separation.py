@@ -15,12 +15,12 @@ model's variables, each over whole arrays rather than one candidate at a time:
   the walk value is only a search bound while every emitted cut is sound.
 
 Every separator returns one `Cuts` batch, the only form a cut takes from
-separator to LP: CSR rows over the model's columns, with ascending column
-indices, so a batch goes into the LP as one block.  A cut references only
-variables that exist for the instance.  Terms with a positive coefficient
-may be dropped when their pair carries no weight (this only weakens the
-inequality); templates whose negative-coefficient variables are missing are
-skipped entirely.
+separator to LP: a `formulation.Csr` block of rows over the model's
+columns, with ascending column indices, so a batch goes into the LP as it
+is.  A cut references only variables that exist for the instance.  Terms
+with a positive coefficient may be dropped when their pair carries no
+weight (this only weakens the inequality); templates whose
+negative-coefficient variables are missing are skipped entirely.
 
 Each separator collects its candidates as tables of columns, a row per cut
 with -1 for an absent term, and turns each table into a batch
@@ -39,8 +39,7 @@ from typing import AbstractSet, Sequence
 
 import numpy as np
 
-from cyclecluster.formulation import VariableSpace
-from cyclecluster.lp import stack_rows, take_rows
+from cyclecluster.formulation import Csr, VariableSpace
 
 DEFAULT_TOL = 1e-4
 PARTITION_MAX_SIZE = 5
@@ -49,38 +48,36 @@ PARTITION_ALMOST_VIOLATED = 0.1
 
 
 @dataclass(frozen=True, eq=False)
-class Cuts:
+class Cuts(Csr):
     """A batch of sparse valid inequalities, row r being
 
         data[a:b] . v[indices[a:b]] <= rhs[r],   a, b = indptr[r], indptr[r + 1],
 
     with its family and its violation at the point it was separated from.
-    The rows are CSR with ascending columns and absent terms dropped, so a
-    batch goes into the LP as it is.  `keys` holds one support key per row:
-    the bytes of a (rhs, column, coefficient) triple per term, all as floats
-    (every column is exact).  Every row has a term, so two rows are the same
-    inequality iff their keys are equal.
+    The rows are a `Csr` block with ascending columns and absent terms
+    dropped, so a batch goes into the LP as it is.  `keys` holds one support
+    key per row: the bytes of a (rhs, column, coefficient) triple per term,
+    all as floats (every column is exact).  Every row has a term, so two
+    rows are the same inequality iff their keys are equal.
     """
 
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
     rhs: np.ndarray
     family: np.ndarray
     violation: np.ndarray
     keys: np.ndarray
 
     @classmethod
-    def from_tables(cls, tables: Sequence[tuple]) -> Cuts:
-        """The rows of every table in turn.  A table is (cols, vals, rhs,
-        family, violation): a (k, w) array whose rows each hold distinct
-        columns, with -1 for an absent term; their coefficients, as a (k, w)
-        array or one row shared by all; rhs as one value or k; one family;
-        and k violations.  The tables are stacked, padded with absent terms
-        to the widest, and each row is sorted by `argsort`."""
+    def from_tables(cls, tables: Sequence[tuple], ncols: int) -> Cuts:
+        """The rows of every table in turn, over `ncols` columns.  A table is
+        (cols, vals, rhs, family, violation): a (k, w) array whose rows each
+        hold distinct columns, with -1 for an absent term; their
+        coefficients, as a (k, w) array or one row shared by all; rhs as one
+        value or k; one family; and k violations.  The tables are stacked,
+        padded with absent terms to the widest, and each row is sorted by
+        `argsort`."""
         tables = [table for table in tables if len(table[4])]
         if not tables:
-            return cls.empty()
+            return cls.empty(ncols)
         counts = [len(table[4]) for table in tables]
         cols = np.full((sum(counts), max(table[0].shape[1] for table in tables)), -1, dtype=np.intp)
         vals, rhs, violation = np.zeros(cols.shape), np.empty(cols.shape[0]), np.empty(cols.shape[0])
@@ -102,37 +99,28 @@ class Cuts:
         bounds = zip((end - 24 * (indptr[1:] - indptr[:-1])).tolist(), end.tolist())
         keys = np.fromiter((raw[a:b] for a, b in bounds), dtype=object, count=cols.shape[0])
         family = np.repeat([table[3] for table in tables], counts)
-        return cls(vals[present], cols[present], indptr, rhs, family, violation, keys)
+        return cls(vals[present], cols[present], indptr, ncols, rhs, family, violation, keys)
 
     @classmethod
-    def empty(cls) -> Cuts:
+    def empty(cls, ncols: int) -> Cuts:
         no_rows = np.zeros(0)
-        return cls(no_rows, np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp), no_rows, np.zeros(0, dtype=str), no_rows, np.zeros(0, dtype=object))
+        return cls(no_rows, np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp), ncols, no_rows, np.zeros(0, dtype=str), no_rows, np.zeros(0, dtype=object))
 
     @classmethod
     def concat(cls, parts: Sequence[Cuts]) -> Cuts:
-        """The rows of every part in turn."""
-        parts = [part for part in parts if len(part)]
-        if len(parts) < 2:
-            return parts[0] if parts else cls.empty()
+        """The rows of every part in turn; there is at least one part."""
+        nonempty = [part for part in parts if len(part)]
+        if len(nonempty) < 2:
+            return nonempty[0] if nonempty else parts[0]
+        rows = Csr.stack(nonempty)
         fields = ("rhs", "family", "violation", "keys")
-        return cls(*stack_rows(parts), *(np.concatenate([getattr(p, name) for p in parts]) for name in fields))
-
-    def __len__(self) -> int:
-        return self.rhs.size
+        return cls(rows.data, rows.indices, rows.indptr, rows.ncols, *(np.concatenate([getattr(p, name) for p in nonempty]) for name in fields))
 
     def take(self, idx: np.ndarray) -> Cuts:
         """The rows at `idx`, in that order."""
         idx = np.asarray(idx, dtype=np.intp)
-        return Cuts(*take_rows(self, idx), self.rhs[idx], self.family[idx], self.violation[idx], self.keys[idx])
-
-    def entry_rows(self) -> np.ndarray:
-        """The row of each entry."""
-        return np.arange(len(self)).repeat(self.indptr[1:] - self.indptr[:-1])
-
-    def lhs(self, point: np.ndarray) -> np.ndarray:
-        """Each row's left-hand side at `point`."""
-        return np.bincount(self.entry_rows(), weights=self.data * point[self.indices], minlength=len(self))
+        rows = super().take(idx)
+        return Cuts(rows.data, rows.indices, rows.indptr, self.ncols, self.rhs[idx], self.family[idx], self.violation[idx], self.keys[idx])
 
     def text(self, space: VariableSpace) -> str:
         """One readable line per row."""
@@ -168,7 +156,7 @@ def _sorted_unique(space: VariableSpace, cuts: Cuts) -> Cuts:
     order = np.lexsort(keys)
     ordered = keys[:, order]
     if (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any():
-        rows, ranks = cuts.entry_rows(), space.name_rank[cuts.indices]
+        rows, ranks = cuts.entry_rows, space.name_rank[cuts.indices]
         by_name = np.lexsort((ranks, rows))  # ranks are distinct within a cut
         at = (rows, np.arange(rows.size) - cuts.indptr[rows])
         table = np.zeros((len(cuts), at[1].max() + 1, 2))
@@ -222,7 +210,7 @@ def separate_triangle(
     if m == 3:
         vals = Z[:, :, None] + Z[None, :, :] - Z.T[:, None, :]
         emit(vals, base_mask, 1.0, "TriangleZ3", [1.0, 1.0, -1.0], lambda i, j, k: [zc[i, j], zc[j, k], zc[k, i]])
-        return _sorted_unique(space, Cuts.from_tables(found))
+        return _sorted_unique(space, Cuts.from_tables(found, space.ncols))
 
     # y-transitivity: y(i,j) + y(j,k) - y(i,k) <= 1, middle vertex j, i < k
     vals = Y[:, :, None] + Y[None, :, :] - Y[:, None, :]
@@ -276,7 +264,7 @@ def separate_triangle(
         vals = Z.T[:, :, None] + Z.T[:, None, :] - Y[None, :, :]
         emit(vals, j_lt_k_mask, 1.0, "TriangleZZY", [1.0, 1.0, -1.0], lambda i, j, k: [zc[j, i], zc[k, i], yc[j, k]])
 
-    return _sorted_unique(space, Cuts.from_tables(found))
+    return _sorted_unique(space, Cuts.from_tables(found, space.ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +284,7 @@ def _partition_rows(space: VariableSpace, S: np.ndarray, T: np.ndarray, violatio
     y = np.concatenate([ycol[S[:, a], S[:, b]], ycol[T[:, a], T[:, b]]], axis=1)
     vals = np.concatenate([np.ones(z.shape[1]), -np.ones(y.shape[1])])
     rhs = np.minimum((S < n).sum(axis=1), (T < n).sum(axis=1)).astype(float)
-    return Cuts.from_tables([(np.concatenate([z, y], axis=1), vals, rhs, "Partition", violation)])
+    return Cuts.from_tables([(np.concatenate([z, y], axis=1), vals, rhs, "Partition", violation)], space.ncols)
 
 
 def _partition_seeds(Y: np.ndarray, Z: np.ndarray, E: np.ndarray, almost_violated: float) -> list[tuple]:
@@ -371,12 +359,12 @@ def separate_partition(
     """
     n, m = space.n, space.m
     if m < 3:
-        return Cuts.empty()
+        return Cuts.empty(space.ncols)
     _, Y, Z = space.point_matrices(point)
     E = space.ycol >= 0
     seeds = _partition_seeds(Y, Z, E, almost_violated)[:max_seeds]  # every seed is a distinct (S, T)
     if not seeds:
-        return Cuts.empty()
+        return Cuts.empty(space.ncols)
     # weights with a zero row and column for the padding vertex n; pairs
     # with the padding vertex count as present, so padding excludes nothing
     Yp, Zp = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
@@ -521,7 +509,7 @@ def _walk_rows(space: VariableSpace, Y: np.ndarray, Z: np.ndarray, starts: np.nd
         # the closing y(start, end) where that pair carries weight, else -1
         cols = np.concatenate([_walk_cols(space, walks), space.ycol[starts[s], v][:, None]], axis=1)
         found.append((cols, 1.0, float(m - 1), "Path", total[s, v] - (m - 1)))
-    return Cuts.from_tables(found)
+    return Cuts.from_tables(found, space.ncols)
 
 
 def separate_subtour_path(space: VariableSpace, point: np.ndarray, tol: float = DEFAULT_TOL) -> Cuts:
@@ -533,6 +521,6 @@ def separate_subtour_path(space: VariableSpace, point: np.ndarray, tol: float = 
     closing same-cluster term give path cuts.  One DP serves every start.
     """
     if space.m < 3:
-        return Cuts.empty()
+        return Cuts.empty(space.ncols)
     _, Y, Z = space.point_matrices(point)
     return _sorted_unique(space, _walk_rows(space, Y, Z, np.arange(space.n), tol))

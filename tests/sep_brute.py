@@ -28,7 +28,7 @@ def _val(space, point, var):
 
 def named_cut(space, coeffs, rhs, family="", violation=0.0):
     """The column form of a cut given by variable name, as a batch of one."""
-    return Cuts.from_tables([(np.array([[column(space, v) for v in coeffs]]), list(coeffs.values()), rhs, family, [violation])])
+    return Cuts.from_tables([(np.array([[column(space, v) for v in coeffs]]), list(coeffs.values()), rhs, family, [violation])], space.ncols)
 
 
 def _support(space, coeffs, rhs):

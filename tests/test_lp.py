@@ -1,20 +1,33 @@
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.optimize._highspy._core import MatrixFormat
 
 from cyclecluster import lp as lp_mod
-from cyclecluster.formulation import build_cc
-from cyclecluster.lp import LinearProgram, lp_relaxation, solve_lp
+from cyclecluster.formulation import Csr, build_cc
+from cyclecluster.lp import LinearProgram, MatrixFormat, lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal
 from conftest import random_instance
 
 
+def csr(mat) -> Csr:
+    """The rows of a scipy sparse matrix or a dense array."""
+    mat = sparse.csr_matrix(mat)
+    return Csr(mat.data, mat.indices, mat.indptr, mat.shape[1])
+
+
+def csr_dense(rows: Csr) -> np.ndarray:
+    return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape).toarray()
+
+
 def tiny_lp(obj, rows, senses, rhs, lo, hi):
-    mat = sparse.csr_matrix(np.asarray(rows, dtype=float))
     return LinearProgram(
         objective=np.asarray(obj, dtype=float),
-        rows=mat,
+        rows=csr(np.asarray(rows, dtype=float)),
         senses=np.asarray(senses),
         rhs=np.asarray(rhs, dtype=float),
         lo=np.asarray(lo, dtype=float),
@@ -23,7 +36,7 @@ def tiny_lp(obj, rows, senses, rhs, lo, hi):
 
 
 def add_row(lp, cols, vals, sense, rhs):
-    row = sparse.csr_matrix((np.asarray(vals, dtype=float), (np.zeros(len(cols), dtype=int), np.asarray(cols))), shape=(1, lp.ncols))
+    row = Csr(np.asarray(vals, dtype=float), np.asarray(cols), np.array([0, len(cols)]), lp.ncols)
     lp.add_rows(row, np.array([sense]), np.array([rhs]))
 
 
@@ -121,16 +134,33 @@ class TestResolveWithAddedRows:
 
 
 def highs_rows(lp):
-    """The rows, senses and rhs HiGHS holds, in the mirror's form."""
+    """The rows HiGHS holds, as (row lengths, columns, values) with each
+    row's entries in ascending column order, and its senses and rhs."""
     model = lp._highs.getLp()
     a = model.a_matrix_
-    shape = (a.num_row_, a.num_col_)
-    parts = (np.asarray(a.value_), np.asarray(a.index_), np.asarray(a.start_))
-    rows = (sparse.csr_matrix(parts, shape=shape) if a.format_ == MatrixFormat.kRowwise else sparse.csc_matrix(parts, shape=shape)).tocsr()
+    outer = np.repeat(np.arange(len(a.start_) - 1), np.diff(a.start_))
+    rows, cols = (outer, np.asarray(a.index_)) if a.format_ == MatrixFormat.kRowwise else (np.asarray(a.index_), outer)
+    order = np.lexsort((cols, rows))
     lower, upper = np.asarray(model.row_lower_), np.asarray(model.row_upper_)
     senses = np.where(lower == upper, "=", np.where(np.isinf(lower), "<", ">"))
     rhs = np.where(np.isinf(lower), upper, lower)
-    return rows, senses, rhs
+    return (np.bincount(rows, minlength=a.num_row_), cols[order], np.asarray(a.value_)[order]), senses, rhs
+
+
+def by_column(rows: Csr):
+    """`highs_rows`'s form of a block: row lengths, columns, values."""
+    order = np.lexsort((rows.indices, rows.entry_rows))
+    return np.diff(rows.indptr), rows.indices[order], rows.data[order]
+
+
+def random_changes(lp, rng, rounds):
+    """Random blocks of rows added, then random rows deleted, per round."""
+    for _ in range(rounds):
+        k = int(rng.integers(1, 4))
+        block = csr(sparse.random(k, lp.ncols, density=0.1, format="csr", random_state=rng))
+        lp.add_rows(block, rng.choice(np.array(["<", ">"]), size=k), rng.uniform(0.5, 2.0, size=k))
+        lp.delete_rows(rng.choice(len(lp.rows), size=int(rng.integers(1, 5)), replace=False))
+        yield
 
 
 class TestDeleteRows:
@@ -153,17 +183,105 @@ class TestDeleteRows:
         inst = random_instance(6, 3, seed=1)
         lp = lp_relaxation(build_cc(inst))
         solve_lp(lp)
-        for _ in range(6):
-            k = int(rng.integers(1, 4))
-            block = sparse.random(k, lp.ncols, density=0.1, format="csr", random_state=rng)
-            lp.add_rows(block, rng.choice(np.array(["<", ">"]), size=k), rng.uniform(0.5, 2.0, size=k))
-            lp.delete_rows(rng.choice(lp.rows.shape[0], size=int(rng.integers(1, 5)), replace=False))
+        for _ in random_changes(lp, rng, 6):
             solve_lp(lp)
             rows, senses, rhs = highs_rows(lp)
-            assert rows.shape == lp.rows.shape
-            assert (rows != lp.rows).nnz == 0
+            assert lp.rows.shape == (lp._highs.getNumRow(), lp.ncols)
+            # the same row lengths, and in each row the same columns with bitwise the same values
+            (lengths, cols, vals), (our_lengths, our_cols, our_vals) = rows, by_column(lp.rows)
+            assert np.array_equal(lengths, our_lengths) and np.array_equal(cols, our_cols)
+            assert vals.tobytes() == our_vals.tobytes()
             assert np.array_equal(senses, lp.senses)
             assert np.array_equal(rhs, lp.rhs)
+
+
+class TestCsr:
+    def test_matvec_is_scipys_bit_for_bit(self):
+        """`Csr @ v` sums each row as scipy's CSR product does, on the linking
+        rows of two models and on an LP mirror after random changes."""
+        rng = np.random.default_rng(8)
+
+        def check(rows: Csr):
+            theirs = sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape)
+            for v in (rng.uniform(-1.0, 1.0, rows.ncols), rng.uniform(0.0, 1.0, rows.ncols) ** 3):
+                assert (rows @ v).tobytes() == (theirs @ v).tobytes()
+
+        for n, m in ((10, 3), (14, 5)):
+            model = build_cc(random_instance(n, m, seed=n))
+            link = model.rows[model.core_rows :]
+            assert len(link) == model.nrows - model.core_rows > 0
+            check(link)
+            check(link)  # again, with the cached rows of the entries
+        lp = lp_relaxation(build_cc(random_instance(6, 3, seed=1)))
+        for _ in random_changes(lp, rng, 8):
+            check(lp.rows)
+
+    def test_take_slice_mask_and_stack(self):
+        mat = sparse.random(7, 9, density=0.4, format="csr", random_state=np.random.default_rng(2))
+        rows = csr(mat)
+        assert rows.shape == (7, 9) and rows.nnz == mat.nnz
+        dense = mat.toarray()
+        for key in (slice(2, 6), slice(None, 3), slice(5, 1), np.array([4, 0, 4]), np.arange(7) % 3 == 0):
+            part = rows[key]
+            assert part.shape == dense[key].shape
+            assert np.array_equal(csr_dense(part), dense[key])
+        both = Csr.stack([rows[:3], rows.take(np.array([6, 1]))])
+        assert np.array_equal(csr_dense(both), dense[[0, 1, 2, 6, 1]])
+        assert Csr.stack([rows]) is rows
+
+
+def run_python(code: str) -> str:
+    """Run `code` in a fresh interpreter with this checkout's sources first on
+    the path; returns its standard output."""
+    src = str(Path(lp_mod.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + textwrap.dedent(code)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_solver_imports_neither_scipy_optimize_nor_scipy_sparse():
+    out = run_python(
+        """
+        import sys
+        import cyclecluster, cyclecluster.cli
+        from cyclecluster.generator import generate
+        inst, _ = generate(6, 3, rng_seed=1)
+        assert cyclecluster.solve(inst).status == "optimal"
+        core = "scipy.optimize._highspy._core"
+        print("scipy.optimize" in sys.modules, "scipy.sparse" in sys.modules)
+        print([name for name in sys.modules if name.startswith("scipy") and name != core and not name.startswith(core + ".")])
+        """
+    )
+    # HiGHS's extension module, and what it registers under its name, is all of scipy that loads
+    assert out.splitlines() == ["False False", "[]"]
+
+
+@pytest.mark.parametrize("scipy_first", [True, False], ids=["scipy_optimize_first", "lp_first"])
+def test_scipy_and_the_solver_share_one_highs_binding(scipy_first):
+    out = run_python(
+        f"""
+        import sys
+        if {scipy_first}:
+            import scipy.optimize
+        import cyclecluster.lp as lp
+        assert sys.modules["scipy.optimize._highspy._core"] is lp._core  # one module object, under its own name
+        import scipy.optimize
+        import scipy.optimize._linprog_highs
+        from scipy.optimize._highspy._core import _Highs, HighsModelStatus
+        assert _Highs is lp._Highs and HighsModelStatus is lp.HighsModelStatus
+        assert scipy.optimize._linprog_highs.HighsModelStatus is lp.HighsModelStatus  # scipy's linprog uses it too
+        res = scipy.optimize.linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[3.0], bounds=[(0, 2), (0, 2)], method="highs")
+        assert res.status == 0 and abs(res.fun + 5.0) < 1e-9, res
+        assert lp.linprog is scipy.optimize.linprog  # the name the benchmark's tracer wraps
+        print("ok")
+        """
+    )
+    assert out.strip() == "ok"
 
 
 def test_private_highs_binding_contract():

@@ -153,8 +153,8 @@ class TestSubtourPath:
         for _ in range(20):
             pt = random_box_point(space, rng)
             sub = of_family(separate_subtour_path(space, pt, TOL), "Subtour")
-            z_only = np.bincount(sub.entry_rows(), weights=sub.data * pt[sub.indices] * is_z[sub.indices], minlength=len(sub))
-            assert (sub.lhs(pt) >= z_only - 1e-12).all()
+            z_only = np.bincount(sub.entry_rows, weights=sub.data * pt[sub.indices] * is_z[sub.indices], minlength=len(sub))
+            assert (sub @ pt >= z_only - 1e-12).all()
 
     def test_integral_points_produce_no_cuts(self):
         rng = np.random.default_rng(1)
@@ -392,12 +392,12 @@ class TestSoundness:
             pt = random_box_point(space, rng)
             cuts = Cuts.concat([separate(space, pt, TOL) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
             assert len(cuts) and (cuts.violation > TOL).all()
-            assert (cuts.lhs(pt) - cuts.rhs).tolist() == pytest.approx(cuts.violation.tolist(), abs=1e-9)
+            assert (cuts @ pt - cuts.rhs).tolist() == pytest.approx(cuts.violation.tolist(), abs=1e-9)
 
 
 def test_cut_str_is_readable():
     space = dense_space(3, 3)
-    cut = Cuts.from_tables([(np.array([[space.z(0, 1), space.y(0, 1)]]), [1.0, -1.0], 1.0, "TriangleZZY", [0.25])])
+    cut = Cuts.from_tables([(np.array([[space.z(0, 1), space.y(0, 1)]]), [1.0, -1.0], 1.0, "TriangleZZY", [0.25])], space.ncols)
     text = cut.text(space)
     assert "TriangleZZY" in text and "+ 1 z_0_1" in text and "- 1 y_0_1" in text and "<= 1" in text
 
@@ -409,17 +409,19 @@ def test_from_tables_sorts_rows_and_keys_the_inequality():
         [
             (np.array([[7, 3, 5], [-1, 9, 2]]), np.array([[1.0, -1.0, 0.5], [0.0, 2.0, -2.0]]), [1.0, 2.0], "A", [0.25, 0.5]),
             (np.array([[4, -1]]), [1.5, 0.0], 0.0, "C", [0.75]),
-        ]
+        ],
+        10,
     )
     assert cuts.indptr.tolist() == [0, 3, 5, 6]
     assert cuts.indices.tolist() == [3, 5, 7, 2, 9, 4]
     assert cuts.data.tolist() == [-1.0, 0.5, 1.0, -2.0, 2.0, 1.5]
     assert (cuts.rhs.tolist(), cuts.family.tolist(), cuts.violation.tolist()) == ([1.0, 2.0, 0.0], list("AAC"), [0.25, 0.5, 0.75])
-    assert cuts.lhs(np.arange(10.0)).tolist() == [-3.0 + 2.5 + 7.0, -4.0 + 18.0, 6.0]
+    assert cuts.shape == (3, 10)
+    assert (cuts @ np.arange(10.0)).tolist() == [-3.0 + 2.5 + 7.0, -4.0 + 18.0, 6.0]
     # the key is the inequality's: family and violation do not enter it, rhs and every term do
-    same = Cuts.from_tables([(np.array([[5, 7, 3]]), [0.5, 1.0, -1.0], 1.0, "B", [0.0])])
+    same = Cuts.from_tables([(np.array([[5, 7, 3]]), [0.5, 1.0, -1.0], 1.0, "B", [0.0])], 10)
     others = Cuts.from_tables(
-        [(np.array([[5, 7, 3], [5, 7, 3], [5, 7, -1]]), np.array([[0.5, 1.0, -1.0], [0.5, 1.0, -2.0], [0.5, 1.0, 0.0]]), [2.0, 1.0, 1.0], "A", np.zeros(3))]
+        [(np.array([[5, 7, 3], [5, 7, 3], [5, 7, -1]]), np.array([[0.5, 1.0, -1.0], [0.5, 1.0, -2.0], [0.5, 1.0, 0.0]]), [2.0, 1.0, 1.0], "A", np.zeros(3))], 10
     )
     both = Cuts.concat([cuts, same, others])
     keys = both.keys

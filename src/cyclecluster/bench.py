@@ -5,22 +5,23 @@ Aggregates follow MIP benchmarking conventions: shifted geometric means with
 a shift of 10 seconds for solve time, 100 for node counts and 1000 for the
 primal and dual integrals, plus the arithmetic mean of the finite gaps.  The
 integrals are normalized against the best primal value any setting achieved
-on the instance.  Each run writes a machine-readable event log (one line per
-bound event) and a JSON result; aggregation can rebuild its inputs from these
-files alone.
+on the instance.  A run's record is its solve's JSON report
+(`SolveResult.report`) plus its setting.  With an output directory each run
+writes that report and an event log (one line per bound event), and
+aggregation rebuilds its inputs from the reports alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from cyclecluster.engine import BoundEvent, GAP_INFINITE, SolverConfig, SolveResult, dual_integral, primal_integral, solve
+from cyclecluster.engine import BoundEvent, SolverConfig, dual_integral, json_value, primal_integral, solve
 from cyclecluster.engine import HEURISTIC_NAMES, SEPARATOR_ORDER
 from cyclecluster.instance import Instance, load_instance
 
@@ -90,39 +91,6 @@ class BenchSetting:
 DEFAULT_SETTINGS = ("none/none", "none/all", "subtour/all", "all/all")
 
 
-@dataclass
-class RunRecord:
-    instance: str
-    setting: str
-    status: str
-    primal: float
-    dual: float
-    gap_percent: float
-    nodes: int
-    time_s: float
-    cut_counts: dict = field(default_factory=dict)
-    history: list = field(default_factory=list)
-
-    @property
-    def solved(self) -> bool:
-        return self.status == "optimal"
-
-
-def record_from_result(name: str, setting: str, res: SolveResult) -> RunRecord:
-    return RunRecord(
-        instance=name,
-        setting=setting,
-        status=res.status,
-        primal=res.primal_bound,
-        dual=res.dual_bound,
-        gap_percent=res.gap_percent,
-        nodes=res.nodes_processed,
-        time_s=res.wall_time_s,
-        cut_counts=dict(res.cut_counts),
-        history=list(res.bound_history),
-    )
-
-
 def write_event_log(path: Path, history: Sequence[BoundEvent]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(ev.log_line() for ev in history)
@@ -138,47 +106,17 @@ def read_event_log(path: Path) -> list[BoundEvent]:
     return events
 
 
-def _json_num(x: float):
-    if x is None or not math.isfinite(x):
-        return None
-    return x
+def bound_events(report: dict) -> list[BoundEvent]:
+    """A report's bound history as events, with missing bounds back at -inf / inf."""
+    return [
+        BoundEvent(t, nodes, -math.inf if primal is None else primal, math.inf if dual is None else dual, kind)
+        for t, nodes, primal, dual, kind in report["bound_history"]
+    ]
 
 
-def write_run_json(path: Path, rec: RunRecord) -> None:
-    payload = {
-        "instance": rec.instance,
-        "setting": rec.setting,
-        "status": rec.status,
-        "primal_bound": _json_num(rec.primal),
-        "dual_bound": _json_num(rec.dual),
-        "gap_percent": "inf" if rec.gap_percent >= GAP_INFINITE else rec.gap_percent,
-        "nodes_processed": rec.nodes,
-        "wall_time_s": rec.time_s,
-        "cut_counts": rec.cut_counts,
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def read_run_json(path: Path) -> RunRecord:
-    payload = json.loads(Path(path).read_text())
-    gap = payload["gap_percent"]
-    return RunRecord(
-        instance=payload["instance"],
-        setting=payload["setting"],
-        status=payload["status"],
-        primal=-math.inf if payload["primal_bound"] is None else payload["primal_bound"],
-        dual=math.inf if payload["dual_bound"] is None else payload["dual_bound"],
-        gap_percent=GAP_INFINITE if gap == "inf" else gap,
-        nodes=payload["nodes_processed"],
-        time_s=payload["wall_time_s"],
-        cut_counts=payload.get("cut_counts", {}),
-        history=[],
-    )
-
-
-def _run_one(job: tuple[str, str, Instance, SolverConfig]) -> RunRecord:
-    name, setting_name, inst, cfg = job
-    return record_from_result(name, setting_name, solve(inst, cfg))
+def _run_one(job: tuple[str, str, Instance, SolverConfig]) -> dict:
+    name, setting, inst, cfg = job
+    return {"setting": setting, **solve(inst, cfg).report(name, inst, cfg)}
 
 
 def run_bench(
@@ -188,11 +126,14 @@ def run_bench(
     out_dir: Optional[Path] = None,
     progress=None,
     workers: int = 1,
-) -> list[RunRecord]:
-    """Solve every instance under every setting; returns one record per run.
+) -> list[dict]:
+    """Solve every instance under every setting; returns one report per run:
+    the solve's `SolveResult.report` plus its `setting`.
 
-    With workers > 1, solves are dispatched to a process pool; records come
-    back in job order and aggregation is order-independent anyway.
+    With workers > 1, solves are dispatched to a process pool; reports come
+    back in job order and aggregation is order-independent anyway.  With an
+    output directory, each report goes to `<setting>/<instance>.json`, next
+    to the run's event log.
     """
     jobs = []
     for setting in settings:
@@ -203,35 +144,28 @@ def run_bench(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, jobs))
+            reports = list(pool.map(_run_one, jobs))
     else:
-        records = []
+        reports = []
         for job in jobs:
-            records.append(_run_one(job))
+            reports.append(_run_one(job))
             if progress is not None:
-                progress(records[-1])
+                progress(reports[-1])
     if out_dir is not None:
-        for rec in records:
-            run_dir = Path(out_dir) / rec.setting.replace("/", "_")
+        for rep in reports:
+            run_dir = Path(out_dir) / rep["setting"].replace("/", "_")
             run_dir.mkdir(parents=True, exist_ok=True)
-            write_event_log(run_dir / f"{rec.instance}.log", rec.history)
-            write_run_json(run_dir / f"{rec.instance}.json", rec)
+            write_event_log(run_dir / f"{rep['instance']}.log", bound_events(rep))
+            (run_dir / f"{rep['instance']}.json").write_text(json.dumps(rep, indent=2) + "\n", encoding="utf-8")
     if workers > 1 and progress is not None:
-        for rec in records:
-            progress(rec)
-    return records
+        for rep in reports:
+            progress(rep)
+    return reports
 
 
-def load_records(out_dir: Path) -> list[RunRecord]:
-    """Rebuild run records from the JSON results and event logs on disk."""
-    records = []
-    for json_path in sorted(Path(out_dir).glob("*/*.json")):
-        rec = read_run_json(json_path)
-        log_path = json_path.with_suffix(".log")
-        if log_path.exists():
-            rec.history = read_event_log(log_path)
-        records.append(rec)
-    return records
+def load_records(out_dir: Path) -> list[dict]:
+    """The run reports `run_bench` wrote under `out_dir`."""
+    return [json.loads(path.read_text()) for path in sorted(Path(out_dir).glob("*/*.json"))]
 
 
 @dataclass
@@ -239,47 +173,48 @@ class SettingSummary:
     setting: str
     runs: int
     solved: int
-    sgm_time: float
+    sgm_time_s: float
     sgm_nodes: float
     sgm_primal_integral: float
     sgm_dual_integral: float
-    mean_gap: float  # arithmetic mean over finite gaps
+    mean_gap_percent: float  # arithmetic mean over finite gaps
     infinite_gaps: int
 
 
-def aggregate(records: Sequence[RunRecord]) -> list[SettingSummary]:
-    """Per-setting summaries; instance references are cross-setting bests."""
+def aggregate(reports: Sequence[dict]) -> list[SettingSummary]:
+    """Per-setting summaries of run reports; instance references are
+    cross-setting bests."""
     reference: dict[str, float] = {}
-    for rec in records:
-        if math.isfinite(rec.primal):
-            reference[rec.instance] = max(reference.get(rec.instance, -math.inf), rec.primal)
-    settings = list(dict.fromkeys(rec.setting for rec in records))
+    for rep in reports:
+        if rep["primal_bound"] is not None:
+            reference[rep["instance"]] = max(reference.get(rep["instance"], -math.inf), rep["primal_bound"])
+    settings = list(dict.fromkeys(rep["setting"] for rep in reports))
     out = []
     for setting in settings:
-        rows = sorted((r for r in records if r.setting == setting), key=lambda r: r.instance)
-        times = [r.time_s for r in rows]
-        nodes = [r.nodes for r in rows]
+        rows = sorted((r for r in reports if r["setting"] == setting), key=lambda r: r["instance"])
+        times = [r["wall_time_s"] for r in rows]
         p_ints, d_ints = [], []
         for r in rows:
-            ref = reference.get(r.instance)
-            if ref is None or not math.isfinite(ref):
-                p_ints.append(r.time_s)
-                d_ints.append(r.time_s)
+            ref = reference.get(r["instance"])
+            if ref is None:
+                p_ints.append(r["wall_time_s"])
+                d_ints.append(r["wall_time_s"])
                 continue
-            p_ints.append(primal_integral(r.history, r.time_s, ref))
-            d_ints.append(dual_integral(r.history, r.time_s, ref))
-        finite_gaps = [r.gap_percent for r in rows if r.gap_percent < GAP_INFINITE]
+            history = bound_events(r)
+            p_ints.append(primal_integral(history, r["wall_time_s"], ref))
+            d_ints.append(dual_integral(history, r["wall_time_s"], ref))
+        finite_gaps = [r["gap_percent"] for r in rows if r["gap_percent"] != "inf"]
         out.append(
             SettingSummary(
                 setting=setting,
                 runs=len(rows),
-                solved=sum(r.solved for r in rows),
-                sgm_time=shifted_geomean(times, TIME_SHIFT),
-                sgm_nodes=shifted_geomean(nodes, NODE_SHIFT),
+                solved=sum(r["status"] == "optimal" for r in rows),
+                sgm_time_s=shifted_geomean(times, TIME_SHIFT),
+                sgm_nodes=shifted_geomean([r["nodes_processed"] for r in rows], NODE_SHIFT),
                 sgm_primal_integral=shifted_geomean(p_ints, INTEGRAL_SHIFT),
                 sgm_dual_integral=shifted_geomean(d_ints, INTEGRAL_SHIFT),
-                mean_gap=float(np.mean(finite_gaps)) if finite_gaps else float("nan"),
-                infinite_gaps=sum(1 for r in rows if r.gap_percent >= GAP_INFINITE),
+                mean_gap_percent=float(np.mean(finite_gaps)) if finite_gaps else float("nan"),
+                infinite_gaps=len(rows) - len(finite_gaps),
             )
         )
     return out
@@ -289,37 +224,18 @@ def format_table(summaries: Sequence[SettingSummary]) -> str:
     header = f"{'setting':<22} {'solved':>6} {'time[s]':>9} {'nodes':>9} {'gap[%]':>8} {'primal int.':>12} {'dual int.':>12}"
     lines = [header, "-" * len(header)]
     for s in summaries:
-        gap = f"{s.mean_gap:.1f}" if math.isfinite(s.mean_gap) else "--"
+        gap = f"{s.mean_gap_percent:.1f}" if math.isfinite(s.mean_gap_percent) else "--"
         if s.infinite_gaps:
             gap += f" (+{s.infinite_gaps} inf)"
         lines.append(
-            f"{s.setting:<22} {s.solved:>3}/{s.runs:<3} {s.sgm_time:>9.1f} {s.sgm_nodes:>9.1f} "
+            f"{s.setting:<22} {s.solved:>3}/{s.runs:<3} {s.sgm_time_s:>9.1f} {s.sgm_nodes:>9.1f} "
             f"{gap:>8} {s.sgm_primal_integral:>12.1f} {s.sgm_dual_integral:>12.1f}"
         )
     return "\n".join(lines)
 
 
 def summaries_to_json(summaries: Sequence[SettingSummary]) -> str:
-    def clean(x):
-        return None if (isinstance(x, float) and not math.isfinite(x)) else x
-
-    return json.dumps(
-        [
-            {
-                "setting": s.setting,
-                "runs": s.runs,
-                "solved": s.solved,
-                "sgm_time_s": clean(s.sgm_time),
-                "sgm_nodes": clean(s.sgm_nodes),
-                "sgm_primal_integral": clean(s.sgm_primal_integral),
-                "sgm_dual_integral": clean(s.sgm_dual_integral),
-                "mean_gap_percent": clean(s.mean_gap),
-                "infinite_gaps": s.infinite_gaps,
-            }
-            for s in summaries
-        ],
-        indent=2,
-    )
+    return json.dumps([json_value(asdict(s)) for s in summaries], indent=2)
 
 
 def load_suite(directory: Path) -> list[tuple[str, Instance]]:

@@ -22,15 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from cyclecluster import bench as bench_mod
-from cyclecluster.engine import (
-    GAP_INFINITE,
-    HEURISTIC_NAMES,
-    SolverConfig,
-    SolveResult,
-    dual_integral,
-    primal_integral,
-    solve,
-)
+from cyclecluster.engine import GAP_INFINITE, HEURISTIC_NAMES, SolverConfig, SolveResult, solve, sparsify_config
 from cyclecluster.formulation import build_cc, write_lp
 from cyclecluster.generator import SuiteSpec, generate, write_metadata, write_suite
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
@@ -60,15 +52,27 @@ def _configure_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load(path: str, m_override=None, alpha_override=None) -> Instance:
-    inst = load_instance(path)
-    if m_override is not None or alpha_override is not None:
-        inst = Instance(
-            n=inst.n,
-            m=m_override if m_override is not None else inst.m,
-            alpha=alpha_override if alpha_override is not None else inst.alpha,
-            Q=inst.Q.copy(),
-        )
+def _load(args) -> Instance | int:
+    """The instance `args` names, with its overrides, or the exit code for
+    a file that cannot be read or parameters that cannot hold."""
+    try:
+        inst = load_instance(args.instance)
+        if args.m_override is not None or args.alpha_override is not None:
+            inst = Instance(
+                n=inst.n,
+                m=args.m_override if args.m_override is not None else inst.m,
+                alpha=args.alpha_override if args.alpha_override is not None else inst.alpha,
+                Q=inst.Q.copy(),
+            )
+    except FileNotFoundError:
+        print(f"error: cannot read {args.instance}", file=sys.stderr)
+        return EXIT_BAD_FILE
+    except ParameterError as exc:  # before InstanceError, its base class
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
+    except InstanceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_FILE
     return inst
 
 
@@ -82,52 +86,6 @@ def _config_from_args(args) -> SolverConfig:
         cut_rounds_root=args.cut_rounds_root,
         cut_rounds_node=args.cut_rounds_node,
     )
-
-
-def _clusters_report(c: Clustering | None):
-    if c is None:
-        return None
-    return [a + 1 for a in c.assignment]  # clusters are 1-based in reports
-
-
-def _result_payload(path: str, inst: Instance, cfg: SolverConfig, res: SolveResult) -> dict:
-    ref = res.primal_bound if math.isfinite(res.primal_bound) else 0.0
-    return {
-        "instance": str(path),
-        "n": inst.n,
-        "m": inst.m,
-        "alpha": inst.alpha,
-        "status": res.status,
-        "primal_bound": res.primal_bound if math.isfinite(res.primal_bound) else None,
-        "dual_bound": res.dual_bound if math.isfinite(res.dual_bound) else None,
-        "gap_percent": "inf" if res.gap_percent >= GAP_INFINITE else res.gap_percent,
-        "nodes_processed": res.nodes_processed,
-        "lp_solves": res.lp_solves,
-        "simplex_iterations": res.simplex_iterations,
-        "lp_rows_deleted": res.lp_rows_deleted,
-        "link_rows_readded": res.link_rows_readded,
-        "wall_time_s": res.wall_time_s,
-        "best_clustering": _clusters_report(res.best_clustering),
-        "cut_counts": res.cut_counts,
-        "heuristic_stats": res.heuristic_stats,
-        "root_dual_bound": res.root_dual_bound if math.isfinite(res.root_dual_bound) else None,
-        "primal_integral": primal_integral(res.bound_history, res.wall_time_s, ref),
-        "dual_integral": dual_integral(res.bound_history, res.wall_time_s, ref),
-        "config": {
-            "time_limit_s": cfg.time_limit_s,
-            "node_limit": cfg.node_limit,
-            "separators": list(cfg.separators),
-            "heuristics": list(cfg.heuristics),
-            "rng_seed": cfg.rng_seed,
-            "cut_rounds_root": cfg.cut_rounds_root,
-            "cut_rounds_node": cfg.cut_rounds_node,
-        },
-        "bound_history": [
-            [ev.time_s, ev.nodes, None if not math.isfinite(ev.primal) else ev.primal,
-             None if not math.isfinite(ev.dual) else ev.dual, ev.event]
-            for ev in res.bound_history
-        ],
-    }
 
 
 def _print_human_report(inst: Instance, res: SolveResult) -> None:
@@ -150,17 +108,9 @@ def _print_human_report(inst: Instance, res: SolveResult) -> None:
 
 
 def cmd_solve(args) -> int:
-    try:
-        inst = _load(args.instance, args.m_override, args.alpha_override)
-    except FileNotFoundError:
-        print(f"error: cannot read {args.instance}", file=sys.stderr)
-        return EXIT_BAD_FILE
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FILE
+    inst = _load(args)
+    if isinstance(inst, int):
+        return inst
     try:
         cfg = _config_from_args(args)
         if args.export_lp:
@@ -171,7 +121,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     if args.json or args.out:
-        payload = json.dumps(_result_payload(args.instance, inst, cfg, res), indent=2)
+        payload = json.dumps(res.report(args.instance, inst, cfg), indent=2)
         if args.out:
             Path(args.out).write_text(payload + "\n", encoding="utf-8")
         if args.json:
@@ -182,17 +132,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_heuristic(args) -> int:
-    try:
-        inst = _load(args.instance, args.m_override, args.alpha_override)
-    except FileNotFoundError:
-        print(f"error: cannot read {args.instance}", file=sys.stderr)
-        return EXIT_BAD_FILE
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FILE
+    inst = _load(args)
+    if isinstance(inst, int):
+        return inst
 
     name = args.name
     result: Clustering | None
@@ -205,12 +147,7 @@ def cmd_heuristic(args) -> int:
         x = sol.values[: inst.n * inst.m] if sol.optimal else None
         result = rounding(inst, x) if x is not None else None
     elif name == "sparsify":
-        sub_cfg = SolverConfig(
-            time_limit_s=args.time_limit,
-            node_limit=1,
-            rng_seed=args.seed,
-            heuristics=("greedy", "rounding", "exchange"),
-        )
+        sub_cfg = sparsify_config(SolverConfig(rng_seed=args.seed), args.time_limit)
         result = sparsify(inst, lambda reduced: solve(reduced, sub_cfg))
     else:  # pragma: no cover - argparse restricts choices
         return EXIT_FAIL
@@ -280,13 +217,16 @@ def cmd_bench(args) -> int:
     base_cfg = SolverConfig(time_limit_s=args.time_limit, node_limit=args.node_limit, rng_seed=args.seed)
     out_dir = Path(args.out) if args.out else None
 
-    def progress(rec):
-        log.info("%s %s: %s nodes=%d time=%.2fs", rec.setting, rec.instance, rec.status, rec.nodes, rec.time_s)
+    def progress(rep):
+        log.info(
+            "%s %s: %s nodes=%d time=%.2fs",
+            rep["setting"], rep["instance"], rep["status"], rep["nodes_processed"], rep["wall_time_s"],
+        )
 
-    records = bench_mod.run_bench(
+    reports = bench_mod.run_bench(
         instances, settings, base_cfg, out_dir=out_dir, progress=progress, workers=args.workers
     )
-    summaries = bench_mod.aggregate(records)
+    summaries = bench_mod.aggregate(reports)
     if args.json:
         print(bench_mod.summaries_to_json(summaries))
     else:

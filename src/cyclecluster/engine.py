@@ -51,7 +51,7 @@ import logging
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from typing import IO, Optional, Sequence
 
 import numpy as np
@@ -144,6 +144,51 @@ class SolveResult:
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
+
+    def report(self, instance: str, inst: Instance, config: SolverConfig) -> dict:
+        """The JSON report of this solve of `inst`, named `instance`, under
+        `config`: the instance's size, every field of the result as
+        `json_value` converts it (a gap at or above `GAP_INFINITE` reads
+        "inf"), the primal and dual integrals against the run's own best
+        value, and the config."""
+        out = {"instance": instance, "n": inst.n, "m": inst.m, "alpha": inst.alpha}
+        out.update((f.name, json_value(getattr(self, f.name))) for f in fields(self))
+        if self.gap_percent >= GAP_INFINITE:
+            out["gap_percent"] = "inf"
+        ref = self.primal_bound if math.isfinite(self.primal_bound) else 0.0
+        out["primal_integral"] = primal_integral(self.bound_history, self.wall_time_s, ref)
+        out["dual_integral"] = dual_integral(self.bound_history, self.wall_time_s, ref)
+        out["config"] = json_value(asdict(config))
+        return out
+
+
+def json_value(value):
+    """`value` in JSON's terms: a non-finite float becomes None, a
+    clustering its list of 1-based clusters, a bound event the row
+    `[time, nodes, primal, dual, kind]`; lists, tuples and dicts convert
+    element by element."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, Clustering):
+        return [a + 1 for a in value.assignment]
+    if isinstance(value, BoundEvent):
+        value = astuple(value)
+    if isinstance(value, (list, tuple)):
+        return [json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_value(v) for k, v in value.items()}
+    return value
+
+
+def sparsify_config(config: SolverConfig, time_limit_s: float) -> SolverConfig:
+    """The config of sparsify's sub-solve: the root alone within
+    `time_limit_s`, with every heuristic of `config` but sparsify."""
+    return replace(
+        config,
+        node_limit=1,
+        time_limit_s=time_limit_s,
+        heuristics=tuple(h for h in config.heuristics if h != "sparsify"),
+    )
 
 
 def compute_gap(primal: float, dual: float, epsilon: float = 1e-6) -> float:
@@ -375,13 +420,7 @@ class _Search:
             self.offer(greedy(self.inst), "greedy")
         if "sparsify" in cfg.heuristics:
             self.heur_stats["sparsify"]["runs"] += 1
-            remaining = max(1e-3, cfg.time_limit_s - self.elapsed())
-            sub_cfg = replace(
-                cfg,
-                node_limit=1,
-                time_limit_s=remaining,
-                heuristics=tuple(h for h in cfg.heuristics if h != "sparsify"),
-            )
+            sub_cfg = sparsify_config(cfg, max(1e-3, cfg.time_limit_s - self.elapsed()))
             result = sparsify(self.inst, lambda reduced: solve(reduced, sub_cfg))
             if result is not None:
                 self.offer(result, "sparsify")

@@ -15,6 +15,12 @@ the rest of `scipy.optimize`, which would cost most of a start-up; a later
 `import scipy.optimize` finds the module there and uses it.  For the same
 reason `linprog`, a name only the benchmark's tracer reads, is imported
 from `scipy.optimize` on its first read.
+
+Once this module has loaded HiGHS, every `import` and `from ... import` form
+of `scipy.optimize._highspy._core` still gives that module, but the
+attribute chain `scipy.optimize._highspy._core` stays unset: the import
+system sets a child as an attribute of its package only when it loads the
+child itself.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ import pytest
 
 from cyclecluster.bench import (
     BenchSetting,
-    RunRecord,
     aggregate,
+    bound_events,
     format_table,
     load_records,
     parse_heuristic_spec,
@@ -18,10 +18,9 @@ from cyclecluster.bench import (
     shifted_geomean,
     summaries_to_json,
     write_event_log,
-    write_run_json,
 )
-from cyclecluster.engine import BoundEvent, SolverConfig, solve
-from conftest import random_instance
+from cyclecluster.engine import BoundEvent, SolverConfig, SolveResult, solve
+from conftest import random_instance, t1_instance
 
 
 class TestShiftedGeomean:
@@ -54,23 +53,32 @@ class TestSettingParsing:
         assert s.heuristics == ("greedy", "sparsify", "rounding", "exchange")
 
 
+def _report(instance, setting, history, **fields):
+    """The run report of a hand-built result, as `run_bench` returns it."""
+    res = SolveResult(best_clustering=None, bound_history=history, heuristic_stats={}, **fields)
+    return {"setting": setting, **res.report(instance, t1_instance(), SolverConfig())}
+
+
 def _hand_built_records(tmp_path: Path):
     run_dir = tmp_path / "none_all"
     run_dir.mkdir(parents=True)
-    # instance A: incumbent arrives halfway, dual bound never improves
-    (run_dir / "a.log").write_text("0.000000 0 -inf inf start\n5.000000 0 1.0 inf incumbent:greedy\n")
-    write_run_json(
-        run_dir / "a.json",
-        RunRecord(instance="a", setting="none/all", status="time_limit", primal=1.0, dual=math.inf,
-                  gap_percent=1e20, nodes=0, time_s=10.0),
-    )
-    # instance B: solved instantly at the reference value
-    (run_dir / "b.log").write_text("0.000000 0 2.0 2.0 incumbent:greedy\n")
-    write_run_json(
-        run_dir / "b.json",
-        RunRecord(instance="b", setting="none/all", status="optimal", primal=2.0, dual=2.0,
-                  gap_percent=0.0, nodes=990, time_s=990.0),
-    )
+    reports = [
+        # instance A: incumbent arrives halfway, dual bound never improves
+        _report(
+            "a", "none/all",
+            [BoundEvent(0.0, 0, -math.inf, math.inf, "start"), BoundEvent(5.0, 0, 1.0, math.inf, "incumbent:greedy")],
+            status="time_limit", primal_bound=1.0, dual_bound=math.inf, gap_percent=1e20,
+            nodes_processed=0, wall_time_s=10.0, cut_counts={},
+        ),
+        # instance B: solved instantly at the reference value
+        _report(
+            "b", "none/all", [BoundEvent(0.0, 0, 2.0, 2.0, "incumbent:greedy")],
+            status="optimal", primal_bound=2.0, dual_bound=2.0, gap_percent=0.0,
+            nodes_processed=990, wall_time_s=990.0, cut_counts={},
+        ),
+    ]
+    for rep in reports:
+        (run_dir / f"{rep['instance']}.json").write_text(json.dumps(rep, indent=2))
     return tmp_path
 
 
@@ -78,9 +86,11 @@ class TestAggregation:
     def test_hand_built_logs_match_hand_computed_geomeans(self, tmp_path):
         records = load_records(_hand_built_records(tmp_path))
         assert len(records) == 2
+        assert records[0]["gap_percent"] == "inf" and records[0]["dual_bound"] is None
+        assert bound_events(records[0])[0] == BoundEvent(0.0, 0, -math.inf, math.inf, "start")
         summary = aggregate(records)[0]
         # times {10, 990} with shift 10
-        assert summary.sgm_time == pytest.approx(math.exp((math.log(20) + math.log(1000)) / 2) - 10, abs=1e-9)
+        assert summary.sgm_time_s == pytest.approx(math.exp((math.log(20) + math.log(1000)) / 2) - 10, abs=1e-9)
         # nodes {0, 990} with shift 100
         assert summary.sgm_nodes == pytest.approx(math.exp((math.log(100) + math.log(1090)) / 2) - 100, abs=1e-9)
         # primal integrals: a spends 5 s at distance 1, b none; shift 1000
@@ -92,7 +102,7 @@ class TestAggregation:
             math.exp((math.log(1010) + math.log(1000)) / 2) - 1000, abs=1e-9
         )
         assert summary.solved == 1
-        assert summary.mean_gap == pytest.approx(0.0)
+        assert summary.mean_gap_percent == pytest.approx(0.0)
         assert summary.infinite_gaps == 1
 
     def test_event_log_roundtrip(self, tmp_path):
@@ -116,13 +126,19 @@ class TestAggregation:
         assert (tmp_path / "again.log").read_text() == buf.getvalue()
 
     def test_json_roundtrip(self, tmp_path):
-        rec = RunRecord(instance="x", setting="all/all", status="optimal", primal=0.5, dual=0.5,
-                        gap_percent=0.0, nodes=17, time_s=1.25, cut_counts={"Subtour": 3})
+        events = [BoundEvent(0.0, 0, -math.inf, math.inf, "start"), BoundEvent(1.25, 17, 0.5, 0.5, "final")]
+        rep = _report(
+            "x", "all/all", events, status="optimal", primal_bound=0.5, dual_bound=0.5, gap_percent=0.0,
+            nodes_processed=17, wall_time_s=1.25, cut_counts={"Subtour": 3},
+        )
         path = tmp_path / "x.json"
-        write_run_json(path, rec)
+        path.write_text(json.dumps(rep, indent=2))
         parsed = json.loads(path.read_text())
         assert set(parsed) >= {"instance", "setting", "status", "primal_bound", "dual_bound",
                                "gap_percent", "nodes_processed", "wall_time_s", "cut_counts"}
+        assert parsed == rep  # a report holds JSON values only
+        assert parsed["bound_history"] == [[0.0, 0, None, None, "start"], [1.25, 17, 0.5, 0.5, "final"]]
+        assert bound_events(parsed) == events
 
 
 class TestRunBench:
@@ -132,17 +148,29 @@ class TestRunBench:
         cfg = SolverConfig(time_limit_s=20.0)
         records = run_bench(instances, settings, cfg, out_dir=tmp_path)
         assert len(records) == 4
-        assert all(r.solved for r in records)
+        assert all(r["status"] == "optimal" for r in records)
         vals = {}
         for r in records:
-            vals.setdefault(r.instance, set()).add(round(r.primal, 9))
+            vals.setdefault(r["instance"], set()).add(round(r["primal_bound"], 9))
         assert all(len(v) == 1 for v in vals.values())  # settings agree on the optimum
         reloaded = load_records(tmp_path)
         assert len(reloaded) == 4
-        assert {r.instance for r in reloaded} == {"r0", "r1"}
+        assert {r["instance"] for r in reloaded} == {"r0", "r1"}
+        key = lambda r: (r["setting"], r["instance"])  # noqa: E731
+        assert sorted(reloaded, key=key) == sorted(records, key=key)
+        assert len(list(tmp_path.glob("*/*.log"))) == 4
         table = format_table(aggregate(records))
         assert "none/all" in table and "all/all" in table
         assert json.loads(summaries_to_json(aggregate(records)))
+
+    def test_aggregate_from_disk_is_exact(self, tmp_path):
+        instances = [(f"d{seed}", random_instance(6, 3, seed=seed, alpha=1 / 1.001)) for seed in (2, 3)]
+        settings = [BenchSetting.parse("none/none"), BenchSetting.parse("all/all")]
+        in_memory = aggregate(run_bench(instances, settings, SolverConfig(time_limit_s=20.0), out_dir=tmp_path))
+        from_disk = aggregate(load_records(tmp_path))
+        assert {s.setting: s for s in from_disk} == {s.setting: s for s in in_memory}  # integrals included
+        assert all(math.isfinite(s.mean_gap_percent) for s in in_memory)  # no NaN, which == would not match
+        assert in_memory[0].sgm_primal_integral > 0  # none/none finds its incumbent after the root LP
 
     def test_rerun_reproduces_node_and_cut_counts(self, tmp_path):
         instances = [("r", random_instance(7, 3, seed=5, alpha=1 / 1.001))]
@@ -150,9 +178,9 @@ class TestRunBench:
         cfg = SolverConfig(time_limit_s=30.0, rng_seed=1)
         a = run_bench(instances, settings, cfg)
         b = run_bench(instances, settings, cfg)
-        assert a[0].nodes == b[0].nodes
-        assert a[0].cut_counts == b[0].cut_counts
-        assert a[0].primal == b[0].primal
+        assert a[0]["nodes_processed"] == b[0]["nodes_processed"]
+        assert a[0]["cut_counts"] == b[0]["cut_counts"]
+        assert a[0]["primal_bound"] == b[0]["primal_bound"]
 
 
 class TestWorkers:
@@ -162,4 +190,5 @@ class TestWorkers:
         cfg = SolverConfig(time_limit_s=20.0)
         seq = run_bench(instances, settings, cfg)
         par = run_bench(instances, settings, cfg, workers=2)
-        assert [(r.instance, r.nodes, r.primal) for r in seq] == [(r.instance, r.nodes, r.primal) for r in par]
+        fixed = ("instance", "nodes_processed", "primal_bound")
+        assert [[r[k] for k in fixed] for r in seq] == [[r[k] for k in fixed] for r in par]

@@ -1,15 +1,22 @@
 import json
 import logging
+from dataclasses import fields
 
 import pytest
 
 from cyclecluster.bench import parse_heuristic_spec
 from cyclecluster.cli import EXIT_BAD_FILE, EXIT_BAD_PARAMS, EXIT_OK, build_parser, main
-from cyclecluster.engine import HEURISTIC_NAMES
+from cyclecluster.engine import HEURISTIC_NAMES, SolveResult
 from cyclecluster.formulation import build_cc
 from cyclecluster.instance import load_instance, save_instance
 from cyclecluster.lp import lp_relaxation, solve_lp
 from conftest import random_instance, t1_instance
+
+
+@pytest.fixture(params=[["solve"], ["heuristic", "greedy"]], ids=["solve", "heuristic"])
+def command(request):
+    """The leading arguments of each command that loads an instance file."""
+    return request.param
 
 
 @pytest.fixture
@@ -26,16 +33,17 @@ class TestSolveCommand:
         assert "optimal" in out
         assert "0.4" in out
 
-    def test_missing_file_exit_2(self, capsys):
-        assert main(["solve", "nowhere.cc"]) == EXIT_BAD_FILE
+    def test_missing_file_exit_2(self, command, capsys):
+        assert main(command + ["nowhere.cc"]) == EXIT_BAD_FILE
+        assert "cannot read nowhere.cc" in capsys.readouterr().err
 
-    def test_malformed_file_exit_2(self, tmp_path, capsys):
+    def test_malformed_file_exit_2(self, command, tmp_path, capsys):
         bad = tmp_path / "bad.cc"
         bad.write_text("CCWRONG 1 2 3\n")
-        assert main(["solve", str(bad)]) == EXIT_BAD_FILE
+        assert main(command + [str(bad)]) == EXIT_BAD_FILE
 
-    def test_infeasible_override_exit_3(self, t1_file, capsys):
-        assert main(["solve", t1_file, "--m-override", "9"]) == EXIT_BAD_PARAMS
+    def test_infeasible_override_exit_3(self, command, t1_file, capsys):
+        assert main(command + [t1_file, "--m-override", "9"]) == EXIT_BAD_PARAMS
 
     def test_m2_override_exit_3(self, t1_file, capsys):
         assert main(["solve", t1_file, "--m-override", "2"]) == EXIT_BAD_PARAMS
@@ -173,6 +181,25 @@ class TestBenchCommand:
         assert {row["setting"] for row in payload} == {"none/all", "all/all"}
         assert (out_dir / "summary.json").exists()
         assert len(list(out_dir.glob("*/*.log"))) == 4
+
+    def test_run_file_is_the_solve_report(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        save_instance(random_instance(7, 3, seed=5, alpha=1 / 1.001), suite / "r.cc")
+        flags = ["--time-limit", "30", "--seed", "1"]
+        assert main(["solve", str(suite / "r.cc"), "--json"] + flags) == EXIT_OK
+        solved = json.loads(capsys.readouterr().out)
+        assert main(["bench", str(suite), "--settings", "all/all", "--out", str(tmp_path / "runs")] + flags) == EXIT_OK
+        run = json.loads((tmp_path / "runs" / "all_all" / "r.json").read_text())
+        assert {f.name for f in fields(SolveResult)} <= set(solved)
+        assert set(run) == set(solved) | {"setting"}
+        fixed = (
+            "status", "primal_bound", "dual_bound", "root_dual_bound", "gap_percent", "nodes_processed",
+            "lp_solves", "simplex_iterations", "lp_rows_deleted", "link_rows_readded", "cut_counts",
+            "heuristic_stats", "best_clustering", "root_lp_values", "config",
+        )
+        assert {k: run[k] for k in fixed} == {k: solved[k] for k in fixed}
+        assert solved["status"] == "optimal" and solved["root_lp_values"]
 
     def test_missing_suite_dir(self, capsys):
         assert main(["bench", "does-not-exist"]) == EXIT_BAD_FILE

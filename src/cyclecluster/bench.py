@@ -43,34 +43,29 @@ def shifted_geomean(values: Sequence[float], shift: float) -> float:
     return float(np.exp(np.mean(np.log(arr + shift))) - shift)
 
 
-def parse_separator_spec(spec: str) -> tuple:
+def _parse_spec(spec: str, kind: str, aliases: dict, every: tuple) -> tuple:
+    """The names a spec selects, each once, in spec order: none, all
+    (`every`), or spec names, the keys of `aliases`, joined by ',' or '+'."""
     spec = spec.strip().lower()
     if spec in ("none", ""):
         return ()
     if spec == "all":
-        return SEPARATOR_ORDER
+        return every
     names = []
     for tok in spec.replace("+", ",").split(","):
         tok = tok.strip()
-        if tok not in SEPA_ALIASES:
-            raise ValueError(f"unknown separator {tok!r} (use {', '.join(SEPA_ALIASES)}, none or all)")
-        names.append(SEPA_ALIASES[tok])
+        if tok not in aliases:
+            raise ValueError(f"unknown {kind} {tok!r} (use {', '.join(aliases)}, none or all)")
+        names.append(aliases[tok])
     return tuple(dict.fromkeys(names))
+
+
+def parse_separator_spec(spec: str) -> tuple:
+    return _parse_spec(spec, "separator", SEPA_ALIASES, SEPARATOR_ORDER)
 
 
 def parse_heuristic_spec(spec: str) -> tuple:
-    spec = spec.strip().lower()
-    if spec in ("none", ""):
-        return ()
-    if spec == "all":
-        return HEURISTIC_NAMES
-    names = []
-    for tok in spec.replace("+", ",").split(","):
-        tok = tok.strip()
-        if tok not in HEURISTIC_NAMES:
-            raise ValueError(f"unknown heuristic {tok!r} (use {', '.join(HEURISTIC_NAMES)}, none or all)")
-        names.append(tok)
-    return tuple(dict.fromkeys(names))
+    return _parse_spec(spec, "heuristic", dict(zip(HEURISTIC_NAMES, HEURISTIC_NAMES)), HEURISTIC_NAMES)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from typing import IO, Optional, Sequence
 
 import numpy as np
 
-from cyclecluster.formulation import LESS_EQUAL, ConversionError, Csr, build_cc, point_to_clustering
+from cyclecluster.formulation import ConversionError, Csr, build_cc, point_to_clustering
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, objective
 from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
@@ -266,10 +266,10 @@ class _Search:
         num_core = self.model.core_rows
         self.lp = lp_relaxation(self.model, num_core)
         self.link_rows = self.model.rows[num_core:]
-        self.link_rhs = self.model.rhs[num_core:]
-        self.link_out = np.ones(self.link_rhs.size, dtype=bool)
+        self.link_upper = self.model.row_upper[num_core:]
+        self.link_out = np.ones(self.link_upper.size, dtype=bool)
         # One origin per LP row: CORE_ROW, k for linking row k, or
-        # len(link_rhs) + j for the cut whose support key is cut_supports[j].
+        # len(link_upper) + j for the cut whose support key is cut_supports[j].
         self.row_origin = np.full(num_core, CORE_ROW)
         self.cut_supports = np.zeros(0, dtype=object)
         self.row_age = np.zeros(0, dtype=np.int64)  # root solves slack in a row, per LP row
@@ -342,18 +342,21 @@ class _Search:
             return 0
         self.pool_supports.update(keys[fresh])
         self.cut_counts.update(cuts.family[fresh].tolist())
-        first = self.link_rhs.size + self.cut_supports.size
+        first = self.link_upper.size + self.cut_supports.size
         self.cut_supports = np.concatenate([self.cut_supports, keys[fresh]])
         self.link_out[link] = False
         block = Csr.stack([rows.take(idx) for rows, idx in ((cuts, fresh), (self.link_rows, link)) if idx.size])
-        rhs = np.concatenate([cuts.rhs[fresh], self.link_rhs[link]])
-        self.lp.add_rows(block, np.full(rhs.size, LESS_EQUAL), rhs)
+        upper = np.concatenate([cuts.rhs[fresh], self.link_upper[link]])
+        self.lp.add_rows(block, np.full(upper.size, -np.inf), upper)
         self.row_origin = np.concatenate([self.row_origin, np.arange(first, first + fresh.size), link])
         return fresh.size
 
     def age_rows(self, values: np.ndarray) -> None:
-        """Delete every cut and linking row slack at `ROW_AGE_LIMIT` solves in a row."""
-        slack = self.lp.rhs - self.lp.rows @ values
+        """Delete every cut and linking row slack at `ROW_AGE_LIMIT` solves in a row.
+
+        Those rows are all `<=` rows, so a row's slack is its upper bound
+        minus its activity; the core rows' slack is read but never acted on."""
+        slack = self.lp.row_upper - self.lp.rows @ values
         age = np.zeros(slack.size, dtype=np.int64)  # rows appended since the last call start at 0
         age[: self.row_age.size] = self.row_age
         self.row_age = np.where(slack > TOL_SLACK, age + 1, 0)
@@ -361,7 +364,7 @@ class _Search:
         if drop.size == 0:
             return
         origin = self.row_origin[drop]
-        num_link = self.link_rhs.size
+        num_link = self.link_upper.size
         self.link_out[origin[origin < num_link]] = True
         self.pool_supports.difference_update(self.cut_supports[origin[origin >= num_link] - num_link])
         self.lp.delete_rows(drop)
@@ -375,7 +378,7 @@ class _Search:
         """The linking rows out of the LP that `values` violates."""
         if not self.link_out.any():
             return np.zeros(0, dtype=np.int64)
-        return np.flatnonzero(self.link_out & (self.link_rows @ values - self.link_rhs > TOL_LINK))
+        return np.flatnonzero(self.link_out & (self.link_rows @ values - self.link_upper > TOL_LINK))
 
     def separate(self, point: np.ndarray) -> Cuts:
         """Each separator's cuts in turn, the first `MAX_CUTS_PER_FAMILY`

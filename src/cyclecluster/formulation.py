@@ -20,7 +20,11 @@ x_i_s, y_i_j with i < j, and z_i_j.
 
 Every block of rows is a `Csr`, the one row format: a model's rows, the
 LP's mirror of its rows, the solver's lazy pool of linking rows, and
-`separation.Cuts`, which adds a right-hand side and more per row.
+`separation.Cuts`, which adds a right-hand side and more per row.  A model
+builds its rows as a separator builds its cuts, from tables of columns
+(`Csr.from_table`), one table per row family, and bounds each row as HiGHS
+takes it: row_lower <= a . v <= row_upper, with an infinite bound where a
+row has no bound on that side.
 """
 
 from __future__ import annotations
@@ -33,10 +37,6 @@ from typing import IO, Sequence
 import numpy as np
 
 from cyclecluster.instance import Clustering, Instance, ParameterError
-
-LESS_EQUAL = "<"
-EQUAL = "="
-GREATER_EQUAL = ">"
 
 
 class ConversionError(ValueError):
@@ -195,6 +195,17 @@ class Csr:
         return Csr(self.data[entries], self.indices[entries], indptr, self.ncols)
 
     @staticmethod
+    def from_table(cols: np.ndarray, vals, ncols: int) -> Csr:
+        """One row per row of a (k, w) table of columns, with -1 for an
+        absent term; `vals` holds the coefficients, as a (k, w) array or one
+        row shared by all.  Each row keeps its terms in table order, and the
+        indices and indptr take the table's dtype."""
+        present = cols >= 0
+        indptr = np.zeros(cols.shape[0] + 1, dtype=cols.dtype)
+        np.cumsum(present.sum(axis=1), out=indptr[1:])
+        return Csr(np.broadcast_to(np.asarray(vals, dtype=float), cols.shape)[present], cols[present], indptr, ncols)
+
+    @staticmethod
     def stack(parts: Sequence[Csr]) -> Csr:
         """The rows of every part in turn; the parts share their columns."""
         if len(parts) == 1:
@@ -210,13 +221,14 @@ class Csr:
 
 @dataclass
 class Model:
-    """A bounded mixed-binary model: maximize objective @ v over the rows."""
+    """A bounded mixed-binary model: maximize objective @ v subject to
+    row_lower <= rows @ v <= row_upper and lo <= v <= hi."""
 
     space: VariableSpace
     objective: np.ndarray
     rows: Csr
-    senses: np.ndarray  # '<', '=', '>'
-    rhs: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     integrality: np.ndarray  # bool per column
     lo: np.ndarray
     hi: np.ndarray
@@ -231,7 +243,7 @@ class Model:
 
     @property
     def nrows(self) -> int:
-        return self.rhs.shape[0]
+        return len(self.rows)
 
     def row_count(self, family: str) -> int:
         return sum(1 for f in self.row_family if f == family)
@@ -241,39 +253,29 @@ class Model:
 
     def point_feasible(self, point: np.ndarray, tol: float = 1e-9) -> bool:
         lhs = self.rows @ point
-        for k in range(self.nrows):
-            s = self.senses[k]
-            if s == LESS_EQUAL and lhs[k] > self.rhs[k] + tol:
-                return False
-            if s == GREATER_EQUAL and lhs[k] < self.rhs[k] - tol:
-                return False
-            if s == EQUAL and abs(lhs[k] - self.rhs[k]) > tol:
-                return False
-        if np.any(point < self.lo - tol) or np.any(point > self.hi + tol):
-            return False
-        return True
+        return bool(
+            np.all(lhs >= self.row_lower - tol)
+            and np.all(lhs <= self.row_upper + tol)
+            and np.all(point >= self.lo - tol)
+            and np.all(point <= self.hi + tol)
+        )
 
 
-class _RowBuilder:
-    def __init__(self):
-        self.data: list[float] = []
-        self.cols: list[int] = []
-        self.indptr: list[int] = [0]
-        self.senses: list[str] = []
-        self.rhs: list[float] = []
-        self.family: list[str] = []
-
-    def add(self, cols: Sequence[int], vals: Sequence[float], sense: str, rhs: float, family: str) -> None:
-        self.cols.extend(cols)
-        self.data.extend(vals)
-        self.indptr.append(len(self.cols))
-        self.senses.append(sense)
-        self.rhs.append(rhs)
-        self.family.append(family)
-
-    def freeze(self, ncols: int) -> tuple[Csr, np.ndarray, np.ndarray, list[str]]:
-        mat = Csr(np.asarray(self.data, dtype=float), np.asarray(self.cols, dtype=np.int32), np.asarray(self.indptr, dtype=np.int32), ncols)
-        return mat, np.asarray(self.senses), np.asarray(self.rhs, dtype=float), self.family
+def _rows(tables: Sequence[tuple], ncols: int) -> dict:
+    """The rows of every table in turn, as the `Model` fields rows,
+    row_lower, row_upper and row_family.  A table is (cols, vals, lower,
+    upper, families): a (k, w) table of columns for `Csr.from_table`, its
+    coefficients, the bounds of every row, and the family names its rows
+    take in turn.  The indices are HiGHS's 32-bit ints, as the LP hands
+    them on."""
+    parts = [Csr.from_table(np.asarray(cols, dtype=np.int32), vals, ncols) for cols, vals, *_ in tables]
+    counts = [len(part) for part in parts]
+    return dict(
+        rows=Csr.stack(parts),
+        row_lower=np.repeat([table[2] for table in tables], counts),
+        row_upper=np.repeat([table[3] for table in tables], counts),
+        row_family=[name for table, k in zip(tables, counts) for name in table[4] * (k // len(table[4]))],
+    )
 
 
 def build_cc(inst: Instance) -> Model:
@@ -282,7 +284,8 @@ def build_cc(inst: Instance) -> Model:
     Rows: one-cluster-per-vertex equations, nonempty-cluster covers, the
     per-pair exclusion y + z + z' <= 1, and the two linking families that force
     y (resp. z) to one exactly for same-cluster (resp. consecutive) pairs.
-    The linking rows come last; `core_rows` counts the rows before them.
+    The linking rows come last, by pair, direction, cluster s, then same
+    before consecutive; `core_rows` counts the rows before them.
     Every column is bounded by [0, 1]; the solver pins vertex 0 to the first
     cluster on top of this model, which stays the paper's.
     """
@@ -290,54 +293,39 @@ def build_cc(inst: Instance) -> Model:
     n, m = inst.n, inst.m
     alpha = inst.alpha
     pi, pj = space.pair_i, space.pair_j
+    yij, zij, zji = space.ycol[pi, pj], space.zcol[pi, pj], space.zcol[pj, pi]
 
     obj = np.zeros(space.ncols)
-    obj[space.ycol[pi, pj]] = (1.0 - alpha) * inst.q_plus[pi, pj]
-    obj[space.zcol[pi, pj]] = alpha * inst.q_minus[pi, pj]
-    obj[space.zcol[pj, pi]] = alpha * inst.q_minus[pj, pi]
+    obj[yij] = (1.0 - alpha) * inst.q_plus[pi, pj]
+    obj[zij] = alpha * inst.q_minus[pi, pj]
+    obj[zji] = alpha * inst.q_minus[pj, pi]
 
-    rb = _RowBuilder()
-    for i in range(n):
-        rb.add([space.x(i, s) for s in range(m)], [1.0] * m, EQUAL, 1.0, "assign")
-    for s in range(m):
-        rb.add([space.x(i, s) for i in range(n)], [1.0] * n, GREATER_EQUAL, 1.0, "cover")
-    for (i, j) in space.pairs:
-        rb.add([space.y(i, j), space.z(i, j), space.z(j, i)], [1.0, 1.0, 1.0], LESS_EQUAL, 1.0, "pair")
-    core_rows = len(rb.rhs)  # the linking rows come last, so a solver may add them lazily
-    for (a, b) in space.pairs:
-        for (i, j) in ((a, b), (b, a)):
-            yij, zij = space.y(i, j), space.z(i, j)
-            for s in range(m):
-                succ, pred = (s + 1) % m, (s - 1) % m
-                # x[i,s] + x[j,s] - y + z - x[j,s+1] - x[i,s-1] <= 1
-                rb.add(
-                    [space.x(i, s), space.x(j, s), yij, zij, space.x(j, succ), space.x(i, pred)],
-                    [1.0, 1.0, -1.0, 1.0, -1.0, -1.0],
-                    LESS_EQUAL,
-                    1.0,
-                    "same_link",
-                )
-                # x[i,s] + x[j,s+1] - z + y - x[j,s] - x[i,s+1] <= 1
-                rb.add(
-                    [space.x(i, s), space.x(j, succ), zij, yij, space.x(j, s), space.x(i, succ)],
-                    [1.0, 1.0, -1.0, 1.0, -1.0, -1.0],
-                    LESS_EQUAL,
-                    1.0,
-                    "consec_link",
-                )
+    # linking tables over (pair, direction (i, j) then (j, i), cluster s)
+    x = np.arange(space.num_x).reshape(n, m)
+    i, j = np.stack([pi, pj], axis=1)[:, :, None], np.stack([pj, pi], axis=1)[:, :, None]
+    y, z = np.stack([yij, yij], axis=1)[:, :, None], np.stack([zij, zji], axis=1)[:, :, None]
+    s = np.arange(m)
+    succ, pred = (s + 1) % m, (s - 1) % m
+    # x[i,s] + x[j,s] - y + z - x[j,s+1] - x[i,s-1] <= 1
+    same = np.stack(np.broadcast_arrays(x[i, s], x[j, s], y, z, x[j, succ], x[i, pred]), axis=-1)
+    # x[i,s] + x[j,s+1] - z + y - x[j,s] - x[i,s+1] <= 1
+    consec = np.stack(np.broadcast_arrays(x[i, s], x[j, succ], z, y, x[j, s], x[i, succ]), axis=-1)
+    link = np.stack([same, consec], axis=-2).reshape(-1, 6)
 
-    rows, senses, rhs, family = rb.freeze(space.ncols)
+    tables = [
+        (x, 1.0, 1.0, 1.0, ("assign",)),
+        (x.T, 1.0, 1.0, np.inf, ("cover",)),
+        (np.stack([yij, zij, zji], axis=1), 1.0, -np.inf, 1.0, ("pair",)),
+        (link, [1.0, 1.0, -1.0, 1.0, -1.0, -1.0], -np.inf, 1.0, ("same_link", "consec_link")),
+    ]
     return Model(
         space=space,
         objective=obj,
-        rows=rows,
-        senses=senses,
-        rhs=rhs,
         integrality=np.ones(space.ncols, dtype=bool),
         lo=np.zeros(space.ncols),
         hi=np.ones(space.ncols),
-        row_family=family,
-        core_rows=core_rows,
+        core_rows=n + m + len(pi),  # the linking rows come last, so a solver may add them lazily
+        **_rows(tables, space.ncols),
     )
 
 
@@ -373,41 +361,36 @@ def build_rlt(inst: Instance) -> Model:
     space = RltSpace(inst)
     n, m = inst.n, inst.m
     alpha = inst.alpha
+    pi, pj = space.pair_i, space.pair_j
+    wij, wji = space.wcol[pi, pj], space.wcol[pj, pi]
+    s = np.arange(m)
+    succ = (s + 1) % m
 
     obj = np.zeros(space.ncols)
-    for (i, j) in space.pairs:
-        for s in range(m):
-            obj[space.w(i, j, s, s)] += (1.0 - alpha) * inst.q_plus[i, j]
-            obj[space.w(i, j, s, (s + 1) % m)] += alpha * inst.q_minus[i, j]
-            obj[space.w(j, i, s, (s + 1) % m)] += alpha * inst.q_minus[j, i]
+    obj[wij[:, s, s]] += ((1.0 - alpha) * inst.q_plus[pi, pj])[:, None]
+    obj[wij[:, s, succ]] += (alpha * inst.q_minus[pi, pj])[:, None]
+    obj[wji[:, s, succ]] += (alpha * inst.q_minus[pj, pi])[:, None]
 
-    rb = _RowBuilder()
-    for i in range(n):
-        rb.add([space.x(i, s) for s in range(m)], [1.0] * m, EQUAL, 1.0, "assign")
-    for s in range(m):
-        rb.add([space.x(i, s) for i in range(n)], [1.0] * n, GREATER_EQUAL, 1.0, "cover")
-    for (a, b) in space.pairs:
-        for (i, j) in ((a, b), (b, a)):
-            for t in range(m):
-                cols = [space.w(i, j, s, t) for s in range(m)] + [space.x(j, t)]
-                vals = [1.0] * m + [-1.0]
-                rb.add(cols, vals, EQUAL, 0.0, "link")
+    # sum_s w[i,j,s,t] - x[j,t] = 0 over (pair, direction (i, j) then (j, i), t)
+    x = np.arange(space.num_x).reshape(n, m)
+    w = np.stack([wij, wji], axis=1).swapaxes(2, 3)
+    link = np.concatenate([w, x[np.stack([pj, pi], axis=1)][..., None]], axis=-1).reshape(-1, m + 1)
 
-    rows, senses, rhs, family = rb.freeze(space.ncols)
+    tables = [
+        (x, 1.0, 1.0, 1.0, ("assign",)),
+        (x.T, 1.0, 1.0, np.inf, ("cover",)),
+        (link, [1.0] * m + [-1.0], 0.0, 0.0, ("link",)),
+    ]
     integrality = np.zeros(space.ncols, dtype=bool)
     integrality[: space.num_x] = True
-    model = Model(
+    return Model(
         space=space,  # type: ignore[arg-type]
         objective=obj,
-        rows=rows,
-        senses=senses,
-        rhs=rhs,
         integrality=integrality,
         lo=np.zeros(space.ncols),
         hi=np.ones(space.ncols),
-        row_family=family,
+        **_rows(tables, space.ncols),
     )
-    return model
 
 
 def clustering_to_point(space: VariableSpace, c: Clustering) -> np.ndarray:
@@ -454,14 +437,16 @@ def write_lp(model: Model, target: IO[str], name: str = "cyclecluster") -> None:
     for c, v in terms:
         target.write(f" {'+' if v >= 0 else '-'} {abs(v):.17g} {names[c]}")
     target.write("\nSubject To\n")
-    rows = model.rows
-    sense_txt = {LESS_EQUAL: "<=", EQUAL: "=", GREATER_EQUAL: ">="}
+    rows, lower, upper = model.rows, model.row_lower, model.row_upper
+    # every row is an equation or bounded on one side
+    senses = np.where(lower == upper, "=", np.where(np.isinf(lower), "<=", ">="))
+    rhs = np.where(np.isinf(lower), upper, lower)
     for k in range(model.nrows):
         lo, hi = rows.indptr[k], rows.indptr[k + 1]
         target.write(f" r{k}:")
         for c, v in zip(rows.indices[lo:hi], rows.data[lo:hi]):
             target.write(f" {'+' if v >= 0 else '-'} {abs(v):.17g} {names[c]}")
-        target.write(f" {sense_txt[model.senses[k]]} {model.rhs[k]:.17g}\n")
+        target.write(f" {senses[k]} {rhs[k]:.17g}\n")
     target.write("Bounds\n")
     for c in range(cols):
         target.write(f" {model.lo[c]:.17g} <= {names[c]} <= {model.hi[c]:.17g}\n")

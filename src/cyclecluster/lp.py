@@ -35,7 +35,7 @@ from typing import Any
 
 import numpy as np
 
-from cyclecluster.formulation import GREATER_EQUAL, LESS_EQUAL, Csr, Model
+from cyclecluster.formulation import Csr, Model
 
 
 def _highs_module():
@@ -70,10 +70,12 @@ def __getattr__(name: str):
 
 @dataclass(eq=False)
 class LinearProgram:
-    """maximize objective @ v  subject to  rows (sense) rhs,  lo <= v <= hi.
+    """maximize objective @ v  subject to  row_lower <= rows @ v <= row_upper,
+    lo <= v <= hi.
 
-    HiGHS solves the LP, but the rows, senses and rhs stay mirrored here: the
-    root cut loop reads row slacks from them, the benchmark's tracer reads
+    HiGHS solves the LP and takes the row bounds in this form as they are,
+    but the rows and their bounds stay mirrored here: the root cut loop
+    reads row slacks from them, the benchmark's tracer reads
     `rows.shape[0]`, and tests check residuals against them.  Each change
     makes a new `Csr` of the mirror in O(nnz) numpy work: `add_rows` stacks
     the block under the rows, and `delete_rows` takes the rows that stay.
@@ -81,8 +83,8 @@ class LinearProgram:
 
     objective: np.ndarray
     rows: Csr
-    senses: np.ndarray
-    rhs: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     _highs: Any = field(init=False, repr=False)
@@ -97,16 +99,15 @@ class LinearProgram:
     def ncols(self) -> int:
         return self.objective.shape[0]
 
-    def add_rows(self, block: Csr, senses: np.ndarray, rhs: np.ndarray) -> None:
-        """Append the rows of a block over this LP's columns."""
+    def add_rows(self, block: Csr, row_lower: np.ndarray, row_upper: np.ndarray) -> None:
+        """Append the rows of a block over this LP's columns, with their bounds."""
         num_rows = len(block)
         if num_rows == 0:
             return
-        senses, rhs = np.asarray(senses), np.asarray(rhs, dtype=float)
+        lower, upper = np.asarray(row_lower, dtype=float), np.asarray(row_upper, dtype=float)
         self.rows = Csr.stack([self.rows, block])
-        self.senses = np.concatenate([self.senses, senses])
-        self.rhs = np.concatenate([self.rhs, rhs])
-        lower, upper = _row_bounds(senses, rhs)
+        self.row_lower = np.concatenate([self.row_lower, lower])
+        self.row_upper = np.concatenate([self.row_upper, upper])
         indptr = block.indptr.astype(np.int32)
         indices = block.indices.astype(np.int32)
         self._highs.addRows(num_rows, lower, upper, int(indptr[-1]), indptr[:-1], indices, block.data.astype(float))
@@ -123,8 +124,8 @@ class LinearProgram:
         keep = np.ones(len(self.rows), dtype=bool)
         keep[idx] = False
         self.rows = self.rows[keep]
-        self.senses = self.senses[keep]
-        self.rhs = self.rhs[keep]
+        self.row_lower = self.row_lower[keep]
+        self.row_upper = self.row_upper[keep]
         self._highs.deleteRows(idx.size, idx)
 
     def set_bounds(self, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -154,8 +155,8 @@ def lp_relaxation(model: Model, num_rows: int | None = None) -> LinearProgram:
     return LinearProgram(
         objective=model.objective,
         rows=model.rows[head],
-        senses=model.senses[head],
-        rhs=model.rhs[head],
+        row_lower=model.row_lower[head],
+        row_upper=model.row_upper[head],
         lo=model.lo,
         hi=model.hi,
     )
@@ -182,12 +183,6 @@ def solve_lp(lp: LinearProgram, time_limit: float | None = None) -> LpSolution:
     return LpSolution("error", None, None, iterations)
 
 
-def _row_bounds(senses: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lower = np.where(senses == LESS_EQUAL, -np.inf, rhs)
-    upper = np.where(senses == GREATER_EQUAL, np.inf, rhs)
-    return lower, upper
-
-
 def _load(lp: LinearProgram):
     model = HighsLp()
     model.num_col_ = lp.ncols
@@ -195,7 +190,7 @@ def _load(lp: LinearProgram):
     model.col_cost_ = -lp.objective
     model.col_lower_ = lp.lo
     model.col_upper_ = lp.hi
-    model.row_lower_, model.row_upper_ = _row_bounds(lp.senses, lp.rhs)
+    model.row_lower_, model.row_upper_ = lp.row_lower, lp.row_upper
     matrix = model.a_matrix_
     matrix.format_ = MatrixFormat.kRowwise
     matrix.num_col_ = lp.ncols

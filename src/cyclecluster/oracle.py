@@ -51,32 +51,40 @@ def _batch_objective(inst: Instance, assigns: np.ndarray) -> np.ndarray:
     return inst.alpha * flow + (1.0 - inst.alpha) * coh
 
 
+def _pinned_values(inst: Instance) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every surjective assignment with vertex 0 in cluster 0, in
+    lexicographic order and in blocks, with its objective value.
+
+    Rotating the clusters keeps the objective, so these take every value.
+    Each value is computed over the whole block, surjective or not, so it
+    does not depend on which assignments the block keeps.
+    """
+    _check_budget(inst.n, inst.m)
+    for block in _assignment_chunks(inst.n - 1, inst.m):
+        assigns = np.concatenate([np.zeros((block.shape[0], 1), dtype=np.int64), block], axis=1)
+        surjective = np.ones(block.shape[0], dtype=bool)
+        for t in range(1, inst.m):
+            surjective &= (assigns == t).any(axis=1)
+        if surjective.any():
+            vals = _batch_objective(inst, assigns)
+            yield assigns[surjective], vals[surjective]
+
+
 def enumerate_optimal(inst: Instance) -> tuple[Clustering, float]:
     """Exact maximizer over all clusterings.
 
-    Rotation invariance of the objective lets vertex 0 be pinned to cluster 0;
-    ties break to the lexicographically smallest assignment.
+    Vertex 0 is pinned to cluster 0; ties break to the lexicographically
+    smallest assignment.
     """
-    _check_budget(inst.n, inst.m)
-    n, m = inst.n, inst.m
     best_val = -np.inf
     best_assign: np.ndarray | None = None
-    for block in _assignment_chunks(n - 1, m):
-        assigns = np.concatenate([np.zeros((block.shape[0], 1), dtype=np.int64), block], axis=1)
-        surjective = np.ones(block.shape[0], dtype=bool)
-        for t in range(1, m):
-            surjective &= (assigns == t).any(axis=1)
-        if not surjective.any():
-            continue
-        vals = _batch_objective(inst, assigns)
-        vals[~surjective] = -np.inf
+    for assigns, vals in _pinned_values(inst):
         k = int(np.argmax(vals))
         if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_assign = assigns[k].copy()
+            best_val, best_assign = float(vals[k]), assigns[k].copy()
     if best_assign is None:
-        raise ValueError(f"no feasible clustering for n={n}, m={m}")
-    return Clustering(tuple(int(a) for a in best_assign), m), best_val
+        raise ValueError(f"no feasible clustering for n={inst.n}, m={inst.m}")
+    return Clustering(tuple(int(a) for a in best_assign), inst.m), best_val
 
 
 # ---------------------------------------------------------------------------
@@ -212,16 +220,4 @@ def surjection_count(n: int, m: int) -> int:
 
 def worst_value(inst: Instance) -> float:
     """Exact minimizer's value; handy for sanity ranges in tests."""
-    _check_budget(inst.n, inst.m)
-    worst = np.inf
-    for block in _assignment_chunks(inst.n - 1, inst.m):
-        assigns = np.concatenate([np.zeros((block.shape[0], 1), dtype=np.int64), block], axis=1)
-        surjective = np.ones(block.shape[0], dtype=bool)
-        for t in range(1, inst.m):
-            surjective &= (assigns == t).any(axis=1)
-        if not surjective.any():
-            continue
-        vals = _batch_objective(inst, assigns)
-        vals[~surjective] = np.inf
-        worst = min(worst, float(vals.min()))
-    return worst
+    return min((float(vals.min()) for _, vals in _pinned_values(inst)), default=np.inf)

@@ -53,12 +53,13 @@ class Cuts(Csr):
 
         data[a:b] . v[indices[a:b]] <= rhs[r],   a, b = indptr[r], indptr[r + 1],
 
-    with its family and its violation at the point it was separated from.
-    The rows are a `Csr` block with ascending columns and absent terms
-    dropped, so a batch goes into the LP as it is.  `keys` holds one support
-    key per row: the bytes of a (rhs, column, coefficient) triple per term,
-    all as floats (every column is exact).  Every row has a term, so two
-    rows are the same inequality iff their keys are equal.
+    with its family and its violation at the point it was separated from;
+    in the LP a cut's bounds are [-inf, rhs[r]].  The rows are a `Csr`
+    block with ascending columns and absent terms dropped, so a batch goes
+    into the LP as it is.  `keys` holds one support key per row: the bytes
+    of a (rhs, column, coefficient) triple per term, all as floats (every
+    column is exact).  Every row has a term, so two rows are the same
+    inequality iff their keys are equal.
     """
 
     rhs: np.ndarray
@@ -73,8 +74,8 @@ class Cuts(Csr):
         hold distinct columns, with -1 for an absent term; their
         coefficients, as a (k, w) array or one row shared by all; rhs as one
         value or k; one family; and k violations.  The tables are stacked,
-        padded with absent terms to the widest, and each row is sorted by
-        `argsort`."""
+        padded with absent terms to the widest, each row is sorted by
+        `argsort`, and `Csr.from_table` makes the rows."""
         tables = [table for table in tables if len(table[4])]
         if not tables:
             return cls.empty(ncols)
@@ -89,17 +90,15 @@ class Cuts(Csr):
         order = cols.argsort(axis=1)
         rows = np.arange(cols.shape[0])[:, None]
         cols, vals = cols[rows, order], vals[rows, order]
-        present = cols >= 0
-        indptr = np.zeros(cols.shape[0] + 1, dtype=np.intp)
-        np.cumsum(present.sum(axis=1), out=indptr[1:])
+        block = Csr.from_table(cols, vals, ncols)
         # a row's present terms come last, so its key is the tail of its row of triples
         triples = np.empty(cols.shape + (3,))
         triples[:, :, 0], triples[:, :, 1], triples[:, :, 2] = rhs[:, None], cols, vals
         raw, end = triples.tobytes(), 24 * cols.shape[1] * np.arange(1, cols.shape[0] + 1)
-        bounds = zip((end - 24 * (indptr[1:] - indptr[:-1])).tolist(), end.tolist())
+        bounds = zip((end - 24 * (block.indptr[1:] - block.indptr[:-1])).tolist(), end.tolist())
         keys = np.fromiter((raw[a:b] for a, b in bounds), dtype=object, count=cols.shape[0])
         family = np.repeat([table[3] for table in tables], counts)
-        return cls(vals[present], cols[present], indptr, ncols, rhs, family, violation, keys)
+        return cls(block.data, block.indices, block.indptr, ncols, rhs, family, violation, keys)
 
     @classmethod
     def empty(cls, ncols: int) -> Cuts:

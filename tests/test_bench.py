@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -44,8 +45,10 @@ class TestSettingParsing:
         assert parse_separator_spec("subtour") == ("subtour_path",)
         assert parse_separator_spec("triangle,partition") == ("triangle", "partition")
         assert parse_heuristic_spec("greedy+exchange") == ("greedy", "exchange")
-        with pytest.raises(ValueError):
-            parse_separator_spec("bogus")
+        with pytest.raises(ValueError, match=re.escape("unknown separator 'bogus' (use triangle, subtour, subtour_path, partition, none or all)")):
+            parse_separator_spec("triangle,bogus")
+        with pytest.raises(ValueError, match=re.escape("unknown heuristic 'bogus' (use greedy, sparsify, rounding, exchange, none or all)")):
+            parse_heuristic_spec("greedy+bogus")
 
     def test_setting_token(self):
         s = BenchSetting.parse("subtour/all")

@@ -336,7 +336,7 @@ class TestRootAging:
         # violates linking rows, so the loop has to finish by re-adding them alone
         model = build_cc(aging_instance())
         link = np.isin(np.asarray(model.row_family), LINK_FAMILIES)
-        rows, rhs = model.rows[link], model.rhs[link]
+        rows, upper = model.rows[link], model.row_upper[link]
         points, separated = [], []
         solve_node_lp, separate = engine._Search.solve_node_lp, engine._Search.separate
 
@@ -357,7 +357,7 @@ class TestRootAging:
         assert [value for _, value in points] == res.root_lp_values
         for a, b in zip(res.root_lp_values, res.root_lp_values[1:]):
             assert b <= a + 1e-9
-        whole = [bool(np.all(rows @ values - rhs <= 1e-9)) for values, _ in points]
+        whole = [bool(np.all(rows @ values - upper <= 1e-9)) for values, _ in points]
         assert whole[-1]  # the point the tree would branch on
         assert not whole[0]  # the first root LP has no linking row
         if cap == 2:
@@ -419,7 +419,7 @@ class TestRootAging:
         search = engine._Search(inst, SolverConfig(), None)  # builds the pinned model, solves nothing
         model = search.model
         core = ~np.isin(np.asarray(model.row_family), LINK_FAMILIES)
-        cold = solve_lp(LinearProgram(model.objective, model.rows[core], model.senses[core], model.rhs[core], model.lo, model.hi))
+        cold = solve_lp(LinearProgram(model.objective, model.rows[core], model.row_lower[core], model.row_upper[core], model.lo, model.hi))
         assert res.root_lp_values[0] == cold.objective_value * search.scale
         assert cold.objective_value >= solve_lp(lp_relaxation(model)).objective_value
 
@@ -436,7 +436,7 @@ class TestRootAging:
         search = engine._Search(aging_instance(), SolverConfig(time_limit_s=60, heuristics=()), None)
         search.run()
         assert search.status == "optimal" and search.nodes_processed > 1
-        num_link = search.link_rhs.size
+        num_link = search.link_upper.size
         origin = search.row_origin
         assert origin.size == search.lp.rows.shape[0]
         in_lp = {search.cut_supports[j] for j in origin[origin >= num_link] - num_link}
@@ -561,7 +561,7 @@ class TestCutIntake:
                 at = slice(rows.indptr[r], rows.indptr[r + 1])
                 assert rows.indices[at].tolist() == cut.cols.tolist()
                 assert rows.data[at].tobytes() == cut.vals.tobytes()
-                assert search.lp.rhs[start + r] == cut.rhs
+                assert search.lp.row_lower[start + r] == -np.inf and search.lp.row_upper[start + r] == cut.rhs
             in_lp += want
             # a batch whose cuts are all in the LP adds nothing
             assert search.add_rows(search.separate(point), no_link) == 0

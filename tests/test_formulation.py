@@ -18,6 +18,7 @@ from cyclecluster.instance import Clustering, Instance, ParameterError, objectiv
 from cyclecluster.lp import lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_feasible_points, feasible_point_matrix, full_universe_size
 from conftest import random_clustering, random_instance
+import model_ref
 
 
 class TestBuildCc:
@@ -94,6 +95,92 @@ class TestBuildCc:
         pinned[model.space.x(0, 0)] = 1.0
         assert search.lp.lo.tolist() == pinned.tolist()
         assert (search.lp.hi == 1.0).all()
+
+
+def assert_same_model(got, want):
+    """The same rows, bounds, families and objective, bit for bit."""
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.rows, name), getattr(want.rows, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.rows.ncols == want.rows.ncols
+    for name in ("row_lower", "row_upper", "objective"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.row_family == want.row_family
+    assert got.core_rows == want.core_rows
+
+
+def lonely_vertex_instance() -> Instance:
+    """n=6, m=4 with no weight on any pair of vertex 2."""
+    q = random_instance(6, 4, seed=12).Q.copy()
+    q[2, :] = q[:, 2] = 0.0
+    return Instance(n=6, m=4, alpha=0.5, Q=q)
+
+
+class TestModelReference:
+    """The table-built models equal the row-by-row reference builders."""
+
+    @pytest.mark.parametrize("density", [1.0, 0.4], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    @pytest.mark.parametrize("build, reference", [(build_cc, model_ref.build_cc), (build_rlt, model_ref.build_rlt)], ids=["cc", "rlt"])
+    def test_rows_match_the_scalar_reference(self, build, reference, m, density):
+        inst = random_instance(9, m, seed=m, density=density)
+        assert_same_model(build(inst), reference(inst))
+
+    @pytest.mark.parametrize("build, reference", [(build_cc, model_ref.build_cc), (build_rlt, model_ref.build_rlt)], ids=["cc", "rlt"])
+    def test_vertex_without_weighted_pair(self, build, reference):
+        inst = lonely_vertex_instance()
+        assert (VariableSpace(inst).ycol[2] < 0).all()  # vertex 2 has no weighted pair
+        assert_same_model(build(inst), reference(inst))
+
+
+class TestRowBounds:
+    """`point_feasible` reads each side of each row's bounds: a point that
+    breaks exactly one row, by the reference's senses, is rejected."""
+
+    @staticmethod
+    def broken_rows(model, point):
+        ref = model_ref.build_cc(model.space.inst)
+        lhs = ref.rows @ point
+        broken = np.flatnonzero((lhs < ref.row_lower - 1e-9) | (lhs > ref.row_upper + 1e-9))
+        return [ref.row_family[k] for k in broken]
+
+    @staticmethod
+    def uniform_point(model):
+        space = model.space
+        point = np.zeros(model.ncols)
+        point[: space.num_x] = 1.0 / space.m
+        return point, point[: space.num_x].reshape(space.n, space.m)
+
+    def test_uniform_point_is_feasible(self):
+        model = build_cc(random_instance(6, 4, seed=3))
+        point, _ = self.uniform_point(model)
+        assert model.point_feasible(point) and self.broken_rows(model, point) == []
+
+    def test_one_cover_row(self):
+        # cluster 3 empty, the others share each vertex: cover row 3 reads 0 >= 1
+        model = build_cc(random_instance(6, 4, seed=3))
+        point, x = self.uniform_point(model)
+        x[:, :3], x[:, 3] = 1.0 / 3.0, 0.0
+        assert self.broken_rows(model, point) == ["cover"]
+        assert not model.point_feasible(point)
+
+    @pytest.mark.parametrize("share", [0.0, 0.5], ids=["below", "above"])
+    def test_one_assign_row(self, share):
+        # vertex 0 at 0 in every cluster (sum 0) or at 1/2 in each (sum 2)
+        model = build_cc(random_instance(6, 4, seed=3))
+        point, x = self.uniform_point(model)
+        x[0] = share
+        assert self.broken_rows(model, point) == ["assign"]
+        assert not model.point_feasible(point)
+
+    def test_one_pair_row(self):
+        # y + z(0,1) = 2 > 1, while every linking row keeps z - y <= 1 and y - z <= 1
+        model = build_cc(random_instance(6, 4, seed=3))
+        point, _ = self.uniform_point(model)
+        point[model.space.y(0, 1)] = point[model.space.z(0, 1)] = 1.0
+        assert self.broken_rows(model, point) == ["pair"]
+        assert not model.point_feasible(point)
 
 
 class TestPointConversion:
@@ -203,6 +290,19 @@ class TestLpExport:
         text = buf.getvalue()
         assert "Maximize" in text and "Binaries" in text
         assert "x_0_0" in text and "z_0_1" in text
+
+    def test_write_lp_senses_come_from_the_bounds(self):
+        inst = random_instance(7, 4, seed=5, density=0.6)
+        model = build_cc(inst)
+        buf = io.StringIO()
+        write_lp(model, buf)
+        lines = buf.getvalue().splitlines()
+        rows = lines[lines.index("Subject To") + 1 : lines.index("Bounds")]
+        senses = [line.split()[-2] for line in rows]
+        assert len(senses) == model.nrows
+        assert senses.count("=") == 7 and senses.count(">=") == 4 and senses.count("<=") == model.nrows - 11
+        assert senses[:7] == ["="] * 7 and senses[7:11] == [">="] * 4
+        assert all(line.split()[-1] == "1" for line in rows)
 
     def test_write_lp_header_names_the_model(self, t1):
         for kwargs, header in (({}, "\\ cyclecluster"), ({"name": "t1"}, "\\ t1")):

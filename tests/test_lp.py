@@ -24,31 +24,32 @@ def csr_dense(rows: Csr) -> np.ndarray:
     return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape).toarray()
 
 
-def tiny_lp(obj, rows, senses, rhs, lo, hi):
+def tiny_lp(obj, rows, row_lower, row_upper, lo, hi):
     return LinearProgram(
         objective=np.asarray(obj, dtype=float),
         rows=csr(np.asarray(rows, dtype=float)),
-        senses=np.asarray(senses),
-        rhs=np.asarray(rhs, dtype=float),
+        row_lower=np.asarray(row_lower, dtype=float),
+        row_upper=np.asarray(row_upper, dtype=float),
         lo=np.asarray(lo, dtype=float),
         hi=np.asarray(hi, dtype=float),
     )
 
 
-def add_row(lp, cols, vals, sense, rhs):
+def add_row(lp, cols, vals, upper):
+    """Append the row vals . v[cols] <= upper."""
     row = Csr(np.asarray(vals, dtype=float), np.asarray(cols), np.array([0, len(cols)]), lp.ncols)
-    lp.add_rows(row, np.array([sense]), np.array([rhs]))
+    lp.add_rows(row, np.array([-np.inf]), np.array([upper]))
 
 
 class TestSolveLp:
     def test_simple_bound(self):
-        lp = tiny_lp([1.0], [[1.0]], ["<"], [0.5], [0.0], [1.0])
+        lp = tiny_lp([1.0], [[1.0]], [-np.inf], [0.5], [0.0], [1.0])
         sol = solve_lp(lp)
         assert sol.optimal
         assert sol.objective_value == pytest.approx(0.5)
 
     def test_infeasible(self):
-        lp = tiny_lp([1.0], [[1.0], [1.0]], [">", "<"], [0.6, 0.4], [0.0], [1.0])
+        lp = tiny_lp([1.0], [[1.0], [1.0]], [0.6, -np.inf], [np.inf, 0.4], [0.0], [1.0])
         assert solve_lp(lp).status == "infeasible"
 
     def test_cc_root_dominates_optimum(self, t1):
@@ -61,13 +62,8 @@ class TestSolveLp:
         lp = lp_relaxation(build_cc(inst))
         sol = solve_lp(lp)
         lhs = lp.rows @ sol.values
-        for k in range(len(lp.rhs)):
-            if lp.senses[k] == "<":
-                assert lhs[k] <= lp.rhs[k] + 1e-7
-            elif lp.senses[k] == ">":
-                assert lhs[k] >= lp.rhs[k] - 1e-7
-            else:
-                assert lhs[k] == pytest.approx(lp.rhs[k], abs=1e-7)
+        assert np.all(lhs >= lp.row_lower - 1e-7)
+        assert np.all(lhs <= lp.row_upper + 1e-7)
         assert np.all(sol.values >= lp.lo - 1e-7)
         assert np.all(sol.values <= lp.hi + 1e-7)
 
@@ -90,9 +86,9 @@ class TestSolveLp:
 
 class TestResolveWithAddedRows:
     def test_nonviolated_row_keeps_objective(self):
-        lp = tiny_lp([1.0], [[1.0]], ["<"], [0.5], [0.0], [1.0])
+        lp = tiny_lp([1.0], [[1.0]], [-np.inf], [0.5], [0.0], [1.0])
         prior = solve_lp(lp)
-        add_row(lp, [0], [1.0], "<", 0.9)
+        add_row(lp, [0], [1.0], 0.9)
         after = solve_lp(lp)
         assert after.objective_value == pytest.approx(prior.objective_value)
 
@@ -102,7 +98,7 @@ class TestResolveWithAddedRows:
         prior = solve_lp(lp)
         # cap the largest objective column at half its LP value
         col = int(np.argmax(lp.objective * prior.values))
-        add_row(lp, [col], [1.0], "<", float(prior.values[col]) / 2.0)
+        add_row(lp, [col], [1.0], float(prior.values[col]) / 2.0)
         after = solve_lp(lp)
         assert after.optimal
         assert after.objective_value <= prior.objective_value + 1e-9
@@ -119,13 +115,13 @@ class TestResolveWithAddedRows:
         for _ in range(16):
             cols = rng.choice(lp.ncols, size=3, replace=False)
             vals = rng.uniform(0.2, 1.0, size=3)
-            add_row(lp, cols, vals, "<", float(rng.uniform(0.5, 2.0)))
+            add_row(lp, cols, vals, float(rng.uniform(0.5, 2.0)))
             lo, hi = model.lo.copy(), model.hi.copy()
             fixed = rng.choice(num_x, size=int(rng.integers(0, 5)), replace=False)
             lo[fixed] = hi[fixed] = rng.integers(0, 2, size=fixed.size)
             lp.set_bounds(lo, hi)
             warm = solve_lp(lp)
-            cold = solve_lp(LinearProgram(lp.objective, lp.rows, lp.senses, lp.rhs, lo, hi))
+            cold = solve_lp(LinearProgram(lp.objective, lp.rows, lp.row_lower, lp.row_upper, lo, hi))
             assert warm.status == cold.status
             if cold.optimal:
                 assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
@@ -135,16 +131,14 @@ class TestResolveWithAddedRows:
 
 def highs_rows(lp):
     """The rows HiGHS holds, as (row lengths, columns, values) with each
-    row's entries in ascending column order, and its senses and rhs."""
+    row's entries in ascending column order, and its row bounds."""
     model = lp._highs.getLp()
     a = model.a_matrix_
     outer = np.repeat(np.arange(len(a.start_) - 1), np.diff(a.start_))
     rows, cols = (outer, np.asarray(a.index_)) if a.format_ == MatrixFormat.kRowwise else (np.asarray(a.index_), outer)
     order = np.lexsort((cols, rows))
     lower, upper = np.asarray(model.row_lower_), np.asarray(model.row_upper_)
-    senses = np.where(lower == upper, "=", np.where(np.isinf(lower), "<", ">"))
-    rhs = np.where(np.isinf(lower), upper, lower)
-    return (np.bincount(rows, minlength=a.num_row_), cols[order], np.asarray(a.value_)[order]), senses, rhs
+    return (np.bincount(rows, minlength=a.num_row_), cols[order], np.asarray(a.value_)[order]), lower, upper
 
 
 def by_column(rows: Csr):
@@ -154,11 +148,13 @@ def by_column(rows: Csr):
 
 
 def random_changes(lp, rng, rounds):
-    """Random blocks of rows added, then random rows deleted, per round."""
+    """Random blocks of `<=` and `>=` rows added, then random rows deleted, per round."""
     for _ in range(rounds):
         k = int(rng.integers(1, 4))
         block = csr(sparse.random(k, lp.ncols, density=0.1, format="csr", random_state=rng))
-        lp.add_rows(block, rng.choice(np.array(["<", ">"]), size=k), rng.uniform(0.5, 2.0, size=k))
+        free = rng.choice(np.array([-np.inf, np.inf]), size=k)  # the side each row leaves unbounded
+        bound = rng.uniform(0.5, 2.0, size=k)
+        lp.add_rows(block, np.minimum(free, bound), np.maximum(free, bound))
         lp.delete_rows(rng.choice(len(lp.rows), size=int(rng.integers(1, 5)), replace=False))
         yield
 
@@ -168,11 +164,11 @@ class TestDeleteRows:
         inst = random_instance(9, 4, seed=2)
         lp = lp_relaxation(build_cc(inst))
         first = solve_lp(lp)
-        slack = lp.rhs - lp.rows @ first.values
-        idx = np.flatnonzero((lp.senses == "<") & (slack > 1e-6))
+        slack = lp.row_upper - lp.rows @ first.values
+        idx = np.flatnonzero(np.isinf(lp.row_lower) & (slack > 1e-6))
         assert 0 < idx.size < lp.rows.shape[0]
         lp.delete_rows(idx)
-        assert lp.rows.shape[0] == lp._highs.getNumRow() == len(lp.rhs) == slack.size - idx.size
+        assert lp.rows.shape[0] == lp._highs.getNumRow() == len(lp.row_upper) == slack.size - idx.size
         again = solve_lp(lp)
         assert again.optimal
         assert again.iterations == 0  # every deleted row was basic, so the basis stays optimal
@@ -185,14 +181,14 @@ class TestDeleteRows:
         solve_lp(lp)
         for _ in random_changes(lp, rng, 6):
             solve_lp(lp)
-            rows, senses, rhs = highs_rows(lp)
+            rows, lower, upper = highs_rows(lp)
             assert lp.rows.shape == (lp._highs.getNumRow(), lp.ncols)
             # the same row lengths, and in each row the same columns with bitwise the same values
             (lengths, cols, vals), (our_lengths, our_cols, our_vals) = rows, by_column(lp.rows)
             assert np.array_equal(lengths, our_lengths) and np.array_equal(cols, our_cols)
             assert vals.tobytes() == our_vals.tobytes()
-            assert np.array_equal(senses, lp.senses)
-            assert np.array_equal(rhs, lp.rhs)
+            assert np.array_equal(lower, lp.row_lower)
+            assert np.array_equal(upper, lp.row_upper)
 
 
 class TestCsr:
@@ -288,7 +284,7 @@ def test_private_highs_binding_contract():
     """Pins every method of scipy's private _Highs that the warm path calls."""
     from scipy.optimize._highspy._core import HighsModelStatus
 
-    lp = tiny_lp([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], ["<", "<"], [4.0, 1.0], [0.0, 0.0], [5.0, 5.0])
+    lp = tiny_lp([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [-np.inf, -np.inf], [4.0, 1.0], [0.0, 0.0], [5.0, 5.0])
     highs = lp_mod._load(lp)  # HighsLp, passModel, setOptionValue
     highs.setOptionValue("time_limit", highs.getRunTime() + 60.0)
     highs.run()
@@ -334,7 +330,7 @@ def test_time_limit_is_counted_from_each_solve():
     first = solve_lp(lp)
     spent = lp._highs.getRunTime()
     col = int(np.argmax(lp.objective * first.values))
-    add_row(lp, [col], [1.0], "<", float(first.values[col]) / 2.0)
+    add_row(lp, [col], [1.0], float(first.values[col]) / 2.0)
     # the warm re-solve needs about a third of the first solve's time; a limit
     # read against the object's summed run time would already be over
     again = solve_lp(lp, 0.9 * spent)

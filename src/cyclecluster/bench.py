@@ -23,7 +23,7 @@ import numpy as np
 
 from cyclecluster.engine import BoundEvent, SolverConfig, dual_integral, json_value, primal_integral, solve
 from cyclecluster.engine import HEURISTIC_NAMES, SEPARATOR_ORDER
-from cyclecluster.instance import Instance, load_instance
+from cyclecluster.instance import Instance, ParameterError, load_instance
 
 TIME_SHIFT = 10.0
 NODE_SHIFT = 100.0
@@ -55,7 +55,7 @@ def _parse_spec(spec: str, kind: str, aliases: dict, every: tuple) -> tuple:
     for tok in spec.replace("+", ",").split(","):
         tok = tok.strip()
         if tok not in aliases:
-            raise ValueError(f"unknown {kind} {tok!r} (use {', '.join(aliases)}, none or all)")
+            raise ParameterError(f"unknown {kind} {tok!r} (use {', '.join(aliases)}, none or all)")
         names.append(aliases[tok])
     return tuple(dict.fromkeys(names))
 
@@ -79,7 +79,7 @@ class BenchSetting:
         """Parse 'SEPA/HEUR', e.g. 'subtour/all' or 'none/greedy+exchange'."""
         sepa, _, heur = token.partition("/")
         if not _:
-            raise ValueError(f"setting {token!r} must look like SEPA/HEUR")
+            raise ParameterError(f"setting {token!r} must look like SEPA/HEUR")
         return cls(name=token, separators=parse_separator_spec(sepa), heuristics=parse_heuristic_spec(heur))
 
 

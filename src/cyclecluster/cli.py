@@ -24,7 +24,7 @@ import numpy as np
 from cyclecluster import bench as bench_mod
 from cyclecluster.engine import GAP_INFINITE, HEURISTIC_NAMES, SolverConfig, SolveResult, solve, sparsify_config
 from cyclecluster.formulation import build_cc, write_lp
-from cyclecluster.generator import SuiteSpec, generate, write_metadata, write_suite
+from cyclecluster.generator import DEFAULT_ALPHA, SuiteSpec, generate, write_metadata, write_suite
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import (
     Clustering,
@@ -67,9 +67,8 @@ def _load(args) -> Instance | int:
     except FileNotFoundError:
         print(f"error: cannot read {args.instance}", file=sys.stderr)
         return EXIT_BAD_FILE
-    except ParameterError as exc:  # before InstanceError, its base class
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    except ParameterError:  # before InstanceError, its base class; `main` reports it
+        raise
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
@@ -111,15 +110,11 @@ def cmd_solve(args) -> int:
     inst = _load(args)
     if isinstance(inst, int):
         return inst
-    try:
-        cfg = _config_from_args(args)
-        if args.export_lp:
-            with open(args.export_lp, "w", encoding="utf-8") as fh:
-                write_lp(build_cc(inst), fh)
-        res = solve(inst, cfg)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    cfg = _config_from_args(args)
+    if args.export_lp:
+        with open(args.export_lp, "w", encoding="utf-8") as fh:
+            write_lp(build_cc(inst), fh)
+    res = solve(inst, cfg)
     if args.json or args.out:
         payload = json.dumps(res.report(args.instance, inst, cfg), indent=2)
         if args.out:
@@ -172,13 +167,13 @@ def cmd_generate(args) -> int:
         inst, planted = generate(
             n=args.n,
             m=args.m,
-            alpha=args.alpha if args.alpha is not None else 1.0 / 1.001,
+            alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
             forward_strength=args.forward,
             coherence_strength=args.coherence,
             noise=args.noise,
             rng_seed=args.seed,
         )
-    except (ValueError, ParameterError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     save_instance(inst, args.out, fmt=args.fmt)
@@ -209,11 +204,7 @@ def cmd_bench(args) -> int:
     if not instances:
         print(f"error: no .cc instances under {suite_dir}", file=sys.stderr)
         return EXIT_BAD_FILE
-    try:
-        settings = [bench_mod.BenchSetting.parse(tok) for tok in args.settings.split(",") if tok.strip()]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
+    settings = [bench_mod.BenchSetting.parse(tok) for tok in args.settings.split(",") if tok.strip()]
     base_cfg = SolverConfig(time_limit_s=args.time_limit, node_limit=args.node_limit, rng_seed=args.seed)
     out_dir = Path(args.out) if args.out else None
 
@@ -270,6 +261,7 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = SolverConfig()
     parser = argparse.ArgumentParser(prog="cyclecluster", description="Cycle clustering branch-and-cut solver")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -280,13 +272,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run branch and cut on an instance file")
     p_solve.add_argument("instance")
     add_instance_opts(p_solve)
-    p_solve.add_argument("--time-limit", type=float, default=300.0, help="seconds (default 300)")
+    p_solve.add_argument("--time-limit", type=float, default=defaults.time_limit_s, help=f"seconds (default {defaults.time_limit_s:g})")
     p_solve.add_argument("--node-limit", type=int, default=None)
     p_solve.add_argument("--sepa", default="all", help=f"{','.join(bench_mod.SEPA_ALIASES)} | none | all")
     p_solve.add_argument("--heur", default="all", help=f"{','.join(HEURISTIC_NAMES)} | none | all")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--cut-rounds-root", type=int, default=10)
-    p_solve.add_argument("--cut-rounds-node", type=int, default=2)
+    p_solve.add_argument("--cut-rounds-root", type=int, default=defaults.cut_rounds_root)
+    p_solve.add_argument("--cut-rounds-node", type=int, default=defaults.cut_rounds_node)
     p_solve.add_argument("--json", action="store_true", help="print a machine-readable result")
     p_solve.add_argument("--out", default=None, help="also write the JSON result to this path")
     p_solve.add_argument("--export-lp", default=None, help="write the root model, without the vertex-0 pin, in LP text format")
@@ -316,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a configuration matrix over a suite directory")
     p_bench.add_argument("suite")
     p_bench.add_argument("--settings", default=",".join(bench_mod.DEFAULT_SETTINGS), help="comma list of SEPA/HEUR tokens")
-    p_bench.add_argument("--time-limit", type=float, default=300.0)
+    p_bench.add_argument("--time-limit", type=float, default=defaults.time_limit_s)
     p_bench.add_argument("--node-limit", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--workers", type=int, default=1, help="process pool size for dispatching solves")
@@ -339,6 +331,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ParameterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS
     except BrokenPipeError:  # pragma: no cover
         return EXIT_OK
 

@@ -1,7 +1,7 @@
 """Branch and cut on the compact formulation.
 
-Best timeout-aware best-bound search with vertex branching, a global cut
-pool fed by the three separator families, LP bounding with a safety pad, and
+Best timeout-aware best-bound search with vertex branching, globally valid
+cuts from the three separator families, LP bounding with a safety pad, and
 incumbents seeded by the primal heuristics before the tree and improved by
 the exchange heuristic on every new incumbent.  One LP serves the whole
 search: nodes change its column bounds and rows are appended or deleted in
@@ -16,18 +16,22 @@ pool.  The loop solves once per round.  After each solve it deletes every
 cut or linking row that has been slack for `ROW_AGE_LIMIT` solves in a row;
 such a row is basic, so the last optimum stays optimal.  Then the round's
 cuts and the pooled linking rows its point violates, checked exactly, go
-into the LP in one batch.  A deleted cut leaves the pool of cuts, so the
-separators can find it again; a deleted linking row goes back to the lazy
-pool.  An LP without some linking rows is a relaxation, so every round's
-value is a valid bound.  Every round that separates counts toward the round
-limit; after the last one, rounds add only violated linking rows, so the loop
-ends at a point of the whole model unless the bound prunes.  A root whose
-time runs out at a point that violates linking rows goes back on the heap
-like one whose LP hit the limit.  The linking rows still in the pool when the
-root ends stay there through the tree: each node's cut loop runs the same
-way, with `cut_rounds_node` separating rounds, so every node also ends at a
-point of the whole model, and a node whose time runs out before then goes
-back on the heap.  Tree nodes do not age rows.
+into the LP in one batch.  The cuts in the LP are the only cut pool: at an
+LP optimum every row holds to within HiGHS's feasibility tolerance, far
+below the violation `TOL_CUT` a separator asks of a cut, so a separated cut
+is never one the LP already has, and the engine keeps no set of them.  Two
+families can state the same inequality, so a round keeps the first cut per
+support key.  A deleted cut can be separated again; a deleted linking row
+goes back to the lazy pool.  An LP without some linking rows is a
+relaxation, so every round's value is a valid bound.  Every round that
+separates counts toward the round limit; after the last one, rounds add only
+violated linking rows, so the loop ends at a point of the whole model unless
+the bound prunes.  A root whose time runs out at a point that violates
+linking rows goes back on the heap like one whose LP hit the limit.  The
+linking rows still in the pool when the root ends stay there through the
+tree: each node's cut loop runs the same way, with `cut_rounds_node`
+separating rounds, so every node also ends at a point of the whole model,
+and a node whose time runs out before then goes back on the heap.  Tree nodes do not age rows.
 
 Shifting every cluster label one step around the cycle keeps the objective,
 so each clustering comes with m rotations of equal value.  Every search pins
@@ -58,7 +62,7 @@ import numpy as np
 
 from cyclecluster.formulation import ConversionError, Csr, build_cc, point_to_clustering
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
-from cyclecluster.instance import Clustering, Instance, objective
+from cyclecluster.instance import Clustering, Instance, ParameterError, objective
 from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
 from cyclecluster.separation import Cuts, first_rows, separate_partition, separate_subtour_path, separate_triangle
 
@@ -82,6 +86,7 @@ ROW_AGE_LIMIT = 2  # root solves a cut or linking row may stay slack before it i
 TOL_SLACK = 1e-6  # a row with more slack than this is slack (and basic)
 TOL_LINK = 1e-9  # a lazy linking row violated by more than this goes back into the LP
 CORE_ROW = -1  # origin of the assign, cover and pair rows, which never leave the LP
+CUT_ROW = -2  # origin of a cut row
 
 
 @dataclass(frozen=True)
@@ -96,15 +101,17 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
-            raise ValueError("time limit must be positive")
+            raise ParameterError("time limit must be positive")
         if self.node_limit is not None and self.node_limit <= 0:
-            raise ValueError("node limit must be positive")
+            raise ParameterError("node limit must be positive")
+        if self.cut_rounds_root < 0 or self.cut_rounds_node < 0:
+            raise ParameterError("cut rounds must be nonnegative")
         unknown = set(self.separators) - set(SEPARATOR_ORDER)
         if unknown:
-            raise ValueError(f"unknown separators: {sorted(unknown)}")
+            raise ParameterError(f"unknown separators: {sorted(unknown)}")
         unknown = set(self.heuristics) - set(HEURISTIC_NAMES)
         if unknown:
-            raise ValueError(f"unknown heuristics: {sorted(unknown)}")
+            raise ParameterError(f"unknown heuristics: {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -268,10 +275,8 @@ class _Search:
         self.link_rows = self.model.rows[num_core:]
         self.link_upper = self.model.row_upper[num_core:]
         self.link_out = np.ones(self.link_upper.size, dtype=bool)
-        # One origin per LP row: CORE_ROW, k for linking row k, or
-        # len(link_upper) + j for the cut whose support key is cut_supports[j].
+        # One origin per LP row: CORE_ROW, CUT_ROW, or k for linking row k.
         self.row_origin = np.full(num_core, CORE_ROW)
-        self.cut_supports = np.zeros(0, dtype=object)
         self.row_age = np.zeros(0, dtype=np.int64)  # root solves slack in a row, per LP row
         self.lp_rows_deleted = 0
         self.link_rows_readded = 0
@@ -287,7 +292,6 @@ class _Search:
         self.root_dual_bound = math.inf
         self.lp_solves = 0
         self.simplex_iterations = 0
-        self.pool_supports: set[bytes] = set()  # the support keys of the cuts in the LP
         # search tree
         self.heap: list[tuple[float, int, dict[int, float]]] = []
         self.next_id = 0
@@ -326,30 +330,25 @@ class _Search:
                 self.record("incumbent:exchange")
         return improved
 
-    # -- cut pool -----------------------------------------------------------
+    # -- LP rows ------------------------------------------------------------
 
     def add_rows(self, cuts: Cuts, link: np.ndarray) -> int:
-        """Append the first row per support key of the cuts not already in
-        the LP, then the given linking rows of the lazy pool, to the LP in one
-        block.  A cut stays in the LP unless the root cut loop ages it out.
+        """Append the cuts, then the given linking rows of the lazy pool, to
+        the LP in one block.  A cut stays in the LP unless the root cut loop
+        ages it out.
 
-        Every separator emits globally valid cuts, so each node inherits the
-        whole pool.  Returns the number of cuts added.
+        Every separator emits globally valid cuts, so each node inherits
+        every cut in the LP.  Returns the number of cuts added.
         """
-        keys = cuts.keys
-        fresh = first_rows(keys, self.pool_supports)
-        if not (fresh.size or link.size):
+        if not (len(cuts) or link.size):
             return 0
-        self.pool_supports.update(keys[fresh])
-        self.cut_counts.update(cuts.family[fresh].tolist())
-        first = self.link_upper.size + self.cut_supports.size
-        self.cut_supports = np.concatenate([self.cut_supports, keys[fresh]])
+        self.cut_counts.update(cuts.family.tolist())
         self.link_out[link] = False
-        block = Csr.stack([rows.take(idx) for rows, idx in ((cuts, fresh), (self.link_rows, link)) if idx.size])
-        upper = np.concatenate([cuts.rhs[fresh], self.link_upper[link]])
+        block = Csr.stack([rows for rows in (cuts, self.link_rows.take(link)) if len(rows)])
+        upper = np.concatenate([cuts.rhs, self.link_upper[link]])
         self.lp.add_rows(block, np.full(upper.size, -np.inf), upper)
-        self.row_origin = np.concatenate([self.row_origin, np.arange(first, first + fresh.size), link])
-        return fresh.size
+        self.row_origin = np.concatenate([self.row_origin, np.full(len(cuts), CUT_ROW), link])
+        return len(cuts)
 
     def age_rows(self, values: np.ndarray) -> None:
         """Delete every cut and linking row slack at `ROW_AGE_LIMIT` solves in a row.
@@ -364,9 +363,7 @@ class _Search:
         if drop.size == 0:
             return
         origin = self.row_origin[drop]
-        num_link = self.link_upper.size
-        self.link_out[origin[origin < num_link]] = True
-        self.pool_supports.difference_update(self.cut_supports[origin[origin >= num_link] - num_link])
+        self.link_out[origin[origin >= 0]] = True
         self.lp.delete_rows(drop)
         keep = np.ones(slack.size, dtype=bool)
         keep[drop] = False
@@ -382,7 +379,7 @@ class _Search:
 
     def separate(self, point: np.ndarray) -> Cuts:
         """Each separator's cuts in turn, the first `MAX_CUTS_PER_FAMILY`
-        of each family."""
+        of each family, then the first row per support key."""
         cfg = self.config
         found = []
         if "triangle" in cfg.separators:
@@ -392,14 +389,14 @@ class _Search:
         if "partition" in cfg.separators and self.inst.m >= PARTITION_MIN_M:
             found.append(separate_partition(self.space, point, TOL_CUT))
         cuts = Cuts.concat(found) if found else Cuts.empty(self.space.ncols)
-        if len(cuts) <= MAX_CUTS_PER_FAMILY:  # no family can pass the cap
-            return cuts
-        # each row's rank within its family, in order
-        _, family = np.unique(cuts.family, return_inverse=True)
-        by_family = family.argsort(kind="stable")
-        rank = np.empty(len(cuts), dtype=np.intp)
-        rank[by_family] = np.arange(len(cuts)) - np.searchsorted(family[by_family], family[by_family])
-        return cuts.take(np.flatnonzero(rank < MAX_CUTS_PER_FAMILY))
+        if len(cuts) > MAX_CUTS_PER_FAMILY:  # else no family can pass the cap
+            # each row's rank within its family, in order
+            _, family = np.unique(cuts.family, return_inverse=True)
+            by_family = family.argsort(kind="stable")
+            rank = np.empty(len(cuts), dtype=np.intp)
+            rank[by_family] = np.arange(len(cuts)) - np.searchsorted(family[by_family], family[by_family])
+            cuts = cuts.take(np.flatnonzero(rank < MAX_CUTS_PER_FAMILY))
+        return cuts.take(first_rows(cuts.keys))
 
     # -- LP solving ---------------------------------------------------------
 
@@ -632,7 +629,8 @@ def solve(inst: Instance, config: Optional[SolverConfig] = None, log_stream: Opt
     """Solve an instance by branch and cut; deterministic for a fixed config.
 
     Raises ParameterError for m < 3 (the compact formulation needs a proper
-    cycle); limit terminations are normal statuses on the result.
+    cycle), as `SolverConfig` does for a setting out of range; limit
+    terminations are normal statuses on the result.
     """
     cfg = config or SolverConfig()
     search = _Search(inst, cfg, log_stream)

@@ -1,27 +1,19 @@
-"""Binary programming models for cycle clustering.
+"""The compact binary programming model for cycle clustering.
 
-Two formulations are built over one instance:
-
-* the compact model with assignment variables x[i,s], same-cluster variables
-  y[i,j] (stored for i < j) and consecutive-cluster variables z[i,j] for all
-  ordered pairs, and
-* the product-variable model obtained by multiplying each assignment equation
-  with every x[j,t] and replacing the bilinear terms by w[i,j,s,t] in [0,1],
-  where the diagonal products w[i,j,s,s] and w[j,i,s,s] share one variable.
-
-Variables y/z (resp. w) for a pair are created only when the pair carries
+The model has assignment variables x[i,s], same-cluster variables y[i,j]
+(stored for i < j) and consecutive-cluster variables z[i,j] for all ordered
+pairs.  Variables y/z for a pair are created only when the pair carries
 weight in at least one direction; zero-weight pairs cannot contribute to the
 objective and their cluster relation is left unconstrained.
 
 Variables are plain column indices.  `VariableSpace` maps vertex pairs to the
-y/z columns through n x n arrays (`RltSpace` to the w columns through an
-n x n x m x m array), and holds the one place readable names are made:
-x_i_s, y_i_j with i < j, and z_i_j.
+y/z columns through n x n arrays, and holds the one place readable names are
+made: x_i_s, y_i_j with i < j, and z_i_j.
 
 Every block of rows is a `Csr`, the one row format: a model's rows, the
 LP's mirror of its rows, the solver's lazy pool of linking rows, and
-`separation.Cuts`, which adds a right-hand side and more per row.  A model
-builds its rows as a separator builds its cuts, from tables of columns
+`separation.Cuts`, which adds a right-hand side and more per row.  The
+model builds its rows as a separator builds its cuts, from tables of columns
 (`Csr.from_table`), one table per row family, and bounds each row as HiGHS
 takes it: row_lower <= a . v <= row_upper, with an infinite bound where a
 row has no bound on that side.
@@ -29,7 +21,7 @@ row has no bound on that side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import IO, Sequence
@@ -43,25 +35,6 @@ class ConversionError(ValueError):
     """A point cannot be interpreted as an integral feasible clustering."""
 
 
-class _Layout:
-    """Column layout head shared by both models: the x columns, vertex-major,
-    then one block of columns per pair (i, j), i < j, that carries weight."""
-
-    def __init__(self, inst: Instance):
-        # With two clusters both orderings are "consecutive" at once, which the
-        # z-variables cannot express; the cycle formulations need m >= 3.
-        if inst.m < 3:
-            raise ParameterError(f"cycle formulations require m >= 3, got m={inst.m}")
-        self.inst = inst
-        self.n, self.m = inst.n, inst.m
-        self.pair_i, self.pair_j = np.nonzero(np.triu(inst.q_plus > 0.0, 1))
-        self.pairs: list[tuple[int, int]] = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
-        self.num_x = self.n * self.m
-
-    def x(self, i: int, s: int) -> int:
-        return i * self.m + s
-
-
 def _column(table: np.ndarray, *key: int) -> int:
     col = int(table[key])
     if col < 0:
@@ -69,8 +42,10 @@ def _column(table: np.ndarray, *key: int) -> int:
     return col
 
 
-class VariableSpace(_Layout):
-    """Column layout shared by models, LP points, separation and cuts.
+class VariableSpace:
+    """Column layout shared by the model, LP points, separation and cuts:
+    the x columns, vertex-major, then one block of columns per pair (i, j),
+    i < j, that carries weight.
 
     Per weighted pair the block is [y(i,j), z(i,j), z(j,i)]; `ycol` (symmetric)
     and `zcol` map a vertex pair to its column, -1 where the pair carries no
@@ -79,7 +54,15 @@ class VariableSpace(_Layout):
     """
 
     def __init__(self, inst: Instance):
-        super().__init__(inst)
+        # With two clusters both orderings are "consecutive" at once, which the
+        # z-variables cannot express; the cycle formulation needs m >= 3.
+        if inst.m < 3:
+            raise ParameterError(f"cycle formulations require m >= 3, got m={inst.m}")
+        self.inst = inst
+        self.n, self.m = inst.n, inst.m
+        self.pair_i, self.pair_j = np.nonzero(np.triu(inst.q_plus > 0.0, 1))
+        self.pairs: list[tuple[int, int]] = list(zip(self.pair_i.tolist(), self.pair_j.tolist()))
+        self.num_x = self.n * self.m
         n, pi, pj = self.n, self.pair_i, self.pair_j
         base = self.num_x + 3 * np.arange(len(self.pairs))
         self.ncols = self.num_x + 3 * len(self.pairs)
@@ -96,8 +79,8 @@ class VariableSpace(_Layout):
         self.name_rank[base + 1] = 2 * n * n + pi * n + pj
         self.name_rank[base + 2] = 2 * n * n + pj * n + pi
 
-    def has_pair(self, i: int, j: int) -> bool:
-        return bool(self.ycol[i, j] >= 0)
+    def x(self, i: int, s: int) -> int:
+        return i * self.m + s
 
     def y(self, i: int, j: int) -> int:
         return _column(self.ycol, i, j)
@@ -221,21 +204,20 @@ class Csr:
 
 @dataclass
 class Model:
-    """A bounded mixed-binary model: maximize objective @ v subject to
-    row_lower <= rows @ v <= row_upper and lo <= v <= hi."""
+    """A bounded binary model: maximize objective @ v subject to
+    row_lower <= rows @ v <= row_upper and lo <= v <= hi, v binary."""
 
     space: VariableSpace
     objective: np.ndarray
     rows: Csr
     row_lower: np.ndarray
     row_upper: np.ndarray
-    integrality: np.ndarray  # bool per column
     lo: np.ndarray
     hi: np.ndarray
-    row_family: list[str] = field(default_factory=list)
+    row_family: list[str]
     # The rows before this index must stay in every LP; the rest may wait in a
-    # lazy pool until a point violates them.  None: every row is a core row.
-    core_rows: int | None = None
+    # lazy pool until a point violates them.
+    core_rows: int
 
     @property
     def ncols(self) -> int:
@@ -244,38 +226,6 @@ class Model:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def row_count(self, family: str) -> int:
-        return sum(1 for f in self.row_family if f == family)
-
-    def point_objective(self, point: np.ndarray) -> float:
-        return float(self.objective @ point)
-
-    def point_feasible(self, point: np.ndarray, tol: float = 1e-9) -> bool:
-        lhs = self.rows @ point
-        return bool(
-            np.all(lhs >= self.row_lower - tol)
-            and np.all(lhs <= self.row_upper + tol)
-            and np.all(point >= self.lo - tol)
-            and np.all(point <= self.hi + tol)
-        )
-
-
-def _rows(tables: Sequence[tuple], ncols: int) -> dict:
-    """The rows of every table in turn, as the `Model` fields rows,
-    row_lower, row_upper and row_family.  A table is (cols, vals, lower,
-    upper, families): a (k, w) table of columns for `Csr.from_table`, its
-    coefficients, the bounds of every row, and the family names its rows
-    take in turn.  The indices are HiGHS's 32-bit ints, as the LP hands
-    them on."""
-    parts = [Csr.from_table(np.asarray(cols, dtype=np.int32), vals, ncols) for cols, vals, *_ in tables]
-    counts = [len(part) for part in parts]
-    return dict(
-        rows=Csr.stack(parts),
-        row_lower=np.repeat([table[2] for table in tables], counts),
-        row_upper=np.repeat([table[3] for table in tables], counts),
-        row_family=[name for table, k in zip(tables, counts) for name in table[4] * (k // len(table[4]))],
-    )
 
 
 def build_cc(inst: Instance) -> Model:
@@ -312,84 +262,27 @@ def build_cc(inst: Instance) -> Model:
     consec = np.stack(np.broadcast_arrays(x[i, s], x[j, succ], z, y, x[j, s], x[i, succ]), axis=-1)
     link = np.stack([same, consec], axis=-2).reshape(-1, 6)
 
+    # per row family: (k, w) table of columns, coefficients, lower and upper
+    # bound of every row, and the family names its rows take in turn
     tables = [
         (x, 1.0, 1.0, 1.0, ("assign",)),
         (x.T, 1.0, 1.0, np.inf, ("cover",)),
         (np.stack([yij, zij, zji], axis=1), 1.0, -np.inf, 1.0, ("pair",)),
         (link, [1.0, 1.0, -1.0, 1.0, -1.0, -1.0], -np.inf, 1.0, ("same_link", "consec_link")),
     ]
+    # the indices are HiGHS's 32-bit ints, as the LP hands them on
+    parts = [Csr.from_table(np.asarray(cols, dtype=np.int32), vals, space.ncols) for cols, vals, *_ in tables]
+    counts = [len(part) for part in parts]
     return Model(
         space=space,
         objective=obj,
-        integrality=np.ones(space.ncols, dtype=bool),
+        rows=Csr.stack(parts),
+        row_lower=np.repeat([table[2] for table in tables], counts),
+        row_upper=np.repeat([table[3] for table in tables], counts),
         lo=np.zeros(space.ncols),
         hi=np.ones(space.ncols),
+        row_family=[name for table, k in zip(tables, counts) for name in table[4] * (k // len(table[4]))],
         core_rows=n + m + len(pi),  # the linking rows come last, so a solver may add them lazily
-        **_rows(tables, space.ncols),
-    )
-
-
-class RltSpace(_Layout):
-    """Column layout of the product-variable model: x columns then w columns.
-
-    `wcol[i, j, s, t]` is the column of w[i,j,s,t], -1 where the pair carries
-    no weight; per pair the (i, j) products come first, then the (j, i) ones
-    off the shared diagonal.
-    """
-
-    def __init__(self, inst: Instance):
-        super().__init__(inst)
-        n, m = self.n, self.m
-        self.wcol = np.full((n, n, m, m), -1, dtype=np.intp)
-        off_diagonal = ~np.eye(m, dtype=bool)
-        diagonal = np.arange(m)
-        col = self.num_x
-        for (i, j) in self.pairs:
-            self.wcol[i, j] = col + np.arange(m * m).reshape(m, m)
-            col += m * m
-            self.wcol[j, i][off_diagonal] = col + np.arange(m * m - m)
-            col += m * m - m
-            self.wcol[j, i, diagonal, diagonal] = self.wcol[i, j, diagonal, diagonal]
-        self.ncols = col
-
-    def w(self, i: int, j: int, s: int, t: int) -> int:
-        return _column(self.wcol, i, j, s, t)
-
-
-def build_rlt(inst: Instance) -> Model:
-    """Build the product-variable model (x binary, w continuous in [0,1])."""
-    space = RltSpace(inst)
-    n, m = inst.n, inst.m
-    alpha = inst.alpha
-    pi, pj = space.pair_i, space.pair_j
-    wij, wji = space.wcol[pi, pj], space.wcol[pj, pi]
-    s = np.arange(m)
-    succ = (s + 1) % m
-
-    obj = np.zeros(space.ncols)
-    obj[wij[:, s, s]] += ((1.0 - alpha) * inst.q_plus[pi, pj])[:, None]
-    obj[wij[:, s, succ]] += (alpha * inst.q_minus[pi, pj])[:, None]
-    obj[wji[:, s, succ]] += (alpha * inst.q_minus[pj, pi])[:, None]
-
-    # sum_s w[i,j,s,t] - x[j,t] = 0 over (pair, direction (i, j) then (j, i), t)
-    x = np.arange(space.num_x).reshape(n, m)
-    w = np.stack([wij, wji], axis=1).swapaxes(2, 3)
-    link = np.concatenate([w, x[np.stack([pj, pi], axis=1)][..., None]], axis=-1).reshape(-1, m + 1)
-
-    tables = [
-        (x, 1.0, 1.0, 1.0, ("assign",)),
-        (x.T, 1.0, 1.0, np.inf, ("cover",)),
-        (link, [1.0] * m + [-1.0], 0.0, 0.0, ("link",)),
-    ]
-    integrality = np.zeros(space.ncols, dtype=bool)
-    integrality[: space.num_x] = True
-    return Model(
-        space=space,  # type: ignore[arg-type]
-        objective=obj,
-        integrality=integrality,
-        lo=np.zeros(space.ncols),
-        hi=np.ones(space.ncols),
-        **_rows(tables, space.ncols),
     )
 
 
@@ -430,8 +323,7 @@ def point_to_clustering(space: VariableSpace, point: np.ndarray, tol: float = 1e
 def write_lp(model: Model, target: IO[str], name: str = "cyclecluster") -> None:
     """Export in CPLEX LP text format for cross-checking with external solvers."""
     cols = model.ncols
-    col_name = model.space.name if isinstance(model.space, VariableSpace) else "v{}".format
-    names = [col_name(c) for c in range(cols)]
+    names = [model.space.name(c) for c in range(cols)]
     target.write(f"\\ {name}\nMaximize\n obj:")
     terms = [(c, v) for c, v in enumerate(model.objective) if v != 0.0]
     for c, v in terms:
@@ -452,6 +344,5 @@ def write_lp(model: Model, target: IO[str], name: str = "cyclecluster") -> None:
         target.write(f" {model.lo[c]:.17g} <= {names[c]} <= {model.hi[c]:.17g}\n")
     target.write("Binaries\n")
     for c in range(cols):
-        if model.integrality[c]:
-            target.write(f" {names[c]}\n")
+        target.write(f" {names[c]}\n")
     target.write("End\n")

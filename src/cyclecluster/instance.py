@@ -44,7 +44,8 @@ class DimensionError(InstanceError):
 
 
 class ParameterError(InstanceError):
-    """n, m or alpha outside their admissible ranges."""
+    """A parameter outside its admissible range: n, m or alpha of an
+    instance, or a setting of the solver."""
 
 
 class ClusteringError(ValueError):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import AbstractSet, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -130,12 +130,9 @@ class Cuts(Csr):
         return "\n".join(lines)
 
 
-def first_rows(keys: np.ndarray, seen: AbstractSet = frozenset()) -> np.ndarray:
-    """The positions of the first row per key, in ascending order, leaving
-    out the keys in `seen`."""
+def first_rows(keys: np.ndarray) -> np.ndarray:
+    """The positions of the first row per key, in ascending order."""
     first = dict(zip(keys[::-1].tolist(), range(keys.size - 1, -1, -1)))
-    for key in first.keys() & seen:
-        del first[key]
     return np.sort(np.fromiter(first.values(), dtype=np.intp, count=len(first)))
 
 

@@ -1,12 +1,19 @@
-"""Reference model builders used only by the test suite.
+"""Model builders used only by the test suite.
 
-`build_cc` and `build_rlt` as `cyclecluster.formulation` had them before
-their rows were built from column tables: one Python call per row through a
-row builder, each row with a sense and a right-hand side.  The bounds a
-reference model carries come from those senses as the LP once computed them:
-a `<` row is [-inf, rhs], a `>` row [rhs, inf] and an `=` row [rhs, rhs].
-Nothing here is shared with the production builders beyond the column
-layouts, so a test can hold them to the same rows, bit for bit.
+`build_cc` as `cyclecluster.formulation` had it before its rows were built
+from column tables: one Python call per row through a row builder, each row
+with a sense and a right-hand side.  The bounds a reference model carries
+come from those senses as the LP once computed them: a `<` row is
+[-inf, rhs], a `>` row [rhs, inf] and an `=` row [rhs, rhs].  Nothing here
+is shared with the production builder beyond the column layout, so a test
+can hold the two to the same rows, bit for bit.
+
+`build_rlt` is the product-variable (RLT) model, built the same way, the
+only one there is: it serves criterion 2's root-bound comparison and the
+tests of its own.  Each assignment equation is multiplied with every x[j,t]
+and the bilinear terms are replaced by w[i,j,s,t] in [0, 1], where the
+diagonal products w[i,j,s,s] and w[j,i,s,s] share one variable.  `RltSpace`
+maps them to columns.
 """
 
 from __future__ import annotations
@@ -15,12 +22,59 @@ from typing import Sequence
 
 import numpy as np
 
-from cyclecluster.formulation import Csr, Model, RltSpace, VariableSpace
+from cyclecluster.formulation import Csr, Model, VariableSpace
 from cyclecluster.instance import Instance
 
 LESS_EQUAL = "<"
 EQUAL = "="
 GREATER_EQUAL = ">"
+
+
+def point_feasible(model: Model, point: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether `point` satisfies every row and column bound of `model`, within `tol`."""
+    lhs = model.rows @ point
+    return bool(
+        np.all(lhs >= model.row_lower - tol)
+        and np.all(lhs <= model.row_upper + tol)
+        and np.all(point >= model.lo - tol)
+        and np.all(point <= model.hi + tol)
+    )
+
+
+class RltSpace:
+    """Column layout of the product-variable model: the x columns,
+    vertex-major, then per weighted pair (i, j), i < j, the (i, j) products
+    and then the (j, i) ones off the shared diagonal.
+
+    `wcol[i, j, s, t]` is the column of w[i,j,s,t], -1 where the pair
+    carries no weight.
+    """
+
+    def __init__(self, inst: Instance):
+        n, m = inst.n, inst.m
+        self.n, self.m = n, m
+        self.pairs = VariableSpace(inst).pairs
+        self.num_x = n * m
+        self.wcol = np.full((n, n, m, m), -1, dtype=np.intp)
+        off_diagonal = ~np.eye(m, dtype=bool)
+        diagonal = np.arange(m)
+        col = self.num_x
+        for (i, j) in self.pairs:
+            self.wcol[i, j] = col + np.arange(m * m).reshape(m, m)
+            col += m * m
+            self.wcol[j, i][off_diagonal] = col + np.arange(m * m - m)
+            col += m * m - m
+            self.wcol[j, i, diagonal, diagonal] = self.wcol[i, j, diagonal, diagonal]
+        self.ncols = col
+
+    def x(self, i: int, s: int) -> int:
+        return i * self.m + s
+
+    def w(self, i: int, j: int, s: int, t: int) -> int:
+        col = int(self.wcol[i, j, s, t])
+        if col < 0:
+            raise KeyError(f"no column for {(i, j, s, t)}: the pair carries no weight")
+        return col
 
 
 class RowBuilder:
@@ -91,7 +145,6 @@ def build_cc(inst: Instance) -> Model:
         space.ncols,
         space=space,
         objective=obj,
-        integrality=np.ones(space.ncols, dtype=bool),
         lo=np.zeros(space.ncols),
         hi=np.ones(space.ncols),
         core_rows=core_rows,
@@ -99,6 +152,8 @@ def build_cc(inst: Instance) -> Model:
 
 
 def build_rlt(inst: Instance) -> Model:
+    """The product-variable model: x binary, w continuous in [0, 1], every
+    row a core row."""
     space = RltSpace(inst)
     n, m = inst.n, inst.m
     alpha = inst.alpha
@@ -122,13 +177,11 @@ def build_rlt(inst: Instance) -> Model:
                 vals = [1.0] * m + [-1.0]
                 rb.add(cols, vals, EQUAL, 0.0, "link")
 
-    integrality = np.zeros(space.ncols, dtype=bool)
-    integrality[: space.num_x] = True
     return rb.model(
         space.ncols,
         space=space,
         objective=obj,
-        integrality=integrality,
         lo=np.zeros(space.ncols),
         hi=np.ones(space.ncols),
+        core_rows=len(rb.rhs),
     )

@@ -38,7 +38,7 @@ def _support(space, coeffs, rhs):
 def brute_triangle_cuts(space, point, tol):
     """Every violated triangle template over all ordered triples; column support -> violation."""
     n, m = space.n, space.m
-    exists = lambda i, j: space.has_pair(i, j)
+    exists = lambda i, j: space.ycol[i, j] >= 0
     y = lambda i, j: _val(space, point, ("y", i, j))
     z = lambda i, j: _val(space, point, ("z", i, j))
     found = {}

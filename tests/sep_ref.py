@@ -199,7 +199,7 @@ def _partition_lhs(S: Sequence[int], T: Sequence[int], Y: np.ndarray, Z: np.ndar
 
 
 def _partition_cut(space: VariableSpace, S: Sequence[int], T: Sequence[int], violation: float) -> Cut:
-    z = [space.zcol[i, j] for i in S for j in T if space.has_pair(i, j)]
+    z = [space.zcol[i, j] for i in S for j in T if space.ycol[i, j] >= 0]
     y = [space.ycol[i, j] for side in (S, T) for i, j in combinations(side, 2)]
     return Cut(z + y, [1.0] * len(z) + [-1.0] * len(y), float(min(len(S), len(T))), "Partition", violation)
 
@@ -340,7 +340,7 @@ def _subtour_cut(space: VariableSpace, walk: list[int], violation: float) -> Cut
 def _path_cut(space: VariableSpace, walk: list[int], violation: float) -> Cut:
     cols = _walk_cols(space, walk)
     i1, end = walk[0], walk[-1]
-    if space.has_pair(i1, end):
+    if space.ycol[i1, end] >= 0:
         cols.append(space.ycol[i1, end])
     return Cut(cols, [1.0] * len(cols), float(len(walk) - 1), "Path", violation)
 

@@ -12,13 +12,7 @@ import numpy as np
 
 from cyclecluster.bench import BenchSetting, aggregate, run_bench, shifted_geomean
 from cyclecluster.engine import SolverConfig, compute_gap, solve
-from cyclecluster.formulation import (
-    RltSpace,
-    VariableSpace,
-    build_cc,
-    build_rlt,
-    clustering_to_point,
-)
+from cyclecluster.formulation import VariableSpace, build_cc, clustering_to_point
 from cyclecluster.generator import benchmark_suite, generate
 from cyclecluster.heuristics import exchange, greedy, rounding
 from cyclecluster.instance import Clustering, Instance, objective
@@ -26,6 +20,7 @@ from cyclecluster.lp import lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal, max_integral_violation, polytope_dimension
 from cyclecluster.separation import Cuts, _walk_rows, separate_partition, separate_subtour_path, separate_triangle
 from conftest import random_clustering, random_instance
+from model_ref import RltSpace, build_rlt, point_feasible
 from sep_brute import brute_best_subtour_path_violation, brute_triangle_cuts, random_box_point, random_fractional_point
 
 SOLVE_CONFIG = SolverConfig(time_limit_s=300.0)  # defaults: all separators and heuristics on
@@ -117,10 +112,10 @@ def test_criterion_2_root_bound_equality(capfd):
         assert abs(cc_val - rlt_val) <= 1e-6, f"root LPs differ: {cc_val} vs {rlt_val}"
         cc_pt = uniform_cc_point(inst, cc_model.space)
         rlt_pt = uniform_rlt_point(inst, rlt_model.space)
-        assert cc_model.point_feasible(cc_pt, tol=1e-9)
-        assert rlt_model.point_feasible(rlt_pt, tol=1e-9)
-        assert abs(cc_model.point_objective(cc_pt) - cc_val) <= 1e-6
-        assert abs(rlt_model.point_objective(rlt_pt) - rlt_val) <= 1e-6
+        assert point_feasible(cc_model, cc_pt, tol=1e-9)
+        assert point_feasible(rlt_model, rlt_pt, tol=1e-9)
+        assert abs(float(cc_model.objective @ cc_pt) - cc_val) <= 1e-6
+        assert abs(float(rlt_model.objective @ rlt_pt) - rlt_val) <= 1e-6
         worst = max(worst, abs(cc_val - rlt_val))
     report(capfd, 2, True, f"20/20 root LPs equal within 1e-6 (worst {worst:.2e}); uniform point optimal in both")
 

@@ -116,6 +116,31 @@ class TestSolveCommand:
         }
 
 
+BAD_PARAMETERS = {
+    "solve-time-limit": ["solve", "{instance}", "--time-limit", "0"],
+    "solve-node-limit": ["solve", "{instance}", "--node-limit", "0"],
+    "solve-sepa": ["solve", "{instance}", "--sepa", "bogus"],
+    "solve-heur": ["solve", "{instance}", "--heur", "bogus"],
+    "solve-cut-rounds-root": ["solve", "{instance}", "--cut-rounds-root", "-1"],
+    "solve-cut-rounds-node": ["solve", "{instance}", "--cut-rounds-node", "-1"],
+    "sparsify-time-limit": ["heuristic", "sparsify", "{instance}", "--time-limit", "0"],
+    "check-time-limit": ["check", "--grid", "tiny", "--time-limit", "0"],
+    "bench-time-limit": ["bench", "{suite}", "--time-limit", "0"],
+    "bench-settings": ["bench", "{suite}", "--settings", "all/bogus"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_PARAMETERS.values()), ids=list(BAD_PARAMETERS))
+def test_bad_solver_parameters_exit_3(argv, t1_file, tmp_path, capsys):
+    # t1_file is the only file in tmp_path, so tmp_path is a one-instance suite
+    argv = [arg.format(instance=t1_file, suite=tmp_path) for arg in argv]
+    assert main(argv) == EXIT_BAD_PARAMS
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestHeuristicCommand:
     @pytest.mark.parametrize("name", HEURISTIC_NAMES)
     def test_every_heuristic_name_parses(self, name):

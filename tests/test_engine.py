@@ -436,18 +436,59 @@ class TestRootAging:
         search = engine._Search(aging_instance(), SolverConfig(time_limit_s=60, heuristics=()), None)
         search.run()
         assert search.status == "optimal" and search.nodes_processed > 1
-        num_link = search.link_upper.size
         origin = search.row_origin
         assert origin.size == search.lp.rows.shape[0]
-        in_lp = {search.cut_supports[j] for j in origin[origin >= num_link] - num_link}
-        assert search.pool_supports == in_lp  # an aged-out cut left the pool
-        assert len(set(search.cut_supports)) > len(in_lp)  # and some did age out
+        assert ((origin >= 0) | (origin == engine.CORE_ROW) | (origin == engine.CUT_ROW)).all()
+        # some cut rows aged out, and none repeats
+        cut = origin == engine.CUT_ROW
+        in_lp = row_keys(search.lp.rows[cut], search.lp.row_upper[cut])
+        assert 0 < len(in_lp) < sum(search.cut_counts.values())
+        assert len(set(in_lp)) == len(in_lp)
         # the linking rows in the LP are exactly those out of the lazy pool,
         # some stayed in the pool through the tree, and only the root deleted rows
-        assert np.array_equal(np.sort(origin[(origin >= 0) & (origin < num_link)]), np.flatnonzero(~search.link_out))
+        assert np.array_equal(np.sort(origin[origin >= 0]), np.flatnonzero(~search.link_out))
         assert search.link_out.any()
         root_only = solve(aging_instance(), SolverConfig(time_limit_s=60, node_limit=1, heuristics=()))
         assert search.lp_rows_deleted == root_only.lp_rows_deleted > 0
+
+
+def row_keys(rows, upper) -> list[tuple]:
+    """Each row as (upper bound, columns, coefficients).  A cut keeps its
+    columns ascending, so two cuts are the same inequality exactly when
+    these are equal."""
+    bounds = zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist())
+    return [(float(u), tuple(rows.indices[a:b].tolist()), tuple(rows.data[a:b].tolist())) for u, (a, b) in zip(upper, bounds)]
+
+
+class TestCutPoolInvariant:
+    """The engine keeps no set of the cuts in the LP; the LP's own optimum
+    keeps a separated cut from being one the LP already has."""
+
+    @pytest.mark.parametrize("k", [None, 0, 1], ids=["aging", "tree-0", "tree-1"])
+    def test_no_cut_in_the_lp_is_separated_again(self, monkeypatch, k):
+        if k is None:
+            inst = aging_instance()
+        else:  # instance k of the benchmark's tree slice, before relabeling
+            inst, _ = generate(10, 3, forward_strength=0.25, rng_seed=[20240116, 10, 3, 25, k])
+        separated_at = []
+        separate = engine._Search.separate
+
+        def spy(search, point):
+            cut = search.row_origin == engine.CUT_ROW
+            rows, upper = search.lp.rows[cut], search.lp.row_upper[cut]
+            # at the point separated from, every cut in the LP holds to within TOL_CUT
+            assert (rows @ point - upper).max(initial=-np.inf) <= engine.TOL_CUT
+            in_lp = row_keys(rows, upper)
+            assert len(set(in_lp)) == len(in_lp)
+            cuts = separate(search, point)
+            assert not set(row_keys(cuts, cuts.rhs)) & set(in_lp)
+            separated_at.append(search.nodes_processed)
+            return cuts
+
+        monkeypatch.setattr(engine._Search, "separate", spy)
+        res = solve(inst, SolverConfig(time_limit_s=60))
+        assert res.status == "optimal" and sum(res.cut_counts.values()) > 0
+        assert max(separated_at) > 1  # tree nodes separate too
 
 
 def sparse_raw_counts(n: int, m: int, k: int) -> Instance:
@@ -552,7 +593,10 @@ class TestCutIntake:
             point = search.solve_node_lp().values
             want, capped_now, repeats_now = self.expected(search.space, point)
             capped, repeats = capped + capped_now, repeats + repeats_now
-            want = [cut for cut in want if cut.support not in {c.support for c in in_lp}]
+            # the re-solved point violates no cut in the LP, so no cut of the round is one
+            cut_rows = search.row_origin == engine.CUT_ROW
+            assert (search.lp.rows[cut_rows] @ point - search.lp.row_upper[cut_rows]).max(initial=-np.inf) <= engine.TOL_CUT
+            assert not {cut.support for cut in want} & {cut.support for cut in in_lp}
             start = search.lp.rows.shape[0]
             assert search.add_rows(search.separate(point), no_link) == len(want)
             rows = search.lp.rows[start:]
@@ -563,9 +607,6 @@ class TestCutIntake:
                 assert rows.data[at].tobytes() == cut.vals.tobytes()
                 assert search.lp.row_lower[start + r] == -np.inf and search.lp.row_upper[start + r] == cut.rhs
             in_lp += want
-            # a batch whose cuts are all in the LP adds nothing
-            assert search.add_rows(search.separate(point), no_link) == 0
-            assert search.lp.rows.shape[0] == start + len(want)
         assert capped > 0  # the cap acted
         assert repeats[("Partition", "TriangleZZY")] > 0  # a partition cut repeated a triangle
         assert search.cut_counts == Counter(cut.family for cut in in_lp)

@@ -427,7 +427,6 @@ def test_from_tables_sorts_rows_and_keys_the_inequality():
     keys = both.keys
     assert keys[3] == keys[0] and len(set(keys.tolist())) == 6
     assert first_rows(keys).tolist() == [0, 1, 2, 4, 5, 6]
-    assert first_rows(keys, {keys[1]}).tolist() == [0, 2, 4, 5, 6]
     assert_same_cuts(both.take([3, 1]), Cuts.concat([same, cuts.take([1])]))
 
 

@@ -6,14 +6,17 @@ a shift of 10 seconds for solve time, 100 for node counts and 1000 for the
 primal and dual integrals, plus the arithmetic mean of the finite gaps.  The
 integrals are normalized against the best primal value any setting achieved
 on the instance.  A run's record is its solve's JSON report
-(`SolveResult.report`) plus its setting.  With an output directory each run
-writes that report and an event log (one line per bound event), and
-aggregation rebuilds its inputs from the reports alone.
+(`SolveResult.report`) plus its setting.  Runs go one at a time in this
+process, so no two solves share the cores and skew each other's times.
+With an output directory each run writes that report and an event log (one
+line per bound event) as soon as it ends, and aggregation rebuilds its
+inputs from the reports alone.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -24,6 +27,8 @@ import numpy as np
 from cyclecluster.engine import BoundEvent, SolverConfig, dual_integral, json_value, primal_integral, solve
 from cyclecluster.engine import HEURISTIC_NAMES, SEPARATOR_ORDER
 from cyclecluster.instance import Instance, ParameterError, load_instance
+
+log = logging.getLogger(__name__)
 
 TIME_SHIFT = 10.0
 NODE_SHIFT = 100.0
@@ -109,52 +114,32 @@ def bound_events(report: dict) -> list[BoundEvent]:
     ]
 
 
-def _run_one(job: tuple[str, str, Instance, SolverConfig]) -> dict:
-    name, setting, inst, cfg = job
-    return {"setting": setting, **solve(inst, cfg).report(name, inst, cfg)}
-
-
 def run_bench(
     instances: Sequence[tuple[str, Instance]],
     settings: Sequence[BenchSetting],
     base_config: SolverConfig,
     out_dir: Optional[Path] = None,
-    progress=None,
-    workers: int = 1,
 ) -> list[dict]:
-    """Solve every instance under every setting; returns one report per run:
-    the solve's `SolveResult.report` plus its `setting`.
+    """Solve every instance under every setting, one solve at a time, and
+    log one INFO line per run; returns one report per run: the solve's
+    `SolveResult.report` plus its `setting`.
 
-    With workers > 1, solves are dispatched to a process pool; reports come
-    back in job order and aggregation is order-independent anyway.  With an
-    output directory, each report goes to `<setting>/<instance>.json`, next
-    to the run's event log.
+    With an output directory, each run writes its report to
+    `<setting>/<instance>.json` and its event log next to it as soon as the
+    run ends, so the runs done before a failure keep their files.
     """
-    jobs = []
+    reports = []
     for setting in settings:
         cfg = replace(base_config, separators=setting.separators, heuristics=setting.heuristics)
         for name, inst in instances:
-            jobs.append((name, setting.name, inst, cfg))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_one, jobs))
-    else:
-        reports = []
-        for job in jobs:
-            reports.append(_run_one(job))
-            if progress is not None:
-                progress(reports[-1])
-    if out_dir is not None:
-        for rep in reports:
-            run_dir = Path(out_dir) / rep["setting"].replace("/", "_")
-            run_dir.mkdir(parents=True, exist_ok=True)
-            write_event_log(run_dir / f"{rep['instance']}.log", bound_events(rep))
-            (run_dir / f"{rep['instance']}.json").write_text(json.dumps(rep, indent=2) + "\n", encoding="utf-8")
-    if workers > 1 and progress is not None:
-        for rep in reports:
-            progress(rep)
+            res = solve(inst, cfg)
+            reports.append({"setting": setting.name, **res.report(name, inst, cfg)})
+            log.info("%s %s: %s nodes=%d time=%.2fs", setting.name, name, res.status, res.nodes_processed, res.wall_time_s)
+            if out_dir is not None:
+                run_dir = Path(out_dir) / setting.name.replace("/", "_")
+                run_dir.mkdir(parents=True, exist_ok=True)
+                write_event_log(run_dir / f"{name}.log", res.bound_history)
+                (run_dir / f"{name}.json").write_text(json.dumps(reports[-1], indent=2) + "\n", encoding="utf-8")
     return reports
 
 

@@ -39,8 +39,6 @@ from cyclecluster.lp import lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal, max_integral_violation
 from cyclecluster.separation import Cuts, separate_partition, separate_subtour_path, separate_triangle
 
-log = logging.getLogger("cyclecluster")
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_FILE = 2
@@ -64,7 +62,7 @@ def _load(args) -> Instance | int:
                 alpha=args.alpha_override if args.alpha_override is not None else inst.alpha,
                 Q=inst.Q.copy(),
             )
-    except FileNotFoundError:
+    except (OSError, UnicodeDecodeError):  # missing, a directory, unreadable or not UTF-8
         print(f"error: cannot read {args.instance}", file=sys.stderr)
         return EXIT_BAD_FILE
     except ParameterError:  # before InstanceError, its base class; `main` reports it
@@ -207,16 +205,7 @@ def cmd_bench(args) -> int:
     settings = [bench_mod.BenchSetting.parse(tok) for tok in args.settings.split(",") if tok.strip()]
     base_cfg = SolverConfig(time_limit_s=args.time_limit, node_limit=args.node_limit, rng_seed=args.seed)
     out_dir = Path(args.out) if args.out else None
-
-    def progress(rep):
-        log.info(
-            "%s %s: %s nodes=%d time=%.2fs",
-            rep["setting"], rep["instance"], rep["status"], rep["nodes_processed"], rep["wall_time_s"],
-        )
-
-    reports = bench_mod.run_bench(
-        instances, settings, base_cfg, out_dir=out_dir, progress=progress, workers=args.workers
-    )
+    reports = bench_mod.run_bench(instances, settings, base_cfg, out_dir=out_dir)
     summaries = bench_mod.aggregate(reports)
     if args.json:
         print(bench_mod.summaries_to_json(summaries))
@@ -252,7 +241,7 @@ def cmd_check(args) -> int:
             over = tail.sum(axis=1)
             tail *= np.where(over > 1.0, 1.0 / over, 1.0)[:, None]
             point = np.concatenate([x, tail.ravel()])
-            cuts = Cuts.concat([separate(space, point, 1e-4) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
+            cuts = Cuts.concat([separate(space, point) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
             bad += int((max_integral_violation(inst, cuts) > 1e-9).sum())
         failures += bad > 0
         print(f"cut-validity n={n} m={m}: {'ok' if bad == 0 else f'{bad} INVALID CUTS'}")
@@ -311,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--time-limit", type=float, default=defaults.time_limit_s)
     p_bench.add_argument("--node-limit", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--workers", type=int, default=1, help="process pool size for dispatching solves")
     p_bench.add_argument("--json", action="store_true")
     p_bench.add_argument("--out", default=None, help="directory for per-run logs and results")
     p_bench.set_defaults(func=cmd_bench)

@@ -56,15 +56,15 @@ import math
 import time
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from cyclecluster.formulation import ConversionError, Csr, build_cc, point_to_clustering
+from cyclecluster.formulation import TOL_INTEGRALITY, ConversionError, Csr, build_cc, point_to_clustering
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, ParameterError, objective
 from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
-from cyclecluster.separation import Cuts, first_rows, separate_partition, separate_subtour_path, separate_triangle
+from cyclecluster.separation import TOL_CUT, Cuts, first_rows, separate_partition, separate_subtour_path, separate_triangle
 
 log = logging.getLogger(__name__)
 
@@ -74,10 +74,9 @@ SEPARATOR_ORDER = ("triangle", "subtour_path", "partition")
 HEURISTIC_NAMES = ("greedy", "sparsify", "rounding", "exchange")
 
 # A solve works on Q scaled to a total weight near one, so these absolute
-# tolerances act relative to the weights.
-TOL_INTEGRALITY = 1e-6
-TOL_CUT = 1e-4
-EPSILON_GAP = 1e-6
+# tolerances, and `TOL_INTEGRALITY` and `TOL_CUT` imported above, act
+# relative to the weights.
+EPSILON_GAP = 1e-6  # prunes a node whose bound is within it of the incumbent; pads the gap's denominator
 DUAL_PAD = 1e-6  # added to LP bounds before pruning decisions
 MAX_CUTS_PER_FAMILY = 200
 PARTITION_MIN_M = 5  # partition separation engaged only for m >= this
@@ -100,7 +99,7 @@ class SolverConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.time_limit_s <= 0:
+        if not self.time_limit_s > 0:  # NaN fails this test too
             raise ParameterError("time limit must be positive")
         if self.node_limit is not None and self.node_limit <= 0:
             raise ParameterError("node limit must be positive")
@@ -198,8 +197,9 @@ def sparsify_config(config: SolverConfig, time_limit_s: float) -> SolverConfig:
     )
 
 
-def compute_gap(primal: float, dual: float, epsilon: float = 1e-6) -> float:
-    """Relative gap in percent: 100 (d - p) / min(p + eps, d + eps).
+def compute_gap(primal: float, dual: float) -> float:
+    """Relative gap in percent: 100 (d - p) / min(p + eps, d + eps), with
+    eps = `EPSILON_GAP`.
 
     Returns the infinite-gap sentinel when either bound is missing, the bounds
     have opposite signs, or the denominator vanishes; the value can exceed
@@ -209,8 +209,8 @@ def compute_gap(primal: float, dual: float, epsilon: float = 1e-6) -> float:
         return GAP_INFINITE
     if primal * dual < 0:
         return GAP_INFINITE
-    denom = min(primal + epsilon, dual + epsilon)
-    if abs(denom) <= epsilon * epsilon:
+    denom = min(primal + EPSILON_GAP, dual + EPSILON_GAP)
+    if abs(denom) <= EPSILON_GAP * EPSILON_GAP:
         return GAP_INFINITE
     return 100.0 * (dual - primal) / denom
 
@@ -257,12 +257,11 @@ class _Search:
     power of two nearest its total weight, which is exact in floating point,
     and reports every value multiplied back, in the caller's units."""
 
-    def __init__(self, inst: Instance, config: SolverConfig, log_stream: Optional[IO[str]]):
+    def __init__(self, inst: Instance, config: SolverConfig):
         total = float(inst.Q.sum())
         self.scale = 2.0 ** round(math.log2(total)) if total > 0 else 1.0
         self.inst = Instance(n=inst.n, m=inst.m, alpha=inst.alpha, Q=inst.Q / self.scale)
         self.config = config
-        self.log = log_stream
         self.t0 = time.perf_counter()
         self.model = build_cc(self.inst)
         self.space = self.model.space
@@ -305,10 +304,7 @@ class _Search:
         return self.elapsed() >= self.config.time_limit_s
 
     def record(self, kind: str) -> None:
-        ev = BoundEvent(self.elapsed(), self.nodes_processed, self.primal * self.scale, self.dual * self.scale, kind)
-        self.history.append(ev)
-        if self.log is not None:
-            self.log.write(ev.log_line())
+        self.history.append(BoundEvent(self.elapsed(), self.nodes_processed, self.primal * self.scale, self.dual * self.scale, kind))
 
     def offer(self, clustering: Clustering, source: str) -> bool:
         val = objective(self.inst, clustering)
@@ -383,11 +379,11 @@ class _Search:
         cfg = self.config
         found = []
         if "triangle" in cfg.separators:
-            found.append(separate_triangle(self.space, point, TOL_CUT, max_per_family=MAX_CUTS_PER_FAMILY))
+            found.append(separate_triangle(self.space, point, max_per_family=MAX_CUTS_PER_FAMILY))
         if "subtour_path" in cfg.separators:
-            found.append(separate_subtour_path(self.space, point, TOL_CUT))
+            found.append(separate_subtour_path(self.space, point))
         if "partition" in cfg.separators and self.inst.m >= PARTITION_MIN_M:
-            found.append(separate_partition(self.space, point, TOL_CUT))
+            found.append(separate_partition(self.space, point))
         cuts = Cuts.concat(found) if found else Cuts.empty(self.space.ncols)
         if len(cuts) > MAX_CUTS_PER_FAMILY:  # else no family can pass the cap
             # each row's rank within its family, in order
@@ -459,7 +455,7 @@ class _Search:
         frac_x[[c for c in fixings if c < self.space.num_x]] = 0.0
         if frac_x.max() <= TOL_INTEGRALITY:
             try:
-                clustering = point_to_clustering(self.space, values, tol=TOL_INTEGRALITY)
+                clustering = point_to_clustering(self.space, values)
             except ConversionError:
                 clustering = None
             if clustering is not None:
@@ -625,7 +621,7 @@ class _Search:
         )
 
 
-def solve(inst: Instance, config: Optional[SolverConfig] = None, log_stream: Optional[IO[str]] = None) -> SolveResult:
+def solve(inst: Instance, config: Optional[SolverConfig] = None) -> SolveResult:
     """Solve an instance by branch and cut; deterministic for a fixed config.
 
     Raises ParameterError for m < 3 (the compact formulation needs a proper
@@ -633,6 +629,6 @@ def solve(inst: Instance, config: Optional[SolverConfig] = None, log_stream: Opt
     terminations are normal statuses on the result.
     """
     cfg = config or SolverConfig()
-    search = _Search(inst, cfg, log_stream)
+    search = _Search(inst, cfg)
     search.run()
     return search.result()

@@ -30,6 +30,8 @@ import numpy as np
 
 from cyclecluster.instance import Clustering, Instance, ParameterError
 
+TOL_INTEGRALITY = 1e-6  # an x value within it of 0 or 1 reads as integral
+
 
 class ConversionError(ValueError):
     """A point cannot be interpreted as an integral feasible clustering."""
@@ -303,10 +305,10 @@ def clustering_to_point(space: VariableSpace, c: Clustering) -> np.ndarray:
     return point
 
 
-def point_to_clustering(space: VariableSpace, point: np.ndarray, tol: float = 1e-6) -> Clustering:
+def point_to_clustering(space: VariableSpace, point: np.ndarray) -> Clustering:
     """Recover the clustering from the x-block of an integral feasible point."""
     x = np.asarray(point, dtype=float)[: space.num_x].reshape(space.n, space.m)
-    if np.any(np.minimum(np.abs(x), np.abs(1.0 - x)) > tol):
+    if np.any(np.minimum(np.abs(x), np.abs(1.0 - x)) > TOL_INTEGRALITY):
         raise ConversionError("x-part is fractional")
     assignment = []
     for i in range(space.n):
@@ -320,11 +322,11 @@ def point_to_clustering(space: VariableSpace, point: np.ndarray, tol: float = 1e
         raise ConversionError(str(exc)) from None
 
 
-def write_lp(model: Model, target: IO[str], name: str = "cyclecluster") -> None:
+def write_lp(model: Model, target: IO[str]) -> None:
     """Export in CPLEX LP text format for cross-checking with external solvers."""
     cols = model.ncols
     names = [model.space.name(c) for c in range(cols)]
-    target.write(f"\\ {name}\nMaximize\n obj:")
+    target.write("\\ cyclecluster\nMaximize\n obj:")
     terms = [(c, v) for c, v in enumerate(model.objective) if v != 0.0]
     for c, v in terms:
         target.write(f" {'+' if v >= 0 else '-'} {abs(v):.17g} {names[c]}")

@@ -10,6 +10,7 @@ which leaves the maximizer unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence
@@ -33,8 +34,9 @@ def generate(
     """Sample an instance and return it with its planted clustering."""
     if not 2 <= m <= n:
         raise ValueError(f"need 2 <= m <= n, got n={n}, m={m}")
-    if min(forward_strength, coherence_strength, noise) < 0:
-        raise ValueError("strengths must be nonnegative")
+    strengths = (forward_strength, coherence_strength, noise)
+    if not all(0.0 <= s < math.inf for s in strengths):  # NaN fails this test too
+        raise ValueError(f"strengths must be finite and nonnegative, got (forward, coherence, noise) = {strengths}")
     rng = np.random.default_rng(rng_seed)
     planted = np.arange(n) % m
     u = rng.uniform(0.0, 1.0, size=(n, n))

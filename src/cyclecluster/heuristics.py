@@ -20,6 +20,8 @@ import numpy as np
 
 from cyclecluster.instance import Clustering, Instance, objective
 
+MAX_PERTURBATIONS = 5  # restarts of exchange from a perturbed best
+
 
 def _contributions(inst: Instance, member: np.ndarray) -> np.ndarray:
     """contrib[v, t] = objective terms between v and cluster t's members if v
@@ -113,12 +115,7 @@ def rounding(inst: Instance, x_fractional: np.ndarray) -> Optional[Clustering]:
     return Clustering(tuple(int(a) for a in assign), inst.m)
 
 
-def exchange(
-    inst: Instance,
-    start: Clustering,
-    rng_seed: int = 0,
-    max_perturbations: int = 5,
-) -> Clustering:
+def exchange(inst: Instance, start: Clustering, rng_seed: int = 0) -> Clustering:
     """Single-move local search with best tracking and cyclic perturbations.
 
     A pass reassigns every vertex once, applying the move with the largest
@@ -130,7 +127,7 @@ def exchange(
     filling moves are preferred right after.  Only states with all clusters
     nonempty can become the best.  Passes restart from that best until it
     stops improving; then half of each cluster is pushed to the next cluster
-    and the search restarts, at most `max_perturbations` times.  Never
+    and the search restarts, at most `MAX_PERTURBATIONS` times.  Never
     returns a clustering worse than `start`.
 
     Each pass computes the contribution matrix once (O(n^2 m)) and updates
@@ -208,7 +205,7 @@ def exchange(
             current = best_assign.copy()
             current_val = best_val
             continue
-        if perturbations >= max_perturbations:
+        if perturbations >= MAX_PERTURBATIONS:
             break
         perturbations += 1
         current = perturb(best_assign)

@@ -12,15 +12,12 @@ indices are 0..m-1 internally and printed 1-based in reports.
 
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
 import numpy as np
-
-OBJECTIVE_TOL = 1e-9
 
 
 class InstanceError(ValueError):
@@ -32,7 +29,8 @@ class HeaderError(InstanceError):
 
 
 class NegativeWeightError(InstanceError):
-    """A weight entry is negative."""
+    """A weight entry is not a finite nonnegative number: negative, NaN or
+    infinite."""
 
 
 class IndexRangeError(InstanceError):
@@ -85,10 +83,10 @@ class Instance:
         q = _as_weight_matrix(self.Q)
         if q.shape[0] != self.n:
             raise DimensionError(f"weight matrix is {q.shape[0]}x{q.shape[0]} but n={self.n}")
-        neg = np.argwhere(q < 0)
-        if neg.size:
-            i, j = neg[0]
-            raise NegativeWeightError(f"negative weight at ({i},{j})")
+        bad = np.flatnonzero(~((q >= 0.0) & (q < np.inf)))  # NaN fails both tests
+        if bad.size:
+            i, j = divmod(int(bad[0]), self.n)
+            raise NegativeWeightError(f"weight at ({i},{j}) is {float(q[i, j])!r}, not a finite nonnegative number")
         if np.any(np.diagonal(q) != 0.0):
             warnings.warn("discarding nonzero diagonal of Q (constant objective offset)", stacklevel=3)
             q = q.copy()
@@ -316,9 +314,3 @@ def save_instance(inst: Instance, target: PathOrStream, fmt: str = "dense") -> N
             target.write(f"{i} {j} {inst.Q[i, j]:.17g}\n")
     else:
         raise ValueError(f"unknown format {fmt!r}, use 'dense' or 'sparse'")
-
-
-def instance_to_string(inst: Instance, fmt: str = "dense") -> str:
-    buf = io.StringIO()
-    save_instance(inst, buf, fmt=fmt)
-    return buf.getvalue()

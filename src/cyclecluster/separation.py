@@ -41,7 +41,7 @@ import numpy as np
 
 from cyclecluster.formulation import Csr, VariableSpace
 
-DEFAULT_TOL = 1e-4
+TOL_CUT = 1e-4  # the violation a separated cut must exceed
 PARTITION_MAX_SIZE = 5
 PARTITION_MAX_SEEDS = 50
 PARTITION_ALMOST_VIOLATED = 0.1
@@ -179,9 +179,7 @@ def _triple_hits(values: np.ndarray, mask: np.ndarray, bound: float, tol: float,
     return (i, *np.divmod(jk, n)), v[order]
 
 
-def separate_triangle(
-    space: VariableSpace, point: np.ndarray, tol: float = DEFAULT_TOL, max_per_family: int | None = None
-) -> Cuts:
+def separate_triangle(space: VariableSpace, point: np.ndarray, max_per_family: int | None = None) -> Cuts:
     """All violated triangle inequalities applicable to the instance's m.
 
     m == 3 uses the pure-z cyclic implication; m == 4 uses the y-transitivity,
@@ -200,7 +198,7 @@ def separate_triangle(
 
     def emit(lhs, mask, rhs, family, coefs, cols):
         """One row per violated triple; cols(i, j, k) lists the columns of coefs."""
-        triples, viol = _triple_hits(lhs, mask, rhs, tol, max_per_family)
+        triples, viol = _triple_hits(lhs, mask, rhs, TOL_CUT, max_per_family)
         found.append((np.array(cols(*triples)).T, coefs, rhs, family, viol))
 
     if m == 3:
@@ -333,32 +331,24 @@ def _best_candidates(gain: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.n
     return best_v, best_gain
 
 
-def separate_partition(
-    space: VariableSpace,
-    point: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    max_size: int = PARTITION_MAX_SIZE,
-    max_seeds: int = PARTITION_MAX_SEEDS,
-    almost_violated: float = PARTITION_ALMOST_VIOLATED,
-) -> Cuts:
+def separate_partition(space: VariableSpace, point: np.ndarray) -> Cuts:
     """Heuristic separation of sum z(S->T) - y(S) - y(T) <= min(|S|, |T|).
 
-    Seeds are two-against-one triangles within `almost_violated` of being
-    tight; the smaller side is then grown by the vertex with the best lhs
-    gain (S on a tie of sizes when its gain is at least T's), and a seed
-    stops when no vertex may join.  Growing a side requires its internal
-    y-variables to exist (their coefficient is negative); missing z-terms
-    are simply dropped.  Every seed grows in the same step: its sides are
+    Seeds are the first `PARTITION_MAX_SEEDS` two-against-one triangles
+    within `PARTITION_ALMOST_VIOLATED` of being tight; the smaller side is
+    then grown by the vertex with the best lhs gain (S on a tie of sizes
+    when its gain is at least T's), and a seed stops when no vertex may
+    join or |S| + |T| reaches `PARTITION_MAX_SIZE`.  Growing a side
+    requires its internal y-variables to exist (their coefficient is
+    negative); missing z-terms are simply dropped.  Every seed grows in the same step: its sides are
     rows of (seeds, size) vertex tables, padded with n, which indexes a
     zero row of the weights, so each gain is summed term by term in the
     order the sides were grown, plus exact zeros.
     """
-    n, m = space.n, space.m
-    if m < 3:
-        return Cuts.empty(space.ncols)
+    n = space.n
     _, Y, Z = space.point_matrices(point)
     E = space.ycol >= 0
-    seeds = _partition_seeds(Y, Z, E, almost_violated)[:max_seeds]  # every seed is a distinct (S, T)
+    seeds = _partition_seeds(Y, Z, E, PARTITION_ALMOST_VIOLATED)[:PARTITION_MAX_SEEDS]  # every seed is a distinct (S, T)
     if not seeds:
         return Cuts.empty(space.ncols)
     # weights with a zero row and column for the padding vertex n; pairs
@@ -370,7 +360,7 @@ def separate_partition(
 
     k = len(seeds)
     seed_ids = np.arange(k)[:, None]
-    width = max(max_size, 3)
+    width = max(PARTITION_MAX_SIZE, 3)
     # a seed is ((i,), (j, k)) or ((j, k), (i,)): its three vertices in order, and |S|
     vertices = np.array([S0 + T0 for _, S0, T0 in seeds])
     size_s = np.array([len(S0) for _, S0, _ in seeds])
@@ -404,7 +394,7 @@ def separate_partition(
         ok[seed_ids, side] = ok[seed_ids, other] = False
         return _best_candidates((z_gain - y_loss)[:, :n], ok[:, :n])
 
-    for _ in range(3, max_size):  # one vertex per step, from size 3 up to max_size
+    for _ in range(3, PARTITION_MAX_SIZE):  # one vertex per step, from size 3 up to the cap
         if not active.any():
             break
         v_s, gain_s = candidates(S, T, True)
@@ -427,7 +417,7 @@ def separate_partition(
     width = int(best_size.max())
     keep = np.arange(width)[None, :] < best_size[:, :, None]
     S, T = np.where(keep[0], S[:, :width], n), np.where(keep[1], T[:, :width], n)
-    violated = best_viol > tol
+    violated = best_viol > TOL_CUT
     return _sorted_unique(space, _partition_rows(space, S[violated], T[violated], best_viol[violated]))
 
 
@@ -508,7 +498,7 @@ def _walk_rows(space: VariableSpace, Y: np.ndarray, Z: np.ndarray, starts: np.nd
     return Cuts.from_tables(found, space.ncols)
 
 
-def separate_subtour_path(space: VariableSpace, point: np.ndarray, tol: float = DEFAULT_TOL) -> Cuts:
+def separate_subtour_path(space: VariableSpace, point: np.ndarray) -> Cuts:
     """Extended subtour and path cuts from maximum-weight walks per start node.
 
     Arc weights are z for arcs leaving the start node and z + y elsewhere, so
@@ -516,7 +506,5 @@ def separate_subtour_path(space: VariableSpace, point: np.ndarray, tol: float = 
     length 2..m-1 give subtour cuts; walks of exactly m-1 arcs plus the
     closing same-cluster term give path cuts.  One DP serves every start.
     """
-    if space.m < 3:
-        return Cuts.empty(space.ncols)
     _, Y, Z = space.point_matrices(point)
-    return _sorted_unique(space, _walk_rows(space, Y, Z, np.arange(space.n), tol))
+    return _sorted_unique(space, _walk_rows(space, Y, Z, np.arange(space.n), TOL_CUT))

@@ -18,7 +18,7 @@ from cyclecluster.heuristics import exchange, greedy, rounding
 from cyclecluster.instance import Clustering, Instance, objective
 from cyclecluster.lp import lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal, max_integral_violation, polytope_dimension
-from cyclecluster.separation import Cuts, _walk_rows, separate_partition, separate_subtour_path, separate_triangle
+from cyclecluster.separation import TOL_CUT, Cuts, _walk_rows, separate_partition, separate_subtour_path, separate_triangle
 from conftest import random_clustering, random_instance
 from model_ref import RltSpace, build_rlt, point_feasible
 from sep_brute import brute_best_subtour_path_violation, brute_triangle_cuts, random_box_point, random_fractional_point
@@ -133,7 +133,7 @@ def test_criterion_3_cut_validity(capfd):
                 point = random_box_point(space, rng)
             else:
                 point = random_fractional_point(space, rng, components=3, noise=0.3)
-            cuts = Cuts.concat([separate(space, point, 1e-4) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
+            cuts = Cuts.concat([separate(space, point) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
             checked += len(cuts)
             worst = max_integral_violation(inst, cuts).max(initial=-math.inf)
             assert worst <= 1e-9, f"invalid cut on (n={n}, m={m}) trial {trial}: violation {worst}"
@@ -147,9 +147,9 @@ def test_criterion_4_separation_completeness(capfd):
         space = VariableSpace(random_instance(n, m, seed=n + m, alpha=1 / 1.001))
         for trial in range(10):
             point = random_box_point(space, rng) if trial % 2 else random_fractional_point(space, rng, noise=0.25)
-            cuts = separate_triangle(space, point, 1e-4)
+            cuts = separate_triangle(space, point)
             got = dict(zip(cuts.keys, cuts.violation))
-            want = brute_triangle_cuts(space, point, 1e-4)
+            want = brute_triangle_cuts(space, point, TOL_CUT)
             assert set(got) == set(want), f"triangle sets differ on (n={n}, m={m})"
             for sup, viol in want.items():
                 assert abs(got[sup] - viol) <= 1e-9
@@ -161,9 +161,9 @@ def test_criterion_4_separation_completeness(capfd):
         point = random_fractional_point(space, rng, components=3, noise=0.15)
         _, Y, Z = space.point_matrices(point)
         for i1 in range(7):
-            emitted = _walk_rows(space, Y, Z, np.array([i1]), 1e-4)  # the rows of start i1 alone
+            emitted = _walk_rows(space, Y, Z, np.array([i1]), TOL_CUT)  # the rows of start i1 alone
             got = emitted.violation.max(initial=0.0)
-            want = brute_best_subtour_path_violation(space, point, i1, 1e-4)
+            want = brute_best_subtour_path_violation(space, point, i1, TOL_CUT)
             assert abs(got - want) <= 1e-9, f"DP vs brute at start {i1}, trial {trial}: {got} vs {want}"
         trials += 1
     report(capfd, 4, True, f"triangle sets identical on 40 points; DP best violation exact on {trials} trials x 7 starts")

@@ -1,4 +1,3 @@
-import io
 import json
 import math
 import re
@@ -6,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cyclecluster import bench
 from cyclecluster.bench import (
     BenchSetting,
     aggregate,
@@ -118,16 +118,6 @@ class TestAggregation:
         back = read_event_log(path)
         assert back == events
 
-    def test_solve_log_stream_reads_back_as_bound_history(self, tmp_path):
-        buf = io.StringIO()
-        res = solve(random_instance(7, 3, seed=5, alpha=1 / 1.001), SolverConfig(time_limit_s=30.0), log_stream=buf)
-        path = tmp_path / "solve.log"
-        path.write_text(buf.getvalue())
-        assert read_event_log(path) == res.bound_history
-        assert res.bound_history[0].primal == -math.inf and res.bound_history[0].dual == math.inf
-        write_event_log(tmp_path / "again.log", res.bound_history)
-        assert (tmp_path / "again.log").read_text() == buf.getvalue()
-
     def test_json_roundtrip(self, tmp_path):
         events = [BoundEvent(0.0, 0, -math.inf, math.inf, "start"), BoundEvent(1.25, 17, 0.5, 0.5, "final")]
         rep = _report(
@@ -185,13 +175,24 @@ class TestRunBench:
         assert a[0]["cut_counts"] == b[0]["cut_counts"]
         assert a[0]["primal_bound"] == b[0]["primal_bound"]
 
+    def test_run_log_reads_back_as_bound_history(self, tmp_path):
+        instances = [("r", random_instance(7, 3, seed=5, alpha=1 / 1.001))]
+        [report] = run_bench(instances, [BenchSetting.parse("all/all")], SolverConfig(time_limit_s=30.0), out_dir=tmp_path)
+        events = read_event_log(tmp_path / "all_all" / "r.log")
+        assert events == bound_events(report)
+        assert events[0] == BoundEvent(events[0].time_s, 0, -math.inf, math.inf, "start")
 
-class TestWorkers:
-    def test_worker_pool_matches_sequential(self, tmp_path):
-        instances = [(f"w{seed}", random_instance(6, 3, seed=seed, alpha=1 / 1.001)) for seed in (3, 4)]
-        settings = [BenchSetting.parse("all/all")]
-        cfg = SolverConfig(time_limit_s=20.0)
-        seq = run_bench(instances, settings, cfg)
-        par = run_bench(instances, settings, cfg, workers=2)
-        fixed = ("instance", "nodes_processed", "primal_bound")
-        assert [[r[k] for k in fixed] for r in seq] == [[r[k] for k in fixed] for r in par]
+    def test_each_run_writes_its_files_when_it_ends(self, tmp_path, monkeypatch):
+        instances = [(f"f{seed}", random_instance(6, 3, seed=seed, alpha=1 / 1.001)) for seed in (0, 1)]
+        solved = []
+
+        def solve_then_fail(inst, cfg):
+            solved.append(inst)
+            if len(solved) == 2:
+                raise RuntimeError("the second solve fails")
+            return solve(inst, cfg)
+
+        monkeypatch.setattr(bench, "solve", solve_then_fail)
+        with pytest.raises(RuntimeError, match="the second solve fails"):
+            run_bench(instances, [BenchSetting.parse("all/all")], SolverConfig(time_limit_s=20.0), out_dir=tmp_path)
+        assert sorted(path.name for path in (tmp_path / "all_all").iterdir()) == ["f0.json", "f0.log"]

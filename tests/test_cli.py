@@ -33,14 +33,21 @@ class TestSolveCommand:
         assert "optimal" in out
         assert "0.4" in out
 
-    def test_missing_file_exit_2(self, command, capsys):
-        assert main(command + ["nowhere.cc"]) == EXIT_BAD_FILE
-        assert "cannot read nowhere.cc" in capsys.readouterr().err
+    def test_missing_file_exit_2(self, command, tmp_path, capsys):
+        binary = tmp_path / "binary.cc"
+        binary.write_bytes(b"CCDENSE 2 2 0.5\n\xff\xfe 1\n1 0\n")  # not UTF-8
+        for path in ("nowhere.cc", str(tmp_path), str(binary)):  # missing, a directory, undecodable
+            assert main(command + [path]) == EXIT_BAD_FILE
+            err = capsys.readouterr().err
+            assert err == f"error: cannot read {path}\n", err
 
     def test_malformed_file_exit_2(self, command, tmp_path, capsys):
         bad = tmp_path / "bad.cc"
-        bad.write_text("CCWRONG 1 2 3\n")
-        assert main(command + [str(bad)]) == EXIT_BAD_FILE
+        for text in ("CCWRONG 1 2 3\n", "CCDENSE 3 3 0.5\n0 1 1\n1 0 nan\n1 1 0\n", "CCDENSE 3 3 0.5\n0 inf 1\n1 0 1\n1 1 0\n"):
+            bad.write_text(text)
+            assert main(command + [str(bad)]) == EXIT_BAD_FILE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_infeasible_override_exit_3(self, command, t1_file, capsys):
         assert main(command + [t1_file, "--m-override", "9"]) == EXIT_BAD_PARAMS
@@ -118,6 +125,7 @@ class TestSolveCommand:
 
 BAD_PARAMETERS = {
     "solve-time-limit": ["solve", "{instance}", "--time-limit", "0"],
+    "solve-time-limit-nan": ["solve", "{instance}", "--time-limit", "nan"],
     "solve-node-limit": ["solve", "{instance}", "--node-limit", "0"],
     "solve-sepa": ["solve", "{instance}", "--sepa", "bogus"],
     "solve-heur": ["solve", "{instance}", "--heur", "bogus"],
@@ -177,8 +185,11 @@ class TestGenerateCommand:
         assert len(list((tmp_path / "suite").glob("*.cc"))) == 48
 
     def test_bad_params_exit_3(self, tmp_path, capsys):
-        rc = main(["generate", "--n", "3", "--m", "9", "--seed", "0", "-o", str(tmp_path / "y.cc")])
-        assert rc == EXIT_BAD_PARAMS
+        for extra in (["--n", "3", "--m", "9"], ["--n", "6", "--m", "3", "--forward", "nan"]):
+            rc = main(["generate", *extra, "--seed", "0", "-o", str(tmp_path / "y.cc")])
+            assert rc == EXIT_BAD_PARAMS
+        assert not (tmp_path / "y.cc").exists()
+        assert "strengths must be finite and nonnegative" in capsys.readouterr().err
 
 
 class TestBenchCommand:

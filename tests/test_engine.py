@@ -1,4 +1,3 @@
-import io
 import logging
 import math
 from collections import Counter
@@ -309,15 +308,11 @@ class TestSolve:
         assert res.nodes_processed > 1 and len(nodes) == res.nodes_processed
         assert nodes[-1].startswith(f"{res.nodes_processed} nodes: primal ")
 
-    def test_log_stream_events(self, t1):
-        buf = io.StringIO()
-        res = solve(t1, FAST, log_stream=buf)
-        lines = [ln for ln in buf.getvalue().splitlines() if ln]
-        assert len(lines) == len(res.bound_history)
-        t, nodes, primal, dual, kind = lines[-1].split()
-        assert kind == "final"
-        assert float(primal) == pytest.approx(res.primal_bound)
-        assert int(nodes) == res.nodes_processed
+    def test_bound_history_ends_with_the_final_event(self, t1):
+        res = solve(t1, FAST)
+        last = res.bound_history[-1]
+        assert last.event == "final"
+        assert last.primal == res.primal_bound and last.nodes == res.nodes_processed
 
 
 LINK_FAMILIES = ("same_link", "consec_link")
@@ -416,7 +411,7 @@ class TestRootAging:
         res = solve(inst, SolverConfig(time_limit_s=60, node_limit=1))
         # the first root LP is one solve of a freshly loaded LP of the pinned
         # assign, cover and pair rows; aging acts only after it
-        search = engine._Search(inst, SolverConfig(), None)  # builds the pinned model, solves nothing
+        search = engine._Search(inst, SolverConfig())  # builds the pinned model, solves nothing
         model = search.model
         core = ~np.isin(np.asarray(model.row_family), LINK_FAMILIES)
         cold = solve_lp(LinearProgram(model.objective, model.rows[core], model.row_lower[core], model.row_upper[core], model.lo, model.hi))
@@ -428,12 +423,12 @@ class TestRootAging:
         inst, _ = generate(12, 5, forward_strength=0.25, rng_seed=[5, 12, 5])
         res = solve(inst, SolverConfig(time_limit_s=60, node_limit=1, separators=()))
         assert res.link_rows_readded > 0
-        search = engine._Search(inst, SolverConfig(), None)
+        search = engine._Search(inst, SolverConfig())
         cold = solve_lp(lp_relaxation(search.model)).objective_value
         assert res.root_dual_bound == pytest.approx((cold + engine.DUAL_PAD) * search.scale, rel=1e-9, abs=0)
 
     def test_cut_pool_is_the_cuts_in_the_lp(self):
-        search = engine._Search(aging_instance(), SolverConfig(time_limit_s=60, heuristics=()), None)
+        search = engine._Search(aging_instance(), SolverConfig(time_limit_s=60, heuristics=()))
         search.run()
         assert search.status == "optimal" and search.nodes_processed > 1
         origin = search.row_origin
@@ -504,7 +499,7 @@ def sparse_raw_counts(n: int, m: int, k: int) -> Instance:
 class TestVertexBranching:
     def test_children_fix_the_whole_row(self, monkeypatch):
         inst = aging_instance()
-        search = engine._Search(inst, SolverConfig(time_limit_s=60, separators=(), heuristics=()), None)
+        search = engine._Search(inst, SolverConfig(time_limit_s=60, separators=(), heuristics=()))
         points = []
         solve_node_lp = engine._Search.solve_node_lp
 
@@ -530,7 +525,7 @@ class TestVertexBranching:
 
     def test_excluded_clusters_get_no_child(self):
         inst = aging_instance()
-        search = engine._Search(inst, SolverConfig(time_limit_s=60), None)
+        search = engine._Search(inst, SolverConfig(time_limit_s=60))
         space = search.space
         parent = {space.x(3, 1): 0.0, space.x(3, 4): 0.0, space.ncols - 1: 1.0}
         search.branch_on_vertex(3, parent, 0.5)
@@ -585,7 +580,7 @@ class TestCutIntake:
     def test_cap_order_and_dedupe(self):
         # the first instance of the benchmark's root slice, weak signal, n=12, m=5
         inst, _ = generate(12, 5, forward_strength=0.25, rng_seed=[20240116, 12, 5, 25, 0])
-        search = engine._Search(inst, SolverConfig(heuristics=()), None)
+        search = engine._Search(inst, SolverConfig(heuristics=()))
         assert inst.m >= engine.PARTITION_MIN_M
         no_link = np.zeros(0, dtype=np.int64)
         in_lp, capped, repeats = [], 0, Counter()

@@ -89,7 +89,7 @@ class TestBuildCc:
         model = build_cc(t1)
         assert not model.lo.any()
         assert (model.hi == 1.0).all()
-        search = _Search(t1, SolverConfig(), None)
+        search = _Search(t1, SolverConfig())
         pinned = np.zeros(model.ncols)
         pinned[model.space.x(0, 0)] = 1.0
         assert search.lp.lo.tolist() == pinned.tolist()
@@ -304,10 +304,9 @@ class TestLpExport:
         assert all(line.split()[-1] == "1" for line in rows)
 
     def test_write_lp_header_names_the_model(self, t1):
-        for kwargs, header in (({}, "\\ cyclecluster"), ({"name": "t1"}, "\\ t1")):
-            buf = io.StringIO()
-            write_lp(build_cc(t1), buf, **kwargs)
-            assert buf.getvalue().splitlines()[0] == header
+        buf = io.StringIO()
+        write_lp(build_cc(t1), buf)
+        assert buf.getvalue().splitlines()[0] == "\\ cyclecluster"
 
 
 class TestRltCutTransfer:

@@ -14,7 +14,6 @@ from cyclecluster.instance import (
     ParameterError,
     coherence,
     delta_objective,
-    instance_to_string,
     load_instance,
     net_flow,
     objective,
@@ -199,16 +198,18 @@ class TestDeltaObjective:
 
 class TestFileIO:
     def test_dense_roundtrip(self, t1):
-        text = instance_to_string(t1, fmt="dense")
-        back = load_instance(io.StringIO(text))
+        buf = io.StringIO()
+        save_instance(t1, buf, fmt="dense")
+        back = load_instance(io.StringIO(buf.getvalue()))
         assert back.n == t1.n and back.m == t1.m and back.alpha == t1.alpha
         assert np.array_equal(back.Q, t1.Q)
         assert back.q_minus[0, 1] == pytest.approx(0.3)
 
     def test_sparse_roundtrip_random(self):
         inst = random_instance(6, 4, seed=77, alpha=1 / 3)
-        text = instance_to_string(inst, fmt="sparse")
-        back = load_instance(io.StringIO(text))
+        buf = io.StringIO()
+        save_instance(inst, buf, fmt="sparse")
+        back = load_instance(io.StringIO(buf.getvalue()))
         assert np.array_equal(back.Q, inst.Q)
         assert back.alpha == inst.alpha
 
@@ -229,6 +230,11 @@ class TestFileIO:
             load_instance(io.StringIO("CCDENSE 3 three 0.5\n"))
         with pytest.raises(NegativeWeightError, match=r"negative weight at \(0,1\)"):
             load_instance(io.StringIO("CCSPARSE 3 3 0.5 1\n0 1 -0.25\n"))
+        for weight in ("nan", "inf"):
+            with pytest.raises(NegativeWeightError, match=rf"weight at \(1,2\) is {weight}, not a finite nonnegative number"):
+                load_instance(io.StringIO(f"CCDENSE 3 3 0.5\n0 1 1\n1 0 {weight}\n1 1 0\n"))
+            with pytest.raises(NegativeWeightError, match=rf"weight at \(0,1\) is {weight}"):
+                load_instance(io.StringIO(f"CCSPARSE 3 3 0.5 1\n0 1 {weight}\n"))
         with pytest.raises(IndexRangeError):
             load_instance(io.StringIO("CCSPARSE 3 3 0.5 1\n0 9 0.25\n"))
         with pytest.raises(DimensionError):

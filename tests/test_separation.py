@@ -27,7 +27,7 @@ from sep_brute import (
     random_fractional_point,
 )
 
-TOL = 1e-4
+TOL = separation.TOL_CUT
 
 
 def dense_space(n, m, seed=0):
@@ -62,7 +62,7 @@ class TestTriangle:
     def test_m3_z_triangle_example(self):
         space = dense_space(3, 3)
         pt = point_with(space, {("z", 0, 1): 1.0, ("z", 1, 2): 1.0})
-        cuts = separate_triangle(space, pt, TOL)
+        cuts = separate_triangle(space, pt)
         assert len(cuts) == 1
         assert cuts.family[0] == "TriangleZ3"
         assert cuts.violation[0] == pytest.approx(1.0)
@@ -71,7 +71,7 @@ class TestTriangle:
     def test_m4_strengthened_example(self):
         space = dense_space(4, 4)
         pt = point_with(space, {("z", 0, 1): 1.0, ("z", 0, 2): 1.0})
-        cuts = separate_triangle(space, pt, TOL)
+        cuts = separate_triangle(space, pt)
         assert cuts.family[0] == "TriangleZZY4"
         assert cuts.violation[0] == pytest.approx(2.0)
 
@@ -83,7 +83,7 @@ class TestTriangle:
             for _ in range(10):
                 c = Clustering(random_clustering(n, m, rng), m)
                 pt = clustering_to_point(space, c)
-                assert len(separate_triangle(space, pt, TOL)) == 0
+                assert len(separate_triangle(space, pt)) == 0
 
     @pytest.mark.parametrize("n,m", [(4, 3), (5, 4), (6, 5), (7, 4)])
     def test_completeness_vs_brute_force(self, n, m):
@@ -91,7 +91,7 @@ class TestTriangle:
         space = dense_space(n, m, seed=1)
         for trial in range(15):
             pt = random_box_point(space, rng) if trial % 2 else random_fractional_point(space, rng, noise=0.3)
-            cuts = separate_triangle(space, pt, TOL)
+            cuts = separate_triangle(space, pt)
             got = dict(zip(cuts.keys, cuts.violation))
             expected = brute_triangle_cuts(space, pt, TOL)
             assert set(got) == set(expected)
@@ -110,7 +110,7 @@ class TestTriangle:
             families = set()
             for _ in range(10):
                 pt = random_box_point(space, rng)
-                families |= set(separate_triangle(space, pt, TOL).family.tolist())
+                families |= set(separate_triangle(space, pt).family.tolist())
             assert families <= allowed
             assert families  # random points do violate something
 
@@ -118,7 +118,7 @@ class TestTriangle:
         space = dense_space(6, 4, seed=2)
         rng = np.random.default_rng(9)
         pt = random_box_point(space, rng)
-        cuts = separate_triangle(space, pt, TOL)
+        cuts = separate_triangle(space, pt)
         viols = cuts.violation.tolist()
         assert viols == sorted(viols, reverse=True)
 
@@ -130,7 +130,7 @@ class TestTriangle:
         assert len(space.pairs) < 15
         for trial in range(10):
             pt = random_box_point(space, rng)
-            cuts = separate_triangle(space, pt, TOL)
+            cuts = separate_triangle(space, pt)
             assert check_cut_validity(inst, cuts), cuts.text(space)
 
 
@@ -138,7 +138,7 @@ class TestSubtourPath:
     def test_two_cycle_example(self):
         space = dense_space(3, 3)
         pt = point_with(space, {("z", 0, 1): 0.6, ("z", 1, 0): 0.6})
-        sub = of_family(separate_subtour_path(space, pt, TOL), "Subtour")
+        sub = of_family(separate_subtour_path(space, pt), "Subtour")
         assert len(sub)
         assert sub.violation[0] == pytest.approx(0.2)
         assert named(space, sub)["z_0_1"] == 1.0
@@ -152,7 +152,7 @@ class TestSubtourPath:
         is_z = np.array([space.name(c).startswith("z") for c in range(space.ncols)])
         for _ in range(20):
             pt = random_box_point(space, rng)
-            sub = of_family(separate_subtour_path(space, pt, TOL), "Subtour")
+            sub = of_family(separate_subtour_path(space, pt), "Subtour")
             z_only = np.bincount(sub.entry_rows, weights=sub.data * pt[sub.indices] * is_z[sub.indices], minlength=len(sub))
             assert (sub @ pt >= z_only - 1e-12).all()
 
@@ -164,7 +164,7 @@ class TestSubtourPath:
             for _ in range(10):
                 c = Clustering(random_clustering(n, m, rng), m)
                 pt = clustering_to_point(space, c)
-                assert len(separate_subtour_path(space, pt, TOL)) == 0
+                assert len(separate_subtour_path(space, pt)) == 0
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_dp_matches_brute_enumeration(self, m):
@@ -192,7 +192,7 @@ class TestSubtourPath:
             ("y", 0, 3): 0.8,
         }
         pt = point_with(space, entries)
-        paths = of_family(separate_subtour_path(space, pt, TOL), "Path")
+        paths = of_family(separate_subtour_path(space, pt), "Path")
         assert len(paths)
         assert paths.rhs[0] == 3.0
         assert named(space, paths).get("y_0_3") == 1.0
@@ -206,7 +206,7 @@ class TestPartition:
             space,
             {("z", 0, 2): 1.0, ("z", 0, 3): 1.0, ("z", 1, 2): 1.0, ("z", 1, 3): 1.0},
         )
-        cuts = separate_partition(space, pt, TOL)
+        cuts = separate_partition(space, pt)
         assert len(cuts)
         assert cuts.violation[0] == pytest.approx(2.0)
         assert cuts.rhs[0] == 2.0
@@ -218,7 +218,7 @@ class TestPartition:
         # S={i}, T={j,k} reduces to the two-against-one template
         space = dense_space(5, 5, seed=2)
         pt = point_with(space, {("z", 0, 1): 0.9, ("z", 0, 2): 0.9, ("y", 1, 2): 0.1})
-        cuts = separate_partition(space, pt, TOL)
+        cuts = separate_partition(space, pt)
         assert len(cuts)
         viols = dict(zip(cuts.keys, cuts.violation))
         singleton = named_cut(space, {("z", 0, 1): 1.0, ("z", 0, 2): 1.0, ("y", 1, 2): -1.0}, 1.0)
@@ -230,7 +230,7 @@ class TestPartition:
             inst = random_instance(n, m, seed=n * 7 + m)
             space = VariableSpace(inst)
             for _ in range(25):
-                cuts = separate_partition(space, random_box_point(space, rng), TOL)
+                cuts = separate_partition(space, random_box_point(space, rng))
                 assert check_cut_validity(inst, cuts), cuts.text(space)
 
     def test_size_cap_respected(self):
@@ -238,7 +238,7 @@ class TestPartition:
         rng = np.random.default_rng(4)
         for _ in range(10):
             pt = random_box_point(space, rng)
-            cuts = separate_partition(space, pt, TOL)
+            cuts = separate_partition(space, pt)
             for r in range(len(cuts)):
                 support_vertices = set()
                 for name in named(space, cuts, r):
@@ -289,10 +289,10 @@ class TestPartitionSeeds:
                 want = partition_seeds(Y, Z, E, almost)
                 seeds = _partition_seeds(Y, Z, E, almost)
                 assert [(float(s).hex(), S, T) for s, S, T in seeds] == [(float(s).hex(), S, T) for s, S, T in want]
-            got.append(separate_partition(space, point, TOL))
+            got.append(separate_partition(space, point))
         monkeypatch.setattr(separation, "_partition_seeds", partition_seeds)
         for (space, point), cuts in zip(points, got):
-            assert_same_cuts(cuts, separate_partition(space, point, TOL))
+            assert_same_cuts(cuts, separate_partition(space, point))
             cuts_seen += len(cuts)
         assert cuts_seen > 1000  # the points exercise the separator
 
@@ -353,7 +353,7 @@ class TestBulkMatchesReference:
             ("separate_subtour_path", {}),
             ("separate_partition", {}),
         ):
-            got = getattr(separation, name)(space, point, TOL, **kwargs)
+            got = getattr(separation, name)(space, point, **kwargs)
             self.assert_same(got, getattr(sep_ref, name)(space, point, TOL, **kwargs))
             compared += len(got)
         return compared
@@ -364,13 +364,14 @@ class TestBulkMatchesReference:
     def test_half_integral_points(self):
         assert sum(self.check(space, point) for space, point in half_integral_points()) > 100
 
-    def test_near_tie_takes_the_first_vertex(self):
+    def test_near_tie_takes_the_first_vertex(self, monkeypatch):
         space, point = near_tie_point()
         _, Y, Z = space.point_matrices(point)
         gains = [Z[v, 1] + Z[v, 2] - Y[v, 0] for v in (3, 4)]
         assert 0 < gains[1] - gains[0] < 1e-12
         self.check(space, point)
-        cut = separate_partition(space, point, TOL, max_seeds=1)
+        monkeypatch.setattr(separation, "PARTITION_MAX_SEEDS", 1)
+        cut = separate_partition(space, point)
         assert len(cut) == 1
         self.assert_same(cut, sep_ref.separate_partition(space, point, TOL, max_seeds=1))
         terms = named(space, cut)
@@ -390,7 +391,7 @@ class TestSoundness:
         space = dense_space(6, 4, seed=5)
         for _ in range(10):
             pt = random_box_point(space, rng)
-            cuts = Cuts.concat([separate(space, pt, TOL) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
+            cuts = Cuts.concat([separate(space, pt) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
             assert len(cuts) and (cuts.violation > TOL).all()
             assert (cuts @ pt - cuts.rhs).tolist() == pytest.approx(cuts.violation.tolist(), abs=1e-9)
 

@@ -2,16 +2,7 @@
 
 from cyclecluster.engine import SolverConfig, SolveResult, compute_gap, solve
 from cyclecluster.generator import SuiteSpec, benchmark_suite, generate
-from cyclecluster.instance import (
-    Clustering,
-    Instance,
-    coherence,
-    delta_objective,
-    load_instance,
-    net_flow,
-    objective,
-    save_instance,
-)
+from cyclecluster.instance import Clustering, Instance, load_instance, objective, save_instance
 
 __version__ = "0.1.0"
 
@@ -22,12 +13,9 @@ __all__ = [
     "SolverConfig",
     "SuiteSpec",
     "benchmark_suite",
-    "coherence",
     "compute_gap",
-    "delta_objective",
     "generate",
     "load_instance",
-    "net_flow",
     "objective",
     "save_instance",
     "solve",

@@ -8,9 +8,9 @@ integrals are normalized against the best primal value any setting achieved
 on the instance.  A run's record is its solve's JSON report
 (`SolveResult.report`) plus its setting.  Runs go one at a time in this
 process, so no two solves share the cores and skew each other's times.
-With an output directory each run writes that report and an event log (one
-line per bound event) as soon as it ends, and aggregation rebuilds its
-inputs from the reports alone.
+With an output directory each run writes that report as soon as it ends,
+and aggregation rebuilds its inputs, bound histories included, from the
+reports alone.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from cyclecluster.engine import BoundEvent, SolverConfig, dual_integral, json_value, primal_integral, solve
 from cyclecluster.engine import HEURISTIC_NAMES, SEPARATOR_ORDER
-from cyclecluster.instance import Instance, ParameterError, load_instance
+from cyclecluster.instance import Instance, ParameterError
 
 log = logging.getLogger(__name__)
 
@@ -91,21 +91,6 @@ class BenchSetting:
 DEFAULT_SETTINGS = ("none/none", "none/all", "subtour/all", "all/all")
 
 
-def write_event_log(path: Path, history: Sequence[BoundEvent]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(ev.log_line() for ev in history)
-
-
-def read_event_log(path: Path) -> list[BoundEvent]:
-    events = []
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        t, nodes, primal, dual, kind = line.split()
-        events.append(BoundEvent(float(t), int(nodes), float(primal), float(dual), kind))
-    return events
-
-
 def bound_events(report: dict) -> list[BoundEvent]:
     """A report's bound history as events, with missing bounds back at -inf / inf."""
     return [
@@ -125,8 +110,8 @@ def run_bench(
     `SolveResult.report` plus its `setting`.
 
     With an output directory, each run writes its report to
-    `<setting>/<instance>.json` and its event log next to it as soon as the
-    run ends, so the runs done before a failure keep their files.
+    `<setting>/<instance>.json` as soon as the run ends, so the runs done
+    before a failure keep their files.
     """
     reports = []
     for setting in settings:
@@ -138,7 +123,6 @@ def run_bench(
             if out_dir is not None:
                 run_dir = Path(out_dir) / setting.name.replace("/", "_")
                 run_dir.mkdir(parents=True, exist_ok=True)
-                write_event_log(run_dir / f"{name}.log", res.bound_history)
                 (run_dir / f"{name}.json").write_text(json.dumps(reports[-1], indent=2) + "\n", encoding="utf-8")
     return reports
 
@@ -216,8 +200,3 @@ def format_table(summaries: Sequence[SettingSummary]) -> str:
 
 def summaries_to_json(summaries: Sequence[SettingSummary]) -> str:
     return json.dumps([json_value(asdict(s)) for s in summaries], indent=2)
-
-
-def load_suite(directory: Path) -> list[tuple[str, Instance]]:
-    paths = sorted(Path(directory).glob("*.cc"))
-    return [(p.stem, load_instance(p)) for p in paths]

@@ -50,27 +50,32 @@ def _configure_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load(args) -> Instance | int:
-    """The instance `args` names, with its overrides, or the exit code for
-    a file that cannot be read or parameters that cannot hold."""
+def _read(path) -> Instance | int:
+    """The instance in the file at `path`, or the exit code for a file that
+    cannot be read, is malformed or declares parameters that cannot hold,
+    after one error line that names the file."""
     try:
-        inst = load_instance(args.instance)
-        if args.m_override is not None or args.alpha_override is not None:
-            inst = Instance(
-                n=inst.n,
-                m=args.m_override if args.m_override is not None else inst.m,
-                alpha=args.alpha_override if args.alpha_override is not None else inst.alpha,
-                Q=inst.Q.copy(),
-            )
+        return load_instance(path)
     except (OSError, UnicodeDecodeError):  # missing, a directory, unreadable or not UTF-8
-        print(f"error: cannot read {args.instance}", file=sys.stderr)
+        print(f"error: cannot read {path}", file=sys.stderr)
         return EXIT_BAD_FILE
-    except ParameterError:  # before InstanceError, its base class; `main` reports it
-        raise
     except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FILE
-    return inst
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return EXIT_BAD_PARAMS if isinstance(exc, ParameterError) else EXIT_BAD_FILE
+
+
+def _load(args) -> Instance | int:
+    """The instance `args` names, with its overrides, or the exit code of
+    `_read`; overrides that cannot hold raise `ParameterError`."""
+    inst = _read(args.instance)
+    if isinstance(inst, int) or (args.m_override is None and args.alpha_override is None):
+        return inst
+    return Instance(
+        n=inst.n,
+        m=args.m_override if args.m_override is not None else inst.m,
+        alpha=args.alpha_override if args.alpha_override is not None else inst.alpha,
+        Q=inst.Q.copy(),
+    )
 
 
 def _config_from_args(args) -> SolverConfig:
@@ -198,10 +203,16 @@ def cmd_bench(args) -> int:
     if not suite_dir.is_dir():
         print(f"error: suite directory {suite_dir} does not exist", file=sys.stderr)
         return EXIT_BAD_FILE
-    instances = bench_mod.load_suite(suite_dir)
-    if not instances:
+    paths = sorted(suite_dir.glob("*.cc"))
+    if not paths:
         print(f"error: no .cc instances under {suite_dir}", file=sys.stderr)
         return EXIT_BAD_FILE
+    instances = []
+    for path in paths:
+        inst = _read(path)
+        if isinstance(inst, int):
+            return inst
+        instances.append((path.stem, inst))
     settings = [bench_mod.BenchSetting.parse(tok) for tok in args.settings.split(",") if tok.strip()]
     base_cfg = SolverConfig(time_limit_s=args.time_limit, node_limit=args.node_limit, rng_seed=args.seed)
     out_dir = Path(args.out) if args.out else None
@@ -301,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--node-limit", type=int, default=None)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--json", action="store_true")
-    p_bench.add_argument("--out", default=None, help="directory for per-run logs and results")
+    p_bench.add_argument("--out", default=None, help="directory for per-run JSON reports and summary.json")
     p_bench.set_defaults(func=cmd_bench)
 
     p_check = sub.add_parser("check", help="self-check against the brute-force oracle")

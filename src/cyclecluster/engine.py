@@ -64,7 +64,7 @@ from cyclecluster.formulation import TOL_INTEGRALITY, ConversionError, Csr, buil
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import Clustering, Instance, ParameterError, objective
 from cyclecluster.lp import LpSolution, lp_relaxation, solve_lp
-from cyclecluster.separation import TOL_CUT, Cuts, first_rows, separate_partition, separate_subtour_path, separate_triangle
+from cyclecluster.separation import Cuts, first_rows, separate_partition, separate_subtour_path, separate_triangle
 
 log = logging.getLogger(__name__)
 
@@ -74,8 +74,8 @@ SEPARATOR_ORDER = ("triangle", "subtour_path", "partition")
 HEURISTIC_NAMES = ("greedy", "sparsify", "rounding", "exchange")
 
 # A solve works on Q scaled to a total weight near one, so these absolute
-# tolerances, and `TOL_INTEGRALITY` and `TOL_CUT` imported above, act
-# relative to the weights.
+# tolerances, `TOL_INTEGRALITY` imported above and the separators'
+# `separation.TOL_CUT` act relative to the weights.
 EPSILON_GAP = 1e-6  # prunes a node whose bound is within it of the incumbent; pads the gap's denominator
 DUAL_PAD = 1e-6  # added to LP bounds before pruning decisions
 MAX_CUTS_PER_FAMILY = 200
@@ -115,15 +115,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class BoundEvent:
+    """A change of the search's bounds.  A report writes it as the list `[time_s,
+    nodes, primal, dual, event]`, a missing bound as null; `bench.bound_events` reads it back."""
+
     time_s: float
     nodes: int
     primal: float
     dual: float
     event: str
-
-    def log_line(self) -> str:
-        """The event-log line: `time nodes primal dual kind`, every number exact."""
-        return f"{self.time_s!r} {self.nodes} {self.primal!r} {self.dual!r} {self.event}\n"
 
 
 @dataclass

@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Sequence, Union
 
 import numpy as np
 
@@ -139,40 +139,6 @@ class Clustering:
         mat[np.arange(self.n), self.assignment] = 1.0
         return mat
 
-    def moved(self, v: int, target: int) -> "Clustering":
-        a = list(self.assignment)
-        a[v] = target
-        return Clustering(tuple(a), self.m)
-
-
-def _check_vertices(inst: Instance, vs: Iterable[int], what: str) -> list[int]:
-    out = []
-    for v in vs:
-        v = int(v)
-        if not 0 <= v < inst.n:
-            raise IndexRangeError(f"{what} contains vertex {v}, valid range is 0..{inst.n - 1}")
-        out.append(v)
-    return out
-
-
-def net_flow(inst: Instance, S: Iterable[int], T: Iterable[int]) -> float:
-    """Directed net flow sum_{i in S, j in T} (Q[i,j] - Q[j,i]); S and T disjoint."""
-    s = _check_vertices(inst, S, "S")
-    t = _check_vertices(inst, T, "T")
-    if set(s) & set(t):
-        raise ValueError("net_flow requires disjoint vertex sets")
-    if not s or not t:
-        return 0.0
-    return float(inst.q_minus[np.ix_(s, t)].sum())
-
-
-def coherence(inst: Instance, S: Iterable[int]) -> float:
-    """Total undirected weight sum_{i<j in S} (Q[i,j] + Q[j,i])."""
-    s = _check_vertices(inst, S, "S")
-    if len(s) < 2:
-        return 0.0
-    return float(inst.q_plus[np.ix_(s, s)].sum()) / 2.0
-
 
 def objective(inst: Instance, c: Clustering) -> float:
     """Value of a clustering under the cyclic flow/coherence objective."""
@@ -184,29 +150,6 @@ def objective(inst: Instance, c: Clustering) -> float:
     flow = sum(flow_between[t, (t + 1) % inst.m] for t in range(inst.m))
     coh = 0.5 * float(np.trace(within))
     return float(inst.alpha * flow + (1.0 - inst.alpha) * coh)
-
-
-def delta_objective(inst: Instance, c: Clustering, v: int, target: int) -> float:
-    """Objective change from moving vertex v into cluster `target`, in O(n).
-
-    Only the terms touching v can change; they are aggregated per cluster with
-    two weighted bincounts.  Matches objective(c.moved(v, target)) - objective(c).
-    """
-    _check_vertices(inst, [v], "v")
-    if not 0 <= target < inst.m:
-        raise ClusteringError(f"target cluster {target} out of range 0..{inst.m - 1}")
-    a = c.assignment[v]
-    if target == a:
-        return 0.0
-    assign = c.as_array()
-    # v's own row has zero diagonal, so no self-term correction is needed.
-    s_plus = np.bincount(assign, weights=inst.q_plus[v], minlength=inst.m)
-    s_mto = np.bincount(assign, weights=inst.q_minus[v], minlength=inst.m)
-
-    def contrib(s: int) -> float:
-        return (1.0 - inst.alpha) * s_plus[s] + inst.alpha * (s_mto[(s + 1) % inst.m] - s_mto[(s - 1) % inst.m])
-
-    return float(contrib(target) - contrib(a))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from cyclecluster.instance import Clustering, Instance, objective
+from cyclecluster.instance import Clustering, Instance
 
 ENUMERATION_BUDGET = 10**8
 _CHUNK = 1 << 15

@@ -14,11 +14,9 @@ from cyclecluster.bench import (
     load_records,
     parse_heuristic_spec,
     parse_separator_spec,
-    read_event_log,
     run_bench,
     shifted_geomean,
     summaries_to_json,
-    write_event_log,
 )
 from cyclecluster.engine import BoundEvent, SolverConfig, SolveResult, solve
 from conftest import random_instance, t1_instance
@@ -108,16 +106,6 @@ class TestAggregation:
         assert summary.mean_gap_percent == pytest.approx(0.0)
         assert summary.infinite_gaps == 1
 
-    def test_event_log_roundtrip(self, tmp_path):
-        events = [
-            BoundEvent(0.0, 0, -math.inf, math.inf, "start"),
-            BoundEvent(1.5, 3, 0.25, 1.0, "incumbent:rounding"),
-        ]
-        path = tmp_path / "x.log"
-        write_event_log(path, events)
-        back = read_event_log(path)
-        assert back == events
-
     def test_json_roundtrip(self, tmp_path):
         events = [BoundEvent(0.0, 0, -math.inf, math.inf, "start"), BoundEvent(1.25, 17, 0.5, 0.5, "final")]
         rep = _report(
@@ -151,7 +139,7 @@ class TestRunBench:
         assert {r["instance"] for r in reloaded} == {"r0", "r1"}
         key = lambda r: (r["setting"], r["instance"])  # noqa: E731
         assert sorted(reloaded, key=key) == sorted(records, key=key)
-        assert len(list(tmp_path.glob("*/*.log"))) == 4
+        assert sorted(path.suffix for path in tmp_path.glob("*/*")) == [".json"] * 4  # one file per run
         table = format_table(aggregate(records))
         assert "none/all" in table and "all/all" in table
         assert json.loads(summaries_to_json(aggregate(records)))
@@ -175,11 +163,18 @@ class TestRunBench:
         assert a[0]["cut_counts"] == b[0]["cut_counts"]
         assert a[0]["primal_bound"] == b[0]["primal_bound"]
 
-    def test_run_log_reads_back_as_bound_history(self, tmp_path):
+    def test_run_file_reads_back_as_bound_history(self, tmp_path, monkeypatch):
+        results = []
+
+        def solve_and_keep(inst, cfg):
+            results.append(solve(inst, cfg))
+            return results[-1]
+
+        monkeypatch.setattr(bench, "solve", solve_and_keep)
         instances = [("r", random_instance(7, 3, seed=5, alpha=1 / 1.001))]
         [report] = run_bench(instances, [BenchSetting.parse("all/all")], SolverConfig(time_limit_s=30.0), out_dir=tmp_path)
-        events = read_event_log(tmp_path / "all_all" / "r.log")
-        assert events == bound_events(report)
+        events = bound_events(json.loads((tmp_path / "all_all" / "r.json").read_text()))
+        assert events == bound_events(report) == results[0].bound_history  # every float exact, +-inf included
         assert events[0] == BoundEvent(events[0].time_s, 0, -math.inf, math.inf, "start")
 
     def test_each_run_writes_its_files_when_it_ends(self, tmp_path, monkeypatch):
@@ -195,4 +190,4 @@ class TestRunBench:
         monkeypatch.setattr(bench, "solve", solve_then_fail)
         with pytest.raises(RuntimeError, match="the second solve fails"):
             run_bench(instances, [BenchSetting.parse("all/all")], SolverConfig(time_limit_s=20.0), out_dir=tmp_path)
-        assert sorted(path.name for path in (tmp_path / "all_all").iterdir()) == ["f0.json", "f0.log"]
+        assert sorted(path.name for path in (tmp_path / "all_all").iterdir()) == ["f0.json"]

@@ -47,7 +47,7 @@ class TestSolveCommand:
             bad.write_text(text)
             assert main(command + [str(bad)]) == EXIT_BAD_FILE
             err = capsys.readouterr().err
-            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
 
     def test_infeasible_override_exit_3(self, command, t1_file, capsys):
         assert main(command + [t1_file, "--m-override", "9"]) == EXIT_BAD_PARAMS
@@ -216,7 +216,7 @@ class TestBenchCommand:
         payload = json.loads(capsys.readouterr().out)
         assert {row["setting"] for row in payload} == {"none/all", "all/all"}
         assert (out_dir / "summary.json").exists()
-        assert len(list(out_dir.glob("*/*.log"))) == 4
+        assert sorted(path.suffix for path in out_dir.glob("*/*")) == [".json"] * 4  # one file per run
 
     def test_run_file_is_the_solve_report(self, tmp_path, capsys):
         suite = tmp_path / "suite"
@@ -239,6 +239,31 @@ class TestBenchCommand:
 
     def test_missing_suite_dir(self, capsys):
         assert main(["bench", "does-not-exist"]) == EXIT_BAD_FILE
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "directory", "not-utf8"])
+    def test_bad_suite_file_exit_2(self, bad, tmp_path, capsys):
+        # a good instance sorts first, so the suite fails on its second file
+        save_instance(random_instance(6, 3, seed=0), tmp_path / "a.cc")
+        path = tmp_path / "b.cc"
+        if bad == "directory":
+            path.mkdir()
+        elif bad == "not-utf8":
+            path.write_bytes(b"CCDENSE 2 2 0.5\n\xff\xfe 1\n1 0\n")
+        else:
+            path.write_text(f"CCDENSE 3 3 0.5\n0 1 1\n1 0 {bad}\n1 1 0\n")
+        assert main(["bench", str(tmp_path), "--settings", "none/none"]) == EXIT_BAD_FILE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert str(path) in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_infeasible_header_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "b.cc"
+        path.write_text("CCDENSE 2 3 0.5\n0 1\n1 0\n")  # m > n
+        for argv in (["solve", str(path)], ["bench", str(tmp_path)]):
+            assert main(argv) == EXIT_BAD_PARAMS
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
 
 
 class TestCheckCommand:

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cyclecluster import engine
+from cyclecluster import engine, separation
 from cyclecluster.engine import (
     GAP_INFINITE,
     SEPARATOR_ORDER,
@@ -472,7 +472,7 @@ class TestCutPoolInvariant:
             cut = search.row_origin == engine.CUT_ROW
             rows, upper = search.lp.rows[cut], search.lp.row_upper[cut]
             # at the point separated from, every cut in the LP holds to within TOL_CUT
-            assert (rows @ point - upper).max(initial=-np.inf) <= engine.TOL_CUT
+            assert (rows @ point - upper).max(initial=-np.inf) <= separation.TOL_CUT
             in_lp = row_keys(rows, upper)
             assert len(set(in_lp)) == len(in_lp)
             cuts = separate(search, point)
@@ -560,9 +560,9 @@ class TestCutIntake:
         per support; with the number of cuts the cap left out and, per
         family, the number of cuts equal to an earlier one."""
         found = (
-            sep_ref.separate_triangle(space, point, engine.TOL_CUT, max_per_family=engine.MAX_CUTS_PER_FAMILY),
-            sep_ref.separate_subtour_path(space, point, engine.TOL_CUT),
-            sep_ref.separate_partition(space, point, engine.TOL_CUT),
+            sep_ref.separate_triangle(space, point, separation.TOL_CUT, max_per_family=engine.MAX_CUTS_PER_FAMILY),
+            sep_ref.separate_subtour_path(space, point, separation.TOL_CUT),
+            sep_ref.separate_partition(space, point, separation.TOL_CUT),
         )
         kept, per_family = [], Counter()
         for cuts in found:
@@ -590,7 +590,7 @@ class TestCutIntake:
             capped, repeats = capped + capped_now, repeats + repeats_now
             # the re-solved point violates no cut in the LP, so no cut of the round is one
             cut_rows = search.row_origin == engine.CUT_ROW
-            assert (search.lp.rows[cut_rows] @ point - search.lp.row_upper[cut_rows]).max(initial=-np.inf) <= engine.TOL_CUT
+            assert (search.lp.rows[cut_rows] @ point - search.lp.row_upper[cut_rows]).max(initial=-np.inf) <= separation.TOL_CUT
             assert not {cut.support for cut in want} & {cut.support for cut in in_lp}
             start = search.lp.rows.shape[0]
             assert search.add_rows(search.separate(point), no_link) == len(want)

@@ -182,6 +182,13 @@ class TestExchangeIncremental:
             delta = contrib - contrib[np.arange(n), assign][:, None]
             fresh = heur_ref.delta_matrix(inst, assign, member)
             assert np.abs(delta - fresh).max() <= 1e-12 * np.abs(fresh).max()
+            # the delta of one more move is the change in objective it makes
+            w, s = int(rng.integers(n)), int(rng.integers(m))
+            moved = assign.copy()
+            moved[w] = s
+            if min(np.bincount(assign, minlength=m).min(), np.bincount(moved, minlength=m).min()) > 0:
+                gain = objective(inst, Clustering(moved, m)) - objective(inst, Clustering(assign, m))
+                assert delta[w, s] == pytest.approx(gain, abs=1e-9)
 
     def test_raw_count_scale(self, monkeypatch):
         # Markov-state-model transition counts run to 1e7

@@ -5,8 +5,8 @@ self-check against the brute-force oracle.
 Exit codes: 0 on success (including a stop at a time or node limit or at an
 LP that HiGHS could not solve, reported in the status field as `time_limit`,
 `node_limit` or `lp_error`, each with its incumbent and valid bounds), 2 for
-unreadable or malformed instance files, 3 for infeasible parameters, 1 for
-failed checks or unexpected errors.
+a file that cannot be read or written and for malformed instance files, 3
+for infeasible parameters, 1 for failed checks or unexpected errors.
 """
 
 from __future__ import annotations
@@ -64,6 +64,12 @@ def _read(path) -> Instance | int:
         return EXIT_BAD_PARAMS if isinstance(exc, ParameterError) else EXIT_BAD_FILE
 
 
+def _cannot_write(path) -> int:
+    """The exit code for an output path that cannot be written, after one error line naming it."""
+    print(f"error: cannot write {path}", file=sys.stderr)
+    return EXIT_BAD_FILE
+
+
 def _load(args) -> Instance | int:
     """The instance `args` names, with its overrides, or the exit code of
     `_read`; overrides that cannot hold raise `ParameterError`."""
@@ -114,14 +120,20 @@ def cmd_solve(args) -> int:
     if isinstance(inst, int):
         return inst
     cfg = _config_from_args(args)
-    if args.export_lp:
-        with open(args.export_lp, "w", encoding="utf-8") as fh:
-            write_lp(build_cc(inst), fh)
+    try:  # every output is opened before the solve
+        lp_file = open(args.export_lp, "w", encoding="utf-8") if args.export_lp else None
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        return _cannot_write(exc.filename)
+    if lp_file:
+        with lp_file:
+            write_lp(build_cc(inst), lp_file)
     res = solve(inst, cfg)
-    if args.json or args.out:
+    if args.json or out:
         payload = json.dumps(res.report(args.instance, inst, cfg), indent=2)
-        if args.out:
-            Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        if out:
+            with out:
+                out.write(payload + "\n")
         if args.json:
             print(payload)
     if not args.json:
@@ -160,7 +172,10 @@ def cmd_heuristic(args) -> int:
 def cmd_generate(args) -> int:
     if args.suite:
         spec = SuiteSpec(alpha=args.alpha) if args.alpha is not None else SuiteSpec()
-        paths = write_suite(args.suite, spec, rng_seed=args.seed)
+        try:
+            paths = write_suite(args.suite, spec, rng_seed=args.seed)
+        except OSError:
+            return _cannot_write(args.suite)
         print(f"wrote {len(paths)} instances to {args.suite}")
         return EXIT_OK
     if args.n is None or args.m is None or args.out is None:
@@ -179,7 +194,6 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    save_instance(inst, args.out, fmt=args.fmt)
     meta = {
         "name": Path(args.out).stem,
         "n": args.n,
@@ -192,8 +206,12 @@ def cmd_generate(args) -> int:
         "noise": args.noise,
         "planted": planted,
     }
-    with open(Path(args.out).with_suffix(".meta"), "w", encoding="utf-8") as fh:
-        write_metadata(meta, fh)
+    try:
+        save_instance(inst, args.out, fmt=args.fmt)
+        with open(Path(args.out).with_suffix(".meta"), "w", encoding="utf-8") as fh:
+            write_metadata(meta, fh)
+    except OSError:
+        return _cannot_write(args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -216,6 +234,11 @@ def cmd_bench(args) -> int:
     settings = [bench_mod.BenchSetting.parse(tok) for tok in args.settings.split(",") if tok.strip()]
     base_cfg = SolverConfig(time_limit_s=args.time_limit, node_limit=args.node_limit, rng_seed=args.seed)
     out_dir = Path(args.out) if args.out else None
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            return _cannot_write(out_dir)
     reports = bench_mod.run_bench(instances, settings, base_cfg, out_dir=out_dir)
     summaries = bench_mod.aggregate(reports)
     if args.json:
@@ -252,7 +275,7 @@ def cmd_check(args) -> int:
             over = tail.sum(axis=1)
             tail *= np.where(over > 1.0, 1.0 / over, 1.0)[:, None]
             point = np.concatenate([x, tail.ravel()])
-            cuts = Cuts.concat([separate(space, point) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
+            cuts = Cuts.stack([separate(space, point) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
             bad += int((max_integral_violation(inst, cuts) > 1e-9).sum())
         failures += bad > 0
         print(f"cut-validity n={n} m={m}: {'ok' if bad == 0 else f'{bad} INVALID CUTS'}")

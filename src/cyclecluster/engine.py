@@ -1,6 +1,6 @@
 """Branch and cut on the compact formulation.
 
-Best timeout-aware best-bound search with vertex branching, globally valid
+Best-bound search within the time limit, with vertex branching, globally valid
 cuts from the three separator families, LP bounding with a safety pad, and
 incumbents seeded by the primal heuristics before the tree and improved by
 the exchange heuristic on every new incumbent.  One LP serves the whole
@@ -43,9 +43,9 @@ A node whose LP optimum is fractional in x branches on a whole vertex: the
 one whose largest x[i,s] is smallest.  It gets one child per cluster s the
 vertex may still join, each fixing the vertex's row of x to cluster s, so
 the children partition the subtree.  Nodes whose LP optimum is integral in
-x but slack in the linearization variables (possible when clusters sit more
-than one step apart) fall back to two children on the most fractional y/z
-column.
+x but fractional in y/z (possible when clusters sit more than one step
+apart) get two children on the most fractional y/z column, fixed to 0 and
+to 1.
 """
 
 from __future__ import annotations
@@ -84,8 +84,7 @@ LOG_EVERY_NODES = 100  # an INFO progress line after every this many nodes
 ROW_AGE_LIMIT = 2  # root solves a cut or linking row may stay slack before it is deleted
 TOL_SLACK = 1e-6  # a row with more slack than this is slack (and basic)
 TOL_LINK = 1e-9  # a lazy linking row violated by more than this goes back into the LP
-CORE_ROW = -1  # origin of the assign, cover and pair rows, which never leave the LP
-CUT_ROW = -2  # origin of a cut row
+CUT_ROW = -1  # origin of a cut row
 
 
 @dataclass(frozen=True)
@@ -266,16 +265,17 @@ class _Search:
         self.space = self.model.space
         self.model.lo[self.space.x(0, 0)] = 1.0  # one clustering per rotation orbit
         # The LP starts from the model's core rows: assign, cover and pair.
-        # The linking rows after them start in the lazy pool: one CSR block,
+        # They are never deleted, and a deletion keeps the order of the rows
+        # that stay, so they stay the LP's first `core_rows` rows.  The
+        # linking rows after them start in the lazy pool: one CSR block,
         # with `link_out[k]` set while row k is out of the LP.
         num_core = self.model.core_rows
         self.lp = lp_relaxation(self.model, num_core)
         self.link_rows = self.model.rows[num_core:]
-        self.link_upper = self.model.row_upper[num_core:]
-        self.link_out = np.ones(self.link_upper.size, dtype=bool)
-        # One origin per LP row: CORE_ROW, CUT_ROW, or k for linking row k.
-        self.row_origin = np.full(num_core, CORE_ROW)
-        self.row_age = np.zeros(0, dtype=np.int64)  # root solves slack in a row, per LP row
+        self.link_out = np.ones(len(self.link_rows), dtype=bool)
+        # One origin per LP row after the core rows: CUT_ROW, or k for linking row k.
+        self.row_origin = np.zeros(0, dtype=np.int64)
+        self.row_age = np.zeros(0, dtype=np.int64)  # root solves slack in a row, per row after the core rows
         self.lp_rows_deleted = 0
         self.link_rows_readded = 0
         self.incumbent: Optional[Clustering] = None
@@ -335,31 +335,28 @@ class _Search:
         Every separator emits globally valid cuts, so each node inherits
         every cut in the LP.  Returns the number of cuts added.
         """
-        if not (len(cuts) or link.size):
-            return 0
         self.cut_counts.update(cuts.family.tolist())
         self.link_out[link] = False
-        block = Csr.stack([rows for rows in (cuts, self.link_rows.take(link)) if len(rows)])
-        upper = np.concatenate([cuts.rhs, self.link_upper[link]])
-        self.lp.add_rows(block, np.full(upper.size, -np.inf), upper)
+        self.lp.add_rows(Csr.stack([cuts, self.link_rows.take(link)]))
         self.row_origin = np.concatenate([self.row_origin, np.full(len(cuts), CUT_ROW), link])
         return len(cuts)
 
     def age_rows(self, values: np.ndarray) -> None:
         """Delete every cut and linking row slack at `ROW_AGE_LIMIT` solves in a row.
 
-        Those rows are all `<=` rows, so a row's slack is its upper bound
-        minus its activity; the core rows' slack is read but never acted on."""
-        slack = self.lp.row_upper - self.lp.rows @ values
+        Those are the rows after the core rows, all `<=` rows, so a row's
+        slack is its upper bound minus its activity."""
+        num_core = self.model.core_rows
+        slack = (self.lp.rows.upper - self.lp.rows @ values)[num_core:]
         age = np.zeros(slack.size, dtype=np.int64)  # rows appended since the last call start at 0
         age[: self.row_age.size] = self.row_age
         self.row_age = np.where(slack > TOL_SLACK, age + 1, 0)
-        drop = np.flatnonzero((self.row_age >= ROW_AGE_LIMIT) & (self.row_origin != CORE_ROW))
+        drop = np.flatnonzero(self.row_age >= ROW_AGE_LIMIT)
         if drop.size == 0:
             return
         origin = self.row_origin[drop]
         self.link_out[origin[origin >= 0]] = True
-        self.lp.delete_rows(drop)
+        self.lp.delete_rows(num_core + drop)
         keep = np.ones(slack.size, dtype=bool)
         keep[drop] = False
         self.row_origin = self.row_origin[keep]
@@ -370,7 +367,7 @@ class _Search:
         """The linking rows out of the LP that `values` violates."""
         if not self.link_out.any():
             return np.zeros(0, dtype=np.int64)
-        return np.flatnonzero(self.link_out & (self.link_rows @ values - self.link_upper > TOL_LINK))
+        return np.flatnonzero(self.link_out & (self.link_rows @ values - self.link_rows.upper > TOL_LINK))
 
     def separate(self, point: np.ndarray) -> Cuts:
         """Each separator's cuts in turn, the first `MAX_CUTS_PER_FAMILY`
@@ -383,7 +380,7 @@ class _Search:
             found.append(separate_subtour_path(self.space, point))
         if "partition" in cfg.separators and self.inst.m >= PARTITION_MIN_M:
             found.append(separate_partition(self.space, point))
-        cuts = Cuts.concat(found) if found else Cuts.empty(self.space.ncols)
+        cuts = Cuts.stack(found) if found else Cuts.empty(self.space.ncols)
         if len(cuts) > MAX_CUTS_PER_FAMILY:  # else no family can pass the cap
             # each row's rank within its family, in order
             _, family = np.unique(cuts.family, return_inverse=True)

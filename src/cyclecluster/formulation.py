@@ -12,11 +12,11 @@ made: x_i_s, y_i_j with i < j, and z_i_j.
 
 Every block of rows is a `Csr`, the one row format: a model's rows, the
 LP's mirror of its rows, the solver's lazy pool of linking rows, and
-`separation.Cuts`, which adds a right-hand side and more per row.  The
-model builds its rows as a separator builds its cuts, from tables of columns
-(`Csr.from_table`), one table per row family, and bounds each row as HiGHS
-takes it: row_lower <= a . v <= row_upper, with an infinite bound where a
-row has no bound on that side.
+`separation.Cuts`, which adds a violation and a support key per row.  Each
+row carries its bounds and family with it: rows.lower <= a . v <= rows.upper,
+as HiGHS takes it, with an infinite bound where a row has no bound on that
+side.  The model builds its rows as a separator builds its cuts, from tables
+of columns (`Csr.from_table`), one table per row family.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import IO, Sequence
+from typing import IO, ClassVar, Sequence
 
 import numpy as np
 
@@ -133,16 +133,22 @@ class VariableSpace:
 
 @dataclass(frozen=True, eq=False)
 class Csr:
-    """Rows in compressed sparse row form over `ncols` columns: row r holds
-    data[a:b] at the columns indices[a:b], a, b = indptr[r], indptr[r + 1],
-    and indptr[0] is 0.  The arrays are not written after construction,
-    so `entry_rows` is computed once per block.
+    """Bounded rows in compressed sparse row form over `ncols` columns: row r
+    reads lower[r] <= data[a:b] . v[indices[a:b]] <= upper[r], a, b =
+    indptr[r], indptr[r + 1], with indptr[0] = 0, and belongs to family[r].
+    `row_fields` names the arrays that hold one entry per row; `take` and
+    `stack` carry every one of them.  The arrays are not written after
+    construction, so `entry_rows` is computed once per block.
     """
 
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     ncols: int
+    lower: np.ndarray
+    upper: np.ndarray
+    family: np.ndarray
+    row_fields: ClassVar[tuple[str, ...]] = ("lower", "upper", "family")
 
     def __len__(self) -> int:
         return self.indptr.size - 1
@@ -170,53 +176,60 @@ class Csr:
         return self.take(np.arange(len(self))[rows])
 
     def take(self, idx: np.ndarray) -> Csr:
-        """The rows at `idx`, in that order."""
+        """The rows at `idx`, in that order, as a block of this class."""
         idx = np.asarray(idx, dtype=np.intp)
         starts = self.indptr[idx]
         lengths = self.indptr[idx + 1] - starts
         indptr = np.zeros(idx.size + 1, dtype=self.indptr.dtype)
         np.cumsum(lengths, out=indptr[1:])
         entries = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-        return Csr(self.data[entries], self.indices[entries], indptr, self.ncols)
+        per_row = {name: getattr(self, name)[idx] for name in self.row_fields}
+        return type(self)(self.data[entries], self.indices[entries], indptr, self.ncols, **per_row)
 
     @staticmethod
-    def from_table(cols: np.ndarray, vals, ncols: int) -> Csr:
+    def from_table(cols: np.ndarray, vals, ncols: int, lower, upper, family) -> Csr:
         """One row per row of a (k, w) table of columns, with -1 for an
         absent term; `vals` holds the coefficients, as a (k, w) array or one
-        row shared by all.  Each row keeps its terms in table order, and the
-        indices and indptr take the table's dtype."""
+        row shared by all, and `lower`, `upper` and `family` each row's
+        bounds and family, as k values or one shared by all.  Each row keeps
+        its terms in table order, and the indices and indptr take the
+        table's dtype."""
         present = cols >= 0
-        indptr = np.zeros(cols.shape[0] + 1, dtype=cols.dtype)
+        k = cols.shape[0]
+        indptr = np.zeros(k + 1, dtype=cols.dtype)
         np.cumsum(present.sum(axis=1), out=indptr[1:])
-        return Csr(np.broadcast_to(np.asarray(vals, dtype=float), cols.shape)[present], cols[present], indptr, ncols)
+        data = np.broadcast_to(np.asarray(vals, dtype=float), cols.shape)[present]
+        return Csr(data, cols[present], indptr, ncols, np.full(k, lower, dtype=float), np.full(k, upper, dtype=float), np.full(k, family))
 
-    @staticmethod
-    def stack(parts: Sequence[Csr]) -> Csr:
-        """The rows of every part in turn; the parts share their columns."""
-        if len(parts) == 1:
-            return parts[0]
-        offsets = accumulate((p.nnz for p in parts), initial=0)  # Python ints keep each indptr's dtype
-        return Csr(
-            np.concatenate([p.data for p in parts]),
-            np.concatenate([p.indices for p in parts]),
-            np.concatenate([parts[0].indptr[:1]] + [p.indptr[1:] + offset for p, offset in zip(parts, offsets)]),
+    @classmethod
+    def stack(cls, parts: Sequence[Csr]) -> Csr:
+        """The rows of every part in turn, as a block of `cls` with the
+        fields it names; the parts share their columns and are each a `cls`.
+        With fewer than two parts that have rows, that part, else the first,
+        comes back as it is."""
+        parts_with_rows = [part for part in parts if len(part)]
+        if len(parts_with_rows) < 2:
+            return parts_with_rows[0] if parts_with_rows else parts[0]
+        offsets = accumulate((p.nnz for p in parts_with_rows), initial=0)  # Python ints keep each indptr's dtype
+        return cls(
+            np.concatenate([p.data for p in parts_with_rows]),
+            np.concatenate([p.indices for p in parts_with_rows]),
+            np.concatenate([parts[0].indptr[:1]] + [p.indptr[1:] + offset for p, offset in zip(parts_with_rows, offsets)]),
             parts[0].ncols,
+            **{name: np.concatenate([getattr(p, name) for p in parts_with_rows]) for name in cls.row_fields},
         )
 
 
 @dataclass
 class Model:
     """A bounded binary model: maximize objective @ v subject to
-    row_lower <= rows @ v <= row_upper and lo <= v <= hi, v binary."""
+    rows.lower <= rows @ v <= rows.upper and lo <= v <= hi, v binary."""
 
     space: VariableSpace
     objective: np.ndarray
     rows: Csr
-    row_lower: np.ndarray
-    row_upper: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    row_family: list[str]
     # The rows before this index must stay in every LP; the rest may wait in a
     # lazy pool until a point violates them.
     core_rows: int
@@ -264,26 +277,23 @@ def build_cc(inst: Instance) -> Model:
     consec = np.stack(np.broadcast_arrays(x[i, s], x[j, succ], z, y, x[j, s], x[i, succ]), axis=-1)
     link = np.stack([same, consec], axis=-2).reshape(-1, 6)
 
-    # per row family: (k, w) table of columns, coefficients, lower and upper
-    # bound of every row, and the family names its rows take in turn
+    # per row family: (k, w) table of columns, coefficients, and every
+    # row's lower bound, upper bound and family
+    same_consec = np.tile(["same_link", "consec_link"], len(link) // 2)
     tables = [
-        (x, 1.0, 1.0, 1.0, ("assign",)),
-        (x.T, 1.0, 1.0, np.inf, ("cover",)),
-        (np.stack([yij, zij, zji], axis=1), 1.0, -np.inf, 1.0, ("pair",)),
-        (link, [1.0, 1.0, -1.0, 1.0, -1.0, -1.0], -np.inf, 1.0, ("same_link", "consec_link")),
+        (x, 1.0, 1.0, 1.0, "assign"),
+        (x.T, 1.0, 1.0, np.inf, "cover"),
+        (np.stack([yij, zij, zji], axis=1), 1.0, -np.inf, 1.0, "pair"),
+        (link, [1.0, 1.0, -1.0, 1.0, -1.0, -1.0], -np.inf, 1.0, same_consec),
     ]
     # the indices are HiGHS's 32-bit ints, as the LP hands them on
-    parts = [Csr.from_table(np.asarray(cols, dtype=np.int32), vals, space.ncols) for cols, vals, *_ in tables]
-    counts = [len(part) for part in parts]
+    parts = [Csr.from_table(np.asarray(cols, dtype=np.int32), vals, space.ncols, *per_row) for cols, vals, *per_row in tables]
     return Model(
         space=space,
         objective=obj,
         rows=Csr.stack(parts),
-        row_lower=np.repeat([table[2] for table in tables], counts),
-        row_upper=np.repeat([table[3] for table in tables], counts),
         lo=np.zeros(space.ncols),
         hi=np.ones(space.ncols),
-        row_family=[name for table, k in zip(tables, counts) for name in table[4] * (k // len(table[4]))],
         core_rows=n + m + len(pi),  # the linking rows come last, so a solver may add them lazily
     )
 
@@ -331,7 +341,7 @@ def write_lp(model: Model, target: IO[str]) -> None:
     for c, v in terms:
         target.write(f" {'+' if v >= 0 else '-'} {abs(v):.17g} {names[c]}")
     target.write("\nSubject To\n")
-    rows, lower, upper = model.rows, model.row_lower, model.row_upper
+    rows, lower, upper = model.rows, model.rows.lower, model.rows.upper
     # every row is an equation or bounded on one side
     senses = np.where(lower == upper, "=", np.where(np.isinf(lower), "<=", ">="))
     rhs = np.where(np.isinf(lower), upper, lower)

@@ -1,12 +1,13 @@
 """Box-bounded linear programming used for relaxations and the cut loop.
 
-A `LinearProgram` is changed in place: `add_rows` appends a block of rows,
-`delete_rows` removes rows and `set_bounds` changes column bounds.  Each LP
-owns one HiGHS object, loaded when the LP is built, and every change goes to
-it too.  So every solve runs HiGHS's dual simplex (Huangfu & Hall, MPC 2018)
-from the basis the previous solve left, which after a bound change or added
-rows is still dual feasible, and after deleting rows that were basic (slack)
-is still optimal.  Solves are deterministic for a fixed sequence of changes.
+A `LinearProgram` is changed in place: `add_rows` appends a block of rows
+with the bounds it carries, `delete_rows` removes rows and `set_bounds`
+changes column bounds.  Each LP owns one HiGHS object, loaded when the LP
+is built, and every change goes to it too.  So every solve runs HiGHS's
+dual simplex (Huangfu & Hall, MPC 2018) from the basis the previous solve
+left, which after a bound change or added rows is still dual feasible, and
+after deleting rows that were basic (slack) is still optimal.  Solves are
+deterministic for a fixed sequence of changes.
 
 HiGHS comes with scipy, as the extension module
 `scipy.optimize._highspy._core`.  This module loads that file alone, under
@@ -70,12 +71,12 @@ def __getattr__(name: str):
 
 @dataclass(eq=False)
 class LinearProgram:
-    """maximize objective @ v  subject to  row_lower <= rows @ v <= row_upper,
+    """maximize objective @ v  subject to  rows.lower <= rows @ v <= rows.upper,
     lo <= v <= hi.
 
     HiGHS solves the LP and takes the row bounds in this form as they are,
-    but the rows and their bounds stay mirrored here: the root cut loop
-    reads row slacks from them, the benchmark's tracer reads
+    but the rows, with their bounds and families, stay mirrored here: the
+    root cut loop reads row slacks from them, the benchmark's tracer reads
     `rows.shape[0]`, and tests check residuals against them.  Each change
     makes a new `Csr` of the mirror in O(nnz) numpy work: `add_rows` stacks
     the block under the rows, and `delete_rows` takes the rows that stay.
@@ -83,8 +84,6 @@ class LinearProgram:
 
     objective: np.ndarray
     rows: Csr
-    row_lower: np.ndarray
-    row_upper: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     _highs: Any = field(init=False, repr=False)
@@ -99,18 +98,14 @@ class LinearProgram:
     def ncols(self) -> int:
         return self.objective.shape[0]
 
-    def add_rows(self, block: Csr, row_lower: np.ndarray, row_upper: np.ndarray) -> None:
+    def add_rows(self, block: Csr) -> None:
         """Append the rows of a block over this LP's columns, with their bounds."""
-        num_rows = len(block)
-        if num_rows == 0:
+        if len(block) == 0:
             return
-        lower, upper = np.asarray(row_lower, dtype=float), np.asarray(row_upper, dtype=float)
         self.rows = Csr.stack([self.rows, block])
-        self.row_lower = np.concatenate([self.row_lower, lower])
-        self.row_upper = np.concatenate([self.row_upper, upper])
         indptr = block.indptr.astype(np.int32)
         indices = block.indices.astype(np.int32)
-        self._highs.addRows(num_rows, lower, upper, int(indptr[-1]), indptr[:-1], indices, block.data.astype(float))
+        self._highs.addRows(len(block), block.lower, block.upper, int(indptr[-1]), indptr[:-1], indices, block.data.astype(float))
 
     def delete_rows(self, idx: np.ndarray) -> None:
         """Delete the rows at the given positions; the rest keep their order.
@@ -124,8 +119,6 @@ class LinearProgram:
         keep = np.ones(len(self.rows), dtype=bool)
         keep[idx] = False
         self.rows = self.rows[keep]
-        self.row_lower = self.row_lower[keep]
-        self.row_upper = self.row_upper[keep]
         self._highs.deleteRows(idx.size, idx)
 
     def set_bounds(self, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -151,15 +144,7 @@ class LpSolution:
 
 def lp_relaxation(model: Model, num_rows: int | None = None) -> LinearProgram:
     """The LP relaxation of the model's first `num_rows` rows, all by default."""
-    head = slice(num_rows)
-    return LinearProgram(
-        objective=model.objective,
-        rows=model.rows[head],
-        row_lower=model.row_lower[head],
-        row_upper=model.row_upper[head],
-        lo=model.lo,
-        hi=model.hi,
-    )
+    return LinearProgram(objective=model.objective, rows=model.rows[:num_rows], lo=model.lo, hi=model.hi)
 
 
 def solve_lp(lp: LinearProgram, time_limit: float | None = None) -> LpSolution:
@@ -190,7 +175,7 @@ def _load(lp: LinearProgram):
     model.col_cost_ = -lp.objective
     model.col_lower_ = lp.lo
     model.col_upper_ = lp.hi
-    model.row_lower_, model.row_upper_ = lp.row_lower, lp.row_upper
+    model.row_lower_, model.row_upper_ = lp.rows.lower, lp.rows.upper
     matrix = model.a_matrix_
     matrix.format_ = MatrixFormat.kRowwise
     matrix.num_col_ = lp.ncols

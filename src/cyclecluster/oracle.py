@@ -206,9 +206,9 @@ def check_cut_validity(inst: Instance, cuts, tol: float = 1e-9) -> bool:
 
 
 def max_integral_violation(inst: Instance, cuts) -> np.ndarray:
-    """Per cut, the largest lhs - rhs over all feasible incidence vectors."""
+    """Per cut, the largest lhs - upper over all feasible incidence vectors."""
     pts = feasible_point_matrix(inst.n, inst.m)
-    return (pts @ cut_vectors(inst, cuts).T).max(axis=0) - cuts.rhs
+    return (pts @ cut_vectors(inst, cuts).T).max(axis=0) - cuts.upper
 
 
 def surjection_count(n: int, m: int) -> int:

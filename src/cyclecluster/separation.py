@@ -16,11 +16,12 @@ model's variables, each over whole arrays rather than one candidate at a time:
 
 Every separator returns one `Cuts` batch, the only form a cut takes from
 separator to LP: a `formulation.Csr` block of rows over the model's
-columns, with ascending column indices, so a batch goes into the LP as it
-is.  A cut references only variables that exist for the instance.  Terms
-with a positive coefficient may be dropped when their pair carries no
-weight (this only weakens the inequality); templates whose
-negative-coefficient variables are missing are skipped entirely.
+columns, with ascending column indices and each row's bounds and family,
+so a batch goes into the LP as it is.  A cut references only variables
+that exist for the instance.  Terms with a positive coefficient may be
+dropped when their pair carries no weight (this only weakens the
+inequality); templates whose negative-coefficient variables are missing
+are skipped entirely.
 
 Each separator collects its candidates as tables of columns, a row per cut
 with -1 for an absent term, and turns each table into a batch
@@ -51,31 +52,30 @@ PARTITION_ALMOST_VIOLATED = 0.1
 class Cuts(Csr):
     """A batch of sparse valid inequalities, row r being
 
-        data[a:b] . v[indices[a:b]] <= rhs[r],   a, b = indptr[r], indptr[r + 1],
+        data[a:b] . v[indices[a:b]] <= upper[r],   a, b = indptr[r], indptr[r + 1],
 
-    with its family and its violation at the point it was separated from;
-    in the LP a cut's bounds are [-inf, rhs[r]].  The rows are a `Csr`
-    block with ascending columns and absent terms dropped, so a batch goes
-    into the LP as it is.  `keys` holds one support key per row: the bytes
-    of a (rhs, column, coefficient) triple per term, all as floats (every
-    column is exact).  Every row has a term, so two rows are the same
-    inequality iff their keys are equal.
+    with lower[r] = -inf, its family, and its violation at the point it was
+    separated from.  The rows are a `Csr` block with ascending columns and
+    absent terms dropped, so a batch goes into the LP as it is.  `keys`
+    holds one support key per row: the bytes of an (upper, column,
+    coefficient) triple per term, all as floats (every column is exact).
+    Every row has a term, so two rows are the same inequality iff their
+    keys are equal.
     """
 
-    rhs: np.ndarray
-    family: np.ndarray
     violation: np.ndarray
     keys: np.ndarray
+    row_fields = Csr.row_fields + ("violation", "keys")
 
     @classmethod
     def from_tables(cls, tables: Sequence[tuple], ncols: int) -> Cuts:
         """The rows of every table in turn, over `ncols` columns.  A table is
         (cols, vals, rhs, family, violation): a (k, w) array whose rows each
         hold distinct columns, with -1 for an absent term; their
-        coefficients, as a (k, w) array or one row shared by all; rhs as one
-        value or k; one family; and k violations.  The tables are stacked,
-        padded with absent terms to the widest, each row is sorted by
-        `argsort`, and `Csr.from_table` makes the rows."""
+        coefficients, as a (k, w) array or one row shared by all; the upper
+        bound as one value or k; one family; and k violations.  The tables
+        are stacked, padded with absent terms to the widest, each row is
+        sorted by `argsort`, and `Csr.from_table` makes the rows."""
         tables = [table for table in tables if len(table[4])]
         if not tables:
             return cls.empty(ncols)
@@ -90,43 +90,26 @@ class Cuts(Csr):
         order = cols.argsort(axis=1)
         rows = np.arange(cols.shape[0])[:, None]
         cols, vals = cols[rows, order], vals[rows, order]
-        block = Csr.from_table(cols, vals, ncols)
+        block = Csr.from_table(cols, vals, ncols, -np.inf, rhs, np.repeat([table[3] for table in tables], counts))
         # a row's present terms come last, so its key is the tail of its row of triples
         triples = np.empty(cols.shape + (3,))
         triples[:, :, 0], triples[:, :, 1], triples[:, :, 2] = rhs[:, None], cols, vals
         raw, end = triples.tobytes(), 24 * cols.shape[1] * np.arange(1, cols.shape[0] + 1)
         bounds = zip((end - 24 * (block.indptr[1:] - block.indptr[:-1])).tolist(), end.tolist())
         keys = np.fromiter((raw[a:b] for a, b in bounds), dtype=object, count=cols.shape[0])
-        family = np.repeat([table[3] for table in tables], counts)
-        return cls(block.data, block.indices, block.indptr, ncols, rhs, family, violation, keys)
+        return cls(block.data, block.indices, block.indptr, ncols, block.lower, block.upper, block.family, violation, keys)
 
     @classmethod
     def empty(cls, ncols: int) -> Cuts:
         no_rows = np.zeros(0)
-        return cls(no_rows, np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp), ncols, no_rows, np.zeros(0, dtype=str), no_rows, np.zeros(0, dtype=object))
-
-    @classmethod
-    def concat(cls, parts: Sequence[Cuts]) -> Cuts:
-        """The rows of every part in turn; there is at least one part."""
-        nonempty = [part for part in parts if len(part)]
-        if len(nonempty) < 2:
-            return nonempty[0] if nonempty else parts[0]
-        rows = Csr.stack(nonempty)
-        fields = ("rhs", "family", "violation", "keys")
-        return cls(rows.data, rows.indices, rows.indptr, rows.ncols, *(np.concatenate([getattr(p, name) for p in nonempty]) for name in fields))
-
-    def take(self, idx: np.ndarray) -> Cuts:
-        """The rows at `idx`, in that order."""
-        idx = np.asarray(idx, dtype=np.intp)
-        rows = super().take(idx)
-        return Cuts(rows.data, rows.indices, rows.indptr, self.ncols, self.rhs[idx], self.family[idx], self.violation[idx], self.keys[idx])
+        return cls(no_rows, np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp), ncols, no_rows, no_rows, np.zeros(0, dtype=str), no_rows, np.zeros(0, dtype=object))
 
     def text(self, space: VariableSpace) -> str:
         """One readable line per row."""
         lines = []
         for r, (cols, vals) in enumerate(zip(np.split(self.indices, self.indptr[1:-1]), np.split(self.data, self.indptr[1:-1]))):
             terms = " ".join(f"{'+' if v >= 0 else '-'} {abs(v):g} {space.name(c)}" for c, v in zip(cols.tolist(), vals.tolist()))
-            lines.append(f"[{self.family[r]}] {terms} <= {self.rhs[r]:g}   (violation {self.violation[r]:.6g})")
+            lines.append(f"[{self.family[r]}] {terms} <= {self.upper[r]:g}   (violation {self.violation[r]:.6g})")
         return "\n".join(lines)
 
 
@@ -137,10 +120,11 @@ def first_rows(keys: np.ndarray) -> np.ndarray:
 
 
 def _sorted_unique(space: VariableSpace, cuts: Cuts) -> Cuts:
-    """The first row per key, most violated first, ties broken by rhs, then
-    by the terms in name order, compared as (rank, coefficient) pairs.
+    """The first row per key, most violated first, ties broken by the upper
+    bound, then by the terms in name order, compared as (rank, coefficient)
+    pairs.
 
-    One `np.lexsort` orders them.  When two rows tie on violation and rhs,
+    One `np.lexsort` orders them.  When two rows tie on violation and bound,
     each row's terms fill a row of a table in name order, a rank column and
     a coefficient column per term, and the sort reads that table too; the
     ranks are padded with -1 so that a cut whose terms are a prefix of
@@ -148,7 +132,7 @@ def _sorted_unique(space: VariableSpace, cuts: Cuts) -> Cuts:
     if len(cuts) < 2:
         return cuts
     keep = first_rows(cuts.keys)
-    keys = np.array([cuts.rhs[keep], -cuts.violation[keep]])
+    keys = np.array([cuts.upper[keep], -cuts.violation[keep]])
     order = np.lexsort(keys)
     ordered = keys[:, order]
     if (ordered[:, 1:] == ordered[:, :-1]).all(axis=0).any():

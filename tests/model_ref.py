@@ -34,8 +34,8 @@ def point_feasible(model: Model, point: np.ndarray, tol: float = 1e-9) -> bool:
     """Whether `point` satisfies every row and column bound of `model`, within `tol`."""
     lhs = model.rows @ point
     return bool(
-        np.all(lhs >= model.row_lower - tol)
-        and np.all(lhs <= model.row_upper + tol)
+        np.all(lhs >= model.rows.lower - tol)
+        and np.all(lhs <= model.rows.upper + tol)
         and np.all(point >= model.lo - tol)
         and np.all(point <= model.hi + tol)
     )
@@ -95,11 +95,12 @@ class RowBuilder:
         self.family.append(family)
 
     def model(self, ncols: int, **fields) -> Model:
-        rows = Csr(np.asarray(self.data, dtype=float), np.asarray(self.cols, dtype=np.int32), np.asarray(self.indptr, dtype=np.int32), ncols)
         senses, rhs = np.asarray(self.senses), np.asarray(self.rhs, dtype=float)
-        row_lower = np.where(senses == LESS_EQUAL, -np.inf, rhs)
-        row_upper = np.where(senses == GREATER_EQUAL, np.inf, rhs)
-        return Model(rows=rows, row_lower=row_lower, row_upper=row_upper, row_family=self.family, **fields)
+        lower = np.where(senses == LESS_EQUAL, -np.inf, rhs)
+        upper = np.where(senses == GREATER_EQUAL, np.inf, rhs)
+        indices, indptr = np.asarray(self.cols, dtype=np.int32), np.asarray(self.indptr, dtype=np.int32)
+        rows = Csr(np.asarray(self.data, dtype=float), indices, indptr, ncols, lower, upper, np.asarray(self.family))
+        return Model(rows=rows, **fields)
 
 
 def build_cc(inst: Instance) -> Model:

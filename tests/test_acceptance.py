@@ -133,7 +133,7 @@ def test_criterion_3_cut_validity(capfd):
                 point = random_box_point(space, rng)
             else:
                 point = random_fractional_point(space, rng, components=3, noise=0.3)
-            cuts = Cuts.concat([separate(space, point) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
+            cuts = Cuts.stack([separate(space, point) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
             checked += len(cuts)
             worst = max_integral_violation(inst, cuts).max(initial=-math.inf)
             assert worst <= 1e-9, f"invalid cut on (n={n}, m={m}) trial {trial}: violation {worst}"

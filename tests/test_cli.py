@@ -4,6 +4,7 @@ from dataclasses import fields
 
 import pytest
 
+from cyclecluster import bench, cli
 from cyclecluster.bench import parse_heuristic_spec
 from cyclecluster.cli import EXIT_BAD_FILE, EXIT_BAD_PARAMS, EXIT_OK, build_parser, main
 from cyclecluster.engine import HEURISTIC_NAMES, SolveResult
@@ -146,6 +147,37 @@ def test_bad_solver_parameters_exit_3(argv, t1_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+UNWRITABLE_OUTPUTS = {
+    "solve-out": ["solve", "{instance}", "--out", "{path}"],
+    "solve-export-lp": ["solve", "{instance}", "--export-lp", "{path}"],
+    "generate-out": ["generate", "--n", "6", "--m", "3", "-o", "{path}"],
+    "generate-suite": ["generate", "--suite", "{path}"],
+    "bench-out": ["bench", "{suite}", "--out", "{path}"],
+}
+
+
+@pytest.mark.parametrize("argv", list(UNWRITABLE_OUTPUTS.values()), ids=list(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exit_2(argv, t1_file, tmp_path, capsys, monkeypatch):
+    # a path under a regular file cannot be created, not even by root
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = str(blocker / "out")
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    save_instance(t1_instance(), suite / "t1.cc")
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output was opened")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(bench, "solve", no_solve)
+    argv = [arg.format(instance=t1_file, suite=suite, path=path) for arg in argv]
+    assert main(argv) == EXIT_BAD_FILE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {path}\n", captured.err
     assert captured.out == ""
 
 

@@ -330,8 +330,7 @@ class TestRootAging:
         # with a cap of 2 the point after the second separation round still
         # violates linking rows, so the loop has to finish by re-adding them alone
         model = build_cc(aging_instance())
-        link = np.isin(np.asarray(model.row_family), LINK_FAMILIES)
-        rows, upper = model.rows[link], model.row_upper[link]
+        rows = model.rows[np.isin(model.rows.family, LINK_FAMILIES)]
         points, separated = [], []
         solve_node_lp, separate = engine._Search.solve_node_lp, engine._Search.separate
 
@@ -352,7 +351,7 @@ class TestRootAging:
         assert [value for _, value in points] == res.root_lp_values
         for a, b in zip(res.root_lp_values, res.root_lp_values[1:]):
             assert b <= a + 1e-9
-        whole = [bool(np.all(rows @ values - upper <= 1e-9)) for values, _ in points]
+        whole = [bool(np.all(rows @ values - rows.upper <= 1e-9)) for values, _ in points]
         assert whole[-1]  # the point the tree would branch on
         assert not whole[0]  # the first root LP has no linking row
         if cap == 2:
@@ -413,8 +412,8 @@ class TestRootAging:
         # assign, cover and pair rows; aging acts only after it
         search = engine._Search(inst, SolverConfig())  # builds the pinned model, solves nothing
         model = search.model
-        core = ~np.isin(np.asarray(model.row_family), LINK_FAMILIES)
-        cold = solve_lp(LinearProgram(model.objective, model.rows[core], model.row_lower[core], model.row_upper[core], model.lo, model.hi))
+        core = ~np.isin(model.rows.family, LINK_FAMILIES)
+        cold = solve_lp(LinearProgram(model.objective, model.rows[core], model.lo, model.hi))
         assert res.root_lp_values[0] == cold.objective_value * search.scale
         assert cold.objective_value >= solve_lp(lp_relaxation(model)).objective_value
 
@@ -431,12 +430,16 @@ class TestRootAging:
         search = engine._Search(aging_instance(), SolverConfig(time_limit_s=60, heuristics=()))
         search.run()
         assert search.status == "optimal" and search.nodes_processed > 1
-        origin = search.row_origin
-        assert origin.size == search.lp.rows.shape[0]
-        assert ((origin >= 0) | (origin == engine.CORE_ROW) | (origin == engine.CUT_ROW)).all()
+        # the core rows stay the LP's first rows; the engine keeps an origin
+        # per row after them
+        num_core = search.model.core_rows
+        assert row_keys(search.lp.rows[:num_core]) == row_keys(search.model.rows[:num_core])
+        origin, appended = search.row_origin, search.lp.rows[num_core:]
+        assert origin.size == len(appended)
+        assert ((origin >= 0) | (origin == engine.CUT_ROW)).all()
         # some cut rows aged out, and none repeats
         cut = origin == engine.CUT_ROW
-        in_lp = row_keys(search.lp.rows[cut], search.lp.row_upper[cut])
+        in_lp = row_keys(appended[cut])
         assert 0 < len(in_lp) < sum(search.cut_counts.values())
         assert len(set(in_lp)) == len(in_lp)
         # the linking rows in the LP are exactly those out of the lazy pool,
@@ -447,12 +450,12 @@ class TestRootAging:
         assert search.lp_rows_deleted == root_only.lp_rows_deleted > 0
 
 
-def row_keys(rows, upper) -> list[tuple]:
+def row_keys(rows) -> list[tuple]:
     """Each row as (upper bound, columns, coefficients).  A cut keeps its
     columns ascending, so two cuts are the same inequality exactly when
     these are equal."""
     bounds = zip(rows.indptr[:-1].tolist(), rows.indptr[1:].tolist())
-    return [(float(u), tuple(rows.indices[a:b].tolist()), tuple(rows.data[a:b].tolist())) for u, (a, b) in zip(upper, bounds)]
+    return [(float(u), tuple(rows.indices[a:b].tolist()), tuple(rows.data[a:b].tolist())) for u, (a, b) in zip(rows.upper, bounds)]
 
 
 class TestCutPoolInvariant:
@@ -469,14 +472,13 @@ class TestCutPoolInvariant:
         separate = engine._Search.separate
 
         def spy(search, point):
-            cut = search.row_origin == engine.CUT_ROW
-            rows, upper = search.lp.rows[cut], search.lp.row_upper[cut]
+            rows = search.lp.rows[search.model.core_rows :][search.row_origin == engine.CUT_ROW]
             # at the point separated from, every cut in the LP holds to within TOL_CUT
-            assert (rows @ point - upper).max(initial=-np.inf) <= separation.TOL_CUT
-            in_lp = row_keys(rows, upper)
+            assert (rows @ point - rows.upper).max(initial=-np.inf) <= separation.TOL_CUT
+            in_lp = row_keys(rows)
             assert len(set(in_lp)) == len(in_lp)
             cuts = separate(search, point)
-            assert not set(row_keys(cuts, cuts.rhs)) & set(in_lp)
+            assert not set(row_keys(cuts)) & set(in_lp)
             separated_at.append(search.nodes_processed)
             return cuts
 
@@ -589,8 +591,8 @@ class TestCutIntake:
             want, capped_now, repeats_now = self.expected(search.space, point)
             capped, repeats = capped + capped_now, repeats + repeats_now
             # the re-solved point violates no cut in the LP, so no cut of the round is one
-            cut_rows = search.row_origin == engine.CUT_ROW
-            assert (search.lp.rows[cut_rows] @ point - search.lp.row_upper[cut_rows]).max(initial=-np.inf) <= separation.TOL_CUT
+            cut_rows = search.lp.rows[search.model.core_rows :][search.row_origin == engine.CUT_ROW]
+            assert (cut_rows @ point - cut_rows.upper).max(initial=-np.inf) <= separation.TOL_CUT
             assert not {cut.support for cut in want} & {cut.support for cut in in_lp}
             start = search.lp.rows.shape[0]
             assert search.add_rows(search.separate(point), no_link) == len(want)
@@ -600,7 +602,7 @@ class TestCutIntake:
                 at = slice(rows.indptr[r], rows.indptr[r + 1])
                 assert rows.indices[at].tolist() == cut.cols.tolist()
                 assert rows.data[at].tobytes() == cut.vals.tobytes()
-                assert search.lp.row_lower[start + r] == -np.inf and search.lp.row_upper[start + r] == cut.rhs
+                assert rows.lower[r] == -np.inf and rows.upper[r] == cut.rhs and rows.family[r] == cut.family
             in_lp += want
         assert capped > 0  # the cap acted
         assert repeats[("Partition", "TriangleZZY")] > 0  # a partition cut repeated a triangle

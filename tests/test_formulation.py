@@ -28,15 +28,16 @@ class TestBuildCc:
         assert len(space.pairs) == 3  # 3 y + 6 z variables
         assert model.ncols == 9 + 9
         assert model.nrows == 3 + 3 + 3 + 18 + 18
-        assert model.row_family.count("assign") == 3
-        assert model.row_family.count("cover") == 3
-        assert model.row_family.count("pair") == 3
-        assert model.row_family.count("same_link") == 18
-        assert model.row_family.count("consec_link") == 18
+        families = model.rows.family.tolist()
+        assert families.count("assign") == 3
+        assert families.count("cover") == 3
+        assert families.count("pair") == 3
+        assert families.count("same_link") == 18
+        assert families.count("consec_link") == 18
         # the core rows lead and the linking rows follow them
         assert model.core_rows == 9
-        assert set(model.row_family[:9]) == {"assign", "cover", "pair"}
-        assert set(model.row_family[9:]) == {"same_link", "consec_link"}
+        assert set(families[:9]) == {"assign", "cover", "pair"}
+        assert set(families[9:]) == {"same_link", "consec_link"}
 
     def test_zero_pair_gets_no_variables(self):
         q = np.zeros((4, 4))
@@ -98,14 +99,12 @@ class TestBuildCc:
 
 def assert_same_model(got, want):
     """The same rows, bounds, families and objective, bit for bit."""
-    for name in ("data", "indices", "indptr"):
+    for name in ("data", "indices", "indptr", "lower", "upper"):
         a, b = getattr(got.rows, name), getattr(want.rows, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert got.rows.ncols == want.rows.ncols
-    for name in ("row_lower", "row_upper", "objective"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.row_family == want.row_family
+    assert got.objective.dtype == want.objective.dtype and got.objective.tobytes() == want.objective.tobytes()
+    assert got.rows.family.tolist() == want.rows.family.tolist()
     assert got.core_rows == want.core_rows
 
 
@@ -141,8 +140,8 @@ class TestRowBounds:
     def broken_rows(model, point):
         ref = model_ref.build_cc(model.space.inst)
         lhs = ref.rows @ point
-        broken = np.flatnonzero((lhs < ref.row_lower - 1e-9) | (lhs > ref.row_upper + 1e-9))
-        return [ref.row_family[k] for k in broken]
+        broken = np.flatnonzero((lhs < ref.rows.lower - 1e-9) | (lhs > ref.rows.upper + 1e-9))
+        return ref.rows.family[broken].tolist()
 
     @staticmethod
     def uniform_point(model):
@@ -249,9 +248,10 @@ class TestBuildRlt:
 
     def test_linking_rows(self, t1):
         model = build_rlt(t1)
-        assert model.row_family.count("link") == 2 * 3 * 3  # ordered pairs x clusters
-        assert model.row_family.count("assign") == 3
-        assert model.row_family.count("cover") == 3
+        families = model.rows.family.tolist()
+        assert families.count("link") == 2 * 3 * 3  # ordered pairs x clusters
+        assert families.count("assign") == 3
+        assert families.count("cover") == 3
 
     def test_integral_x_forces_products(self, t1):
         # with x integral the linking equations admit exactly the products

@@ -8,28 +8,29 @@ import pytest
 from scipy import sparse
 
 from cyclecluster import lp as lp_mod
-from cyclecluster.formulation import Csr, build_cc
+from cyclecluster.formulation import Csr, VariableSpace, build_cc
 from cyclecluster.lp import LinearProgram, MatrixFormat, lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal
+from cyclecluster.separation import Cuts, separate_triangle
 from conftest import random_instance
 
 
-def csr(mat) -> Csr:
-    """The rows of a scipy sparse matrix or a dense array."""
+def csr(mat, lower=-np.inf, upper=np.inf, family="row") -> Csr:
+    """The rows of a scipy sparse matrix or a dense array, with each row's
+    bounds and family, as one value per row or one shared by all."""
     mat = sparse.csr_matrix(mat)
-    return Csr(mat.data, mat.indices, mat.indptr, mat.shape[1])
+    k = mat.shape[0]
+    return Csr(mat.data, mat.indices, mat.indptr, mat.shape[1], np.full(k, lower, dtype=float), np.full(k, upper, dtype=float), np.full(k, family))
 
 
 def csr_dense(rows: Csr) -> np.ndarray:
     return sparse.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape).toarray()
 
 
-def tiny_lp(obj, rows, row_lower, row_upper, lo, hi):
+def tiny_lp(obj, rows, lower, upper, lo, hi):
     return LinearProgram(
         objective=np.asarray(obj, dtype=float),
-        rows=csr(np.asarray(rows, dtype=float)),
-        row_lower=np.asarray(row_lower, dtype=float),
-        row_upper=np.asarray(row_upper, dtype=float),
+        rows=csr(np.asarray(rows, dtype=float), lower, upper),
         lo=np.asarray(lo, dtype=float),
         hi=np.asarray(hi, dtype=float),
     )
@@ -37,8 +38,7 @@ def tiny_lp(obj, rows, row_lower, row_upper, lo, hi):
 
 def add_row(lp, cols, vals, upper):
     """Append the row vals . v[cols] <= upper."""
-    row = Csr(np.asarray(vals, dtype=float), np.asarray(cols), np.array([0, len(cols)]), lp.ncols)
-    lp.add_rows(row, np.array([-np.inf]), np.array([upper]))
+    lp.add_rows(Csr(np.asarray(vals, dtype=float), np.asarray(cols), np.array([0, len(cols)]), lp.ncols, np.array([-np.inf]), np.array([upper]), np.array(["cut"])))
 
 
 class TestSolveLp:
@@ -62,8 +62,8 @@ class TestSolveLp:
         lp = lp_relaxation(build_cc(inst))
         sol = solve_lp(lp)
         lhs = lp.rows @ sol.values
-        assert np.all(lhs >= lp.row_lower - 1e-7)
-        assert np.all(lhs <= lp.row_upper + 1e-7)
+        assert np.all(lhs >= lp.rows.lower - 1e-7)
+        assert np.all(lhs <= lp.rows.upper + 1e-7)
         assert np.all(sol.values >= lp.lo - 1e-7)
         assert np.all(sol.values <= lp.hi + 1e-7)
 
@@ -121,7 +121,7 @@ class TestResolveWithAddedRows:
             lo[fixed] = hi[fixed] = rng.integers(0, 2, size=fixed.size)
             lp.set_bounds(lo, hi)
             warm = solve_lp(lp)
-            cold = solve_lp(LinearProgram(lp.objective, lp.rows, lp.row_lower, lp.row_upper, lo, hi))
+            cold = solve_lp(LinearProgram(lp.objective, lp.rows, lo, hi))
             assert warm.status == cold.status
             if cold.optimal:
                 assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
@@ -151,10 +151,10 @@ def random_changes(lp, rng, rounds):
     """Random blocks of `<=` and `>=` rows added, then random rows deleted, per round."""
     for _ in range(rounds):
         k = int(rng.integers(1, 4))
-        block = csr(sparse.random(k, lp.ncols, density=0.1, format="csr", random_state=rng))
         free = rng.choice(np.array([-np.inf, np.inf]), size=k)  # the side each row leaves unbounded
         bound = rng.uniform(0.5, 2.0, size=k)
-        lp.add_rows(block, np.minimum(free, bound), np.maximum(free, bound))
+        mat = sparse.random(k, lp.ncols, density=0.1, format="csr", random_state=rng)
+        lp.add_rows(csr(mat, np.minimum(free, bound), np.maximum(free, bound)))
         lp.delete_rows(rng.choice(len(lp.rows), size=int(rng.integers(1, 5)), replace=False))
         yield
 
@@ -164,11 +164,11 @@ class TestDeleteRows:
         inst = random_instance(9, 4, seed=2)
         lp = lp_relaxation(build_cc(inst))
         first = solve_lp(lp)
-        slack = lp.row_upper - lp.rows @ first.values
-        idx = np.flatnonzero(np.isinf(lp.row_lower) & (slack > 1e-6))
+        slack = lp.rows.upper - lp.rows @ first.values
+        idx = np.flatnonzero(np.isinf(lp.rows.lower) & (slack > 1e-6))
         assert 0 < idx.size < lp.rows.shape[0]
         lp.delete_rows(idx)
-        assert lp.rows.shape[0] == lp._highs.getNumRow() == len(lp.row_upper) == slack.size - idx.size
+        assert lp.rows.shape[0] == lp._highs.getNumRow() == len(lp.rows.upper) == slack.size - idx.size
         again = solve_lp(lp)
         assert again.optimal
         assert again.iterations == 0  # every deleted row was basic, so the basis stays optimal
@@ -187,8 +187,8 @@ class TestDeleteRows:
             (lengths, cols, vals), (our_lengths, our_cols, our_vals) = rows, by_column(lp.rows)
             assert np.array_equal(lengths, our_lengths) and np.array_equal(cols, our_cols)
             assert vals.tobytes() == our_vals.tobytes()
-            assert np.array_equal(lower, lp.row_lower)
-            assert np.array_equal(upper, lp.row_upper)
+            assert np.array_equal(lower, lp.rows.lower)
+            assert np.array_equal(upper, lp.rows.upper)
 
 
 class TestCsr:
@@ -214,16 +214,45 @@ class TestCsr:
 
     def test_take_slice_mask_and_stack(self):
         mat = sparse.random(7, 9, density=0.4, format="csr", random_state=np.random.default_rng(2))
-        rows = csr(mat)
+        lower, upper, family = np.arange(7) - 10.0, np.arange(7) + 0.5, np.array(list("abcdefg"))
+        rows = csr(mat, lower, upper, family)
         assert rows.shape == (7, 9) and rows.nnz == mat.nnz
         dense = mat.toarray()
+
+        def assert_rows(block, idx):
+            """`block` holds the rows at `idx`, with their bounds and families."""
+            assert block.shape == dense[idx].shape
+            assert np.array_equal(csr_dense(block), dense[idx])
+            assert np.array_equal(block.lower, lower[idx]) and np.array_equal(block.upper, upper[idx])
+            assert block.family.tolist() == family[idx].tolist()
+
         for key in (slice(2, 6), slice(None, 3), slice(5, 1), np.array([4, 0, 4]), np.arange(7) % 3 == 0):
-            part = rows[key]
-            assert part.shape == dense[key].shape
-            assert np.array_equal(csr_dense(part), dense[key])
+            assert_rows(rows[key], key)
+            assert type(rows[key]) is Csr
         both = Csr.stack([rows[:3], rows.take(np.array([6, 1]))])
-        assert np.array_equal(csr_dense(both), dense[[0, 1, 2, 6, 1]])
+        assert_rows(both, [0, 1, 2, 6, 1])
         assert Csr.stack([rows]) is rows
+        assert Csr.stack([rows[:0], rows, rows[5:5]]) is rows  # one part with rows comes back as it is
+        empty = rows[:0]
+        assert Csr.stack([empty, rows[3:3]]) is empty  # so does the first of parts that all have none
+
+        # stacking cuts with plain rows gives a plain Csr; Cuts.stack keeps every cut field
+        space = VariableSpace(random_instance(6, 4, seed=3))
+        cuts = separate_triangle(space, np.random.default_rng(4).uniform(0.0, 1.0, space.ncols))
+        assert len(cuts) > 3
+        model = build_cc(space.inst)
+        links = model.rows[model.core_rows :][:2]
+        mixed = Csr.stack([cuts, links])
+        assert type(mixed) is Csr and np.array_equal(csr_dense(mixed), np.vstack([csr_dense(cuts), csr_dense(links)]))
+        assert np.array_equal(mixed.lower, np.concatenate([cuts.lower, links.lower]))
+        assert np.array_equal(mixed.upper, np.concatenate([cuts.upper, links.upper]))
+        assert mixed.family.tolist() == cuts.family.tolist() + links.family.tolist()
+        assert not hasattr(mixed, "violation") and not hasattr(mixed, "keys")
+        again = Cuts.stack([cuts[2:], cuts[:2]])
+        assert type(again) is Cuts
+        order = np.r_[2 : len(cuts), 0, 1]
+        for name in Cuts.row_fields:
+            assert getattr(again, name).tolist() == getattr(cuts, name)[order].tolist(), name
 
 
 def run_python(code: str) -> str:

@@ -55,7 +55,7 @@ def assert_same_cuts(a, b):
     """The two batches hold the same rows, bit for bit, in the same order."""
     assert a.indptr.tolist() == b.indptr.tolist() and a.indices.tolist() == b.indices.tolist()
     assert a.data.tobytes() == b.data.tobytes() and a.violation.tobytes() == b.violation.tobytes()
-    assert a.rhs.tolist() == b.rhs.tolist() and a.family.tolist() == b.family.tolist()
+    assert a.lower.tolist() == b.lower.tolist() and a.upper.tolist() == b.upper.tolist() and a.family.tolist() == b.family.tolist()
 
 
 class TestTriangle:
@@ -143,7 +143,7 @@ class TestSubtourPath:
         assert sub.violation[0] == pytest.approx(0.2)
         assert named(space, sub)["z_0_1"] == 1.0
         assert named(space, sub)["z_1_0"] == 1.0
-        assert sub.rhs[0] == 1.0
+        assert sub.upper[0] == 1.0
 
     def test_extended_dominates_plain(self):
         # same support: the y-augmented lhs is never below the plain z-sum
@@ -194,7 +194,7 @@ class TestSubtourPath:
         pt = point_with(space, entries)
         paths = of_family(separate_subtour_path(space, pt), "Path")
         assert len(paths)
-        assert paths.rhs[0] == 3.0
+        assert paths.upper[0] == 3.0
         assert named(space, paths).get("y_0_3") == 1.0
         assert paths.violation[0] == pytest.approx(1.0 + 1.0 + 0.9 + 0.8 - 3.0)
 
@@ -209,7 +209,7 @@ class TestPartition:
         cuts = separate_partition(space, pt)
         assert len(cuts)
         assert cuts.violation[0] == pytest.approx(2.0)
-        assert cuts.rhs[0] == 2.0
+        assert cuts.upper[0] == 2.0
         assert named(space, cuts)["z_0_2"] == 1.0
         assert named(space, cuts)["y_0_1"] == -1.0
         assert named(space, cuts)["y_2_3"] == -1.0
@@ -341,7 +341,7 @@ class TestBulkMatchesReference:
         assert np.diff(got.indptr).tolist() == [b.cols.size for b in want]
         assert got.indices.tolist() == [c for b in want for c in b.cols.tolist()]
         assert got.data.tobytes() == b"".join(b.vals.tobytes() for b in want)
-        assert got.rhs.tolist() == [b.rhs for b in want] and got.family.tolist() == [b.family for b in want]
+        assert got.upper.tolist() == [b.rhs for b in want] and got.family.tolist() == [b.family for b in want]
         assert got.violation.tobytes() == np.array([b.violation for b in want], dtype=float).tobytes()
 
     def check(self, space, point):
@@ -391,9 +391,9 @@ class TestSoundness:
         space = dense_space(6, 4, seed=5)
         for _ in range(10):
             pt = random_box_point(space, rng)
-            cuts = Cuts.concat([separate(space, pt) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
+            cuts = Cuts.stack([separate(space, pt) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
             assert len(cuts) and (cuts.violation > TOL).all()
-            assert (cuts @ pt - cuts.rhs).tolist() == pytest.approx(cuts.violation.tolist(), abs=1e-9)
+            assert (cuts @ pt - cuts.upper).tolist() == pytest.approx(cuts.violation.tolist(), abs=1e-9)
 
 
 def test_cut_str_is_readable():
@@ -416,19 +416,20 @@ def test_from_tables_sorts_rows_and_keys_the_inequality():
     assert cuts.indptr.tolist() == [0, 3, 5, 6]
     assert cuts.indices.tolist() == [3, 5, 7, 2, 9, 4]
     assert cuts.data.tolist() == [-1.0, 0.5, 1.0, -2.0, 2.0, 1.5]
-    assert (cuts.rhs.tolist(), cuts.family.tolist(), cuts.violation.tolist()) == ([1.0, 2.0, 0.0], list("AAC"), [0.25, 0.5, 0.75])
+    assert (cuts.upper.tolist(), cuts.family.tolist(), cuts.violation.tolist()) == ([1.0, 2.0, 0.0], list("AAC"), [0.25, 0.5, 0.75])
+    assert cuts.lower.tolist() == [-np.inf] * 3  # every cut is a <= row
     assert cuts.shape == (3, 10)
     assert (cuts @ np.arange(10.0)).tolist() == [-3.0 + 2.5 + 7.0, -4.0 + 18.0, 6.0]
-    # the key is the inequality's: family and violation do not enter it, rhs and every term do
+    # the key is the inequality's: family and violation do not enter it, the upper bound and every term do
     same = Cuts.from_tables([(np.array([[5, 7, 3]]), [0.5, 1.0, -1.0], 1.0, "B", [0.0])], 10)
     others = Cuts.from_tables(
         [(np.array([[5, 7, 3], [5, 7, 3], [5, 7, -1]]), np.array([[0.5, 1.0, -1.0], [0.5, 1.0, -2.0], [0.5, 1.0, 0.0]]), [2.0, 1.0, 1.0], "A", np.zeros(3))], 10
     )
-    both = Cuts.concat([cuts, same, others])
+    both = Cuts.stack([cuts, same, others])
     keys = both.keys
     assert keys[3] == keys[0] and len(set(keys.tolist())) == 6
     assert first_rows(keys).tolist() == [0, 1, 2, 4, 5, 6]
-    assert_same_cuts(both.take([3, 1]), Cuts.concat([same, cuts.take([1])]))
+    assert_same_cuts(both.take([3, 1]), Cuts.stack([same, cuts.take([1])]))
 
 
 def test_order_follows_names():

@@ -23,7 +23,7 @@ import numpy as np
 
 from cyclecluster import bench as bench_mod
 from cyclecluster.engine import GAP_INFINITE, HEURISTIC_NAMES, SolverConfig, SolveResult, solve, sparsify_config
-from cyclecluster.formulation import build_cc, write_lp
+from cyclecluster.formulation import VariableSpace, build_cc, write_lp
 from cyclecluster.generator import DEFAULT_ALPHA, SuiteSpec, generate, write_metadata, write_suite
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
 from cyclecluster.instance import (
@@ -120,6 +120,7 @@ def cmd_solve(args) -> int:
     if isinstance(inst, int):
         return inst
     cfg = _config_from_args(args)
+    VariableSpace(inst)  # refuses m < 3 before any output is opened
     try:  # every output is opened before the solve
         lp_file = open(args.export_lp, "w", encoding="utf-8") if args.export_lp else None
         out = open(args.out, "w", encoding="utf-8") if args.out else None
@@ -263,8 +264,6 @@ def cmd_check(args) -> int:
         ok = res.optimal and abs(res.primal_bound - best) <= 1e-7
         failures += not ok
         print(f"engine-vs-oracle n={n} m={m}: {'ok' if ok else 'MISMATCH'} ({res.primal_bound:.9g} vs {best:.9g})")
-    from cyclecluster.formulation import VariableSpace
-
     for n, m in grid:
         inst, _ = generate(n, m, rng_seed=[args.seed, n, m, 1])
         space = VariableSpace(inst)

@@ -7,9 +7,10 @@ matrices once per call into rows: row v of `coherence` and of `flow_in` holds
 (1 - alpha) q_plus[:, v] and alpha q_minus[:, v], which is what a move of v
 adds to or subtracts from whole columns.  Exchange computes each vertex's
 objective contribution against every cluster once per pass (O(n^2 m)) and
-then keeps it current column by column.  A flat index of each vertex's own
-cluster and a mask that reads +inf for moved vertices let every move search
-the whole (n, m) matrix, so a move costs O(n m) in a fixed dozen numpy calls.
+then keeps it current column by column.  One gather through a flat index of
+each vertex's own cluster, which points at a +inf sentinel for stay-put and
+moved entries, and one subtraction give the whole (n, m) delta matrix, so a
+move costs O(n m) in about ten numpy calls.
 """
 
 from __future__ import annotations
@@ -33,21 +34,21 @@ def _contributions(inst: Instance, member: np.ndarray) -> np.ndarray:
     return (1.0 - alpha) * s_plus + alpha * (np.roll(s_mto, -1, axis=1) - np.roll(s_mto, 1, axis=1))
 
 
-def _move(contrib: np.ndarray, coherence: np.ndarray, flow_in: np.ndarray, v: int, a: int, t: int) -> None:
-    """Update contrib in place for v leaving cluster a for cluster t (O(n)),
-    with the rows `_weight_rows` precomputed.
+def _move(cols: list[np.ndarray], coh: np.ndarray, flow: np.ndarray, a: int, t: int) -> None:
+    """Update the column views `cols` of contrib in place for a vertex with
+    weight rows `coh` and `flow` (see `_weight_rows`) leaving cluster a for
+    cluster t (O(n)).
 
-    Separate statements, not one fancy-indexed add: with m = 3 the columns
-    a-1, a+1, t-1 and t+1 coincide in pairs."""
-    m = contrib.shape[1]
-    coh = coherence[v]
-    flow = flow_in[v]
-    contrib[:, a] -= coh
-    contrib[:, t] += coh
-    contrib[:, (a - 1) % m] -= flow
-    contrib[:, (a + 1) % m] += flow
-    contrib[:, (t - 1) % m] += flow
-    contrib[:, (t + 1) % m] -= flow
+    Six updates in this order, not one fancy-indexed add: with m = 2 or 3
+    the columns a-1, a+1, t-1 and t+1 coincide, and the order fixes the
+    rounding."""
+    m = len(cols)
+    np.subtract(cols[a], coh, out=cols[a])
+    np.add(cols[t], coh, out=cols[t])
+    np.subtract(cols[a - 1], flow, out=cols[a - 1])
+    np.add(cols[(a + 1) % m], flow, out=cols[(a + 1) % m])
+    np.add(cols[t - 1], flow, out=cols[t - 1])
+    np.subtract(cols[(t + 1) % m], flow, out=cols[(t + 1) % m])
 
 
 def _weight_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -59,10 +60,10 @@ def _weight_rows(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     return coherence, flow_in
 
 
-def _improves(value: float, reference: float) -> bool:
-    """A gain beyond rounding.  Running sums of deltas drift by ulps of the
-    weights, so the threshold grows with the value's magnitude."""
-    return value > reference + 1e-12 * max(1.0, abs(reference))
+def _threshold(reference: float) -> float:
+    """The value a gain beyond rounding must exceed.  Running sums of deltas
+    drift by ulps of the weights, so it grows with the value's magnitude."""
+    return reference + 1e-12 * max(1.0, abs(reference))
 
 
 def greedy(inst: Instance) -> Clustering:
@@ -85,16 +86,17 @@ def greedy(inst: Instance) -> Clustering:
     seeds = sorted(range(n), key=lambda v: (-degree[v], v))[:m]
     coherence, flow_in = _weight_rows(inst)
 
-    assign = np.full(n, -1, dtype=np.int64)
+    assign = [-1] * n
     # gain[v, t]: objective delta of putting v into t given current partials
     gain = np.zeros((n, m))
+    cols = [gain[:, t] for t in range(m)]
 
     def commit(v: int, t: int) -> None:
         assign[v] = t
-        gain[v, :] = -np.inf
-        gain[:, t] += coherence[v]
-        gain[:, (t - 1) % m] += flow_in[v]
-        gain[:, (t + 1) % m] -= flow_in[v]
+        gain[v] = -np.inf
+        np.add(cols[t], coherence[v], out=cols[t])
+        np.add(cols[t - 1], flow_in[v], out=cols[t - 1])
+        np.subtract(cols[(t + 1) % m], flow_in[v], out=cols[(t + 1) % m])
 
     for t, v in enumerate(seeds):
         commit(v, t)
@@ -102,7 +104,7 @@ def greedy(inst: Instance) -> Clustering:
         flat = int(gain.argmax())  # first maximum = lowest (v, t) on ties
         v, t = divmod(flat, m)
         commit(v, t)
-    return Clustering(tuple(int(a) for a in assign), m)
+    return Clustering(assign, m)
 
 
 def rounding(inst: Instance, x_fractional: np.ndarray) -> Optional[Clustering]:
@@ -134,31 +136,42 @@ def exchange(inst: Instance, start: Clustering, rng_seed: int = 0) -> Clustering
     it column by column after each move from weight rows scaled once per
     call, so a move costs O(n m) and a pass O(n^2 m).  Starting every pass
     from a fresh matrix bounds the rounding drift to at most n rank-1
-    updates.  A move searches the whole matrix: `at` holds the flat
-    position v*m + assign[v] of each vertex's own cluster, and `moved`
-    reads +inf for vertices already moved this pass, so their rows and the
-    stay-put entries read -inf.  The first maximum is then the lowest
-    unmoved vertex, then the lowest cluster.
+    updates.  A move searches the whole matrix: the matrix is the first n m
+    entries of a buffer whose last entry is +inf, and `own[v, t]` is the
+    buffer position of v's own cluster, or of that sentinel for the
+    stay-put entry and for every entry of a vertex already moved this pass.
+    Gathering through `own` and subtracting gives the delta matrix with
+    -inf at those entries.  The first maximum is then the lowest unmoved
+    vertex, then the lowest cluster.
     """
     n, m = inst.n, inst.m
     rng = np.random.default_rng(rng_seed)
     coherence, flow_in = _weight_rows(inst)
+    sentinel = n * m
+    store = np.empty(sentinel + 1)
+    store[sentinel] = np.inf
+    contrib = store[:sentinel].reshape(n, m)
+    cols = [contrib[:, t] for t in range(m)]
+    delta = np.empty((n, m))
+    rows = np.arange(n)
 
-    best_assign = start.as_array()
+    best_assign = list(start.assignment)
     best_val = objective(inst, start)
 
-    def one_pass(assign: np.ndarray, value: float) -> tuple[np.ndarray, float]:
+    def one_pass(assign: list[int], value: float) -> None:
         nonlocal best_assign, best_val
         assign = assign.copy()
         member = np.zeros((n, m))
-        member[np.arange(n), assign] = 1.0
-        contrib = _contributions(inst, member)
+        member[rows, assign] = 1.0
+        contrib[:] = _contributions(inst, member)
         sizes = np.bincount(assign, minlength=m).tolist()
-        at = np.arange(n) * m + assign
-        moved = np.zeros(n)
+        own = np.repeat(rows * m + assign, m).reshape(n, m)
+        own[rows, assign] = sentinel
+        threshold = _threshold(best_val)
         for _ in range(n):
-            delta = contrib - (contrib.ravel().take(at) + moved)[:, None]
-            delta.put(at, -np.inf)
+            store.take(own, out=delta)
+            np.subtract(contrib, delta, out=delta)
+            candidates = delta
             if min(sizes) < 2:  # else no move empties or fills a cluster: every tier is 0
                 counts = np.array(sizes)
                 # change in number of empty clusters per candidate move
@@ -167,50 +180,50 @@ def exchange(inst: Instance, start: Clustering, rng_seed: int = 0) -> Clustering
                 tier = empty_shift.min()
                 if not np.isfinite(tier):
                     break
-                delta = np.where(empty_shift == tier, delta, -np.inf)
-            flat = int(delta.argmax())
-            gain = delta.item(flat)
+                candidates = np.where(empty_shift == tier, delta, -np.inf)
+            k = int(candidates.argmax())
+            gain = candidates.item(k)
             if gain == -np.inf:
                 break
-            v, t = divmod(flat, m)
-            a = int(assign[v])
+            v, t = divmod(k, m)
+            a = assign[v]
             value += gain
-            _move(contrib, coherence, flow_in, v, a, t)
+            _move(cols, coherence[v], flow_in[v], a, t)
             sizes[a] -= 1
             sizes[t] += 1
             assign[v] = t
-            at[v] = flat
-            moved[v] = np.inf
-            if _improves(value, best_val) and min(sizes) >= 1:
+            own[v] = sentinel
+            if value > threshold and min(sizes) >= 1:
                 best_val = value
                 best_assign = assign.copy()
-        return assign, value
+                threshold = _threshold(best_val)
 
-    def perturb(assign: np.ndarray) -> np.ndarray:
+    def perturb(assign: list[int]) -> list[int]:
+        assign = np.array(assign)
         out = assign.copy()
         for t in range(m):
             members = np.nonzero(assign == t)[0]
             k = (len(members) + 1) // 2
             chosen = rng.choice(members, size=k, replace=False)
             out[chosen] = (t + 1) % m
-        return out
+        return out.tolist()
 
     perturbations = 0
-    current = best_assign.copy()
+    current = best_assign
     current_val = best_val
     while True:
         before = best_val
         one_pass(current, current_val)
-        if _improves(best_val, before):
-            current = best_assign.copy()
+        if best_val > _threshold(before):
+            current = best_assign
             current_val = best_val
             continue
         if perturbations >= MAX_PERTURBATIONS:
             break
         perturbations += 1
         current = perturb(best_assign)
-        current_val = objective(inst, Clustering(tuple(int(a) for a in current), m))
-    return Clustering(tuple(int(a) for a in best_assign), m)
+        current_val = objective(inst, Clustering(current, m))
+    return Clustering(best_assign, m)
 
 
 def sparsify(

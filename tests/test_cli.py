@@ -56,6 +56,14 @@ class TestSolveCommand:
     def test_m2_override_exit_3(self, t1_file, capsys):
         assert main(["solve", t1_file, "--m-override", "2"]) == EXIT_BAD_PARAMS
 
+    @pytest.mark.parametrize("flag", ["--out", "--export-lp"])
+    def test_m2_override_opens_no_output(self, flag, t1_file, tmp_path, capsys):
+        path = tmp_path / "result"
+        assert main(["solve", t1_file, "--m-override", "2", flag, str(path)]) == EXIT_BAD_PARAMS
+        err = capsys.readouterr().err
+        assert err == "error: cycle formulations require m >= 3, got m=2\n", err
+        assert not path.exists()
+
     def test_json_report_fields(self, t1_file, capsys):
         assert main(["solve", t1_file, "--json", "--time-limit", "60"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)

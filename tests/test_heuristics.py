@@ -124,13 +124,16 @@ class TestExchange:
 
 
 def _reference_cases():
-    """60 (instance, start) pairs: all-singleton starts (n == m), m = 3, 4
-    and 8, sparse Q and small integer Q, with greedy and random starts."""
+    """80 (instance, start) pairs: all-singleton starts (n == m), m = 2, 3,
+    4 and 8, sparse Q and small integer Q, with greedy and random starts."""
     rng = np.random.default_rng(5)
     cases = []
-    for k in range(60):
+    for k in range(80):
         if k < 10:
             n = m = 3 + k % 6
+        elif k >= 60:  # columns a-1 and a+1 coincide; n = m = 2 first
+            m = 2
+            n = 2 if k < 62 else 2 + int(rng.integers(1, 20))
         else:
             m = (3, 4, 8)[k % 3]
             n = m + int(rng.integers(1, 12))
@@ -149,8 +152,9 @@ def _reference_cases():
 class TestExchangeIncremental:
     def test_same_clusterings_as_full_recompute(self):
         cases = _reference_cases()
-        assert {inst.m for inst, _, _ in cases} >= {3, 4, 8}
+        assert {inst.m for inst, _, _ in cases} >= {2, 3, 4, 8}
         assert any(inst.n == inst.m for inst, _, _ in cases)
+        assert any(inst.n == inst.m == 2 for inst, _, _ in cases)
         assert any((inst.Q == 0).mean() > 0.5 for inst, _, _ in cases)
         for inst, start, seed in cases:
             assert exchange(inst, start, rng_seed=seed) == heur_ref.exchange(inst, start, rng_seed=seed)
@@ -162,7 +166,7 @@ class TestExchangeIncremental:
             start = greedy(inst)
             assert exchange(inst, start, rng_seed=n) == heur_ref.exchange(inst, start, rng_seed=n)
 
-    @pytest.mark.parametrize("m", [3, 5])
+    @pytest.mark.parametrize("m", [2, 3, 5])
     def test_column_update_matches_recompute(self, m):
         n = 30
         rng = np.random.default_rng(m)
@@ -171,12 +175,19 @@ class TestExchangeIncremental:
         member = np.zeros((n, m))
         member[np.arange(n), assign] = 1.0
         contrib = _contributions(inst, member)
+        cols = [contrib[:, t] for t in range(m)]
+        ordered = contrib.copy()
         coherence, flow_in = heuristics._weight_rows(inst)
         for _ in range(50):
             v = int(rng.integers(n))
             a = int(assign[v])
             t = int((a + rng.integers(1, m)) % m)
-            heuristics._move(contrib, coherence, flow_in, v, a, t)
+            heuristics._move(cols, coherence[v], flow_in[v], a, t)
+            # bitwise the six updates in this order, which shows where columns coincide (m = 2, 3)
+            coh, flow = coherence[v], flow_in[v]
+            for col, row in ((a, -coh), (t, coh), (a - 1, -flow), (a + 1, flow), (t - 1, flow), (t + 1, -flow)):
+                ordered[:, col % m] += row
+            assert np.array_equal(contrib, ordered)
             assign[v] = t
             member[v, a], member[v, t] = 0.0, 1.0
             delta = contrib - contrib[np.arange(n), assign][:, None]

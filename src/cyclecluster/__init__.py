@@ -1,7 +1,7 @@
 """Branch-and-cut solver for partitioning a weighted digraph into a cycle of clusters."""
 
 from cyclecluster.engine import SolverConfig, SolveResult, compute_gap, solve
-from cyclecluster.generator import SuiteSpec, benchmark_suite, generate
+from cyclecluster.generator import benchmark_suite, generate
 from cyclecluster.instance import Clustering, Instance, load_instance, objective, save_instance
 
 __version__ = "0.1.0"
@@ -11,7 +11,6 @@ __all__ = [
     "Instance",
     "SolveResult",
     "SolverConfig",
-    "SuiteSpec",
     "benchmark_suite",
     "compute_gap",
     "generate",

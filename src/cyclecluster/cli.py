@@ -24,19 +24,12 @@ import numpy as np
 from cyclecluster import bench as bench_mod
 from cyclecluster.engine import GAP_INFINITE, HEURISTIC_NAMES, SolverConfig, SolveResult, solve, sparsify_config
 from cyclecluster.formulation import VariableSpace, build_cc, write_lp
-from cyclecluster.generator import DEFAULT_ALPHA, SuiteSpec, generate, write_metadata, write_suite
+from cyclecluster.generator import DEFAULT_ALPHA, DEFAULT_COHERENCE_STRENGTH, DEFAULT_FORWARD_STRENGTH, DEFAULT_NOISE
+from cyclecluster.generator import generate, metadata, write_instance, write_suite
 from cyclecluster.heuristics import exchange, greedy, rounding, sparsify
-from cyclecluster.instance import (
-    Clustering,
-    Instance,
-    InstanceError,
-    ParameterError,
-    load_instance,
-    objective,
-    save_instance,
-)
+from cyclecluster.instance import Clustering, Instance, InstanceError, ParameterError, load_instance, objective
 from cyclecluster.lp import lp_relaxation, solve_lp
-from cyclecluster.oracle import enumerate_optimal, max_integral_violation
+from cyclecluster.oracle import TOL_VALID, enumerate_optimal, max_integral_violation
 from cyclecluster.separation import Cuts, separate_partition, separate_subtour_path, separate_triangle
 
 EXIT_OK = 0
@@ -91,8 +84,6 @@ def _config_from_args(args) -> SolverConfig:
         separators=bench_mod.parse_separator_spec(args.sepa),
         heuristics=bench_mod.parse_heuristic_spec(args.heur),
         rng_seed=args.seed,
-        cut_rounds_root=args.cut_rounds_root,
-        cut_rounds_node=args.cut_rounds_node,
     )
 
 
@@ -172,9 +163,8 @@ def cmd_heuristic(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.suite:
-        spec = SuiteSpec(alpha=args.alpha) if args.alpha is not None else SuiteSpec()
         try:
-            paths = write_suite(args.suite, spec, rng_seed=args.seed)
+            paths = write_suite(args.suite, args.alpha, rng_seed=args.seed)
         except OSError:
             return _cannot_write(args.suite)
         print(f"wrote {len(paths)} instances to {args.suite}")
@@ -186,7 +176,7 @@ def cmd_generate(args) -> int:
         inst, planted = generate(
             n=args.n,
             m=args.m,
-            alpha=args.alpha if args.alpha is not None else DEFAULT_ALPHA,
+            alpha=args.alpha,
             forward_strength=args.forward,
             coherence_strength=args.coherence,
             noise=args.noise,
@@ -195,22 +185,9 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    meta = {
-        "name": Path(args.out).stem,
-        "n": args.n,
-        "m": args.m,
-        "seed_index": 0,
-        "rng_seed": args.seed,
-        "alpha": inst.alpha,
-        "forward_strength": args.forward,
-        "coherence_strength": args.coherence,
-        "noise": args.noise,
-        "planted": planted,
-    }
+    meta = metadata(Path(args.out).stem, inst, planted, 0, args.seed, args.forward, args.coherence, args.noise)
     try:
-        save_instance(inst, args.out, fmt=args.fmt)
-        with open(Path(args.out).with_suffix(".meta"), "w", encoding="utf-8") as fh:
-            write_metadata(meta, fh)
+        write_instance(args.out, inst, meta, fmt=args.fmt)
     except OSError:
         return _cannot_write(args.out)
     print(f"wrote {args.out}")
@@ -233,6 +210,8 @@ def cmd_bench(args) -> int:
             return inst
         instances.append((path.stem, inst))
     settings = [bench_mod.BenchSetting.parse(tok) for tok in args.settings.split(",") if tok.strip()]
+    if not settings:
+        raise ParameterError(f"--settings {args.settings!r} names no setting")
     base_cfg = SolverConfig(time_limit_s=args.time_limit, node_limit=args.node_limit, rng_seed=args.seed)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
@@ -275,7 +254,7 @@ def cmd_check(args) -> int:
             tail *= np.where(over > 1.0, 1.0 / over, 1.0)[:, None]
             point = np.concatenate([x, tail.ravel()])
             cuts = Cuts.stack([separate(space, point) for separate in (separate_triangle, separate_subtour_path, separate_partition)])
-            bad += int((max_integral_violation(inst, cuts) > 1e-9).sum())
+            bad += int((max_integral_violation(inst, cuts) > TOL_VALID).sum())
         failures += bad > 0
         print(f"cut-validity n={n} m={m}: {'ok' if bad == 0 else f'{bad} INVALID CUTS'}")
     print("check: " + ("all ok" if failures == 0 else f"{failures} failures"))
@@ -299,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--sepa", default="all", help=f"{','.join(bench_mod.SEPA_ALIASES)} | none | all")
     p_solve.add_argument("--heur", default="all", help=f"{','.join(HEURISTIC_NAMES)} | none | all")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--cut-rounds-root", type=int, default=defaults.cut_rounds_root)
-    p_solve.add_argument("--cut-rounds-node", type=int, default=defaults.cut_rounds_node)
     p_solve.add_argument("--json", action="store_true", help="print a machine-readable result")
     p_solve.add_argument("--out", default=None, help="also write the JSON result to this path")
     p_solve.add_argument("--export-lp", default=None, help="write the root model, without the vertex-0 pin, in LP text format")
@@ -317,10 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="generate an instance or the benchmark suite")
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--m", type=int, default=None)
-    p_gen.add_argument("--alpha", type=float, default=None)
-    p_gen.add_argument("--forward", type=float, default=1.0)
-    p_gen.add_argument("--coherence", type=float, default=1.0)
-    p_gen.add_argument("--noise", type=float, default=0.25)
+    p_gen.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p_gen.add_argument("--forward", type=float, default=DEFAULT_FORWARD_STRENGTH)
+    p_gen.add_argument("--coherence", type=float, default=DEFAULT_COHERENCE_STRENGTH)
+    p_gen.add_argument("--noise", type=float, default=DEFAULT_NOISE)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("-o", "--out", default=None)
     p_gen.add_argument("--fmt", choices=["dense", "sparse"], default="dense")
@@ -351,6 +328,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # every subcommand has --seed, and numpy's generators refuse a negative one
+            raise ParameterError("seed must be nonnegative")
         return args.func(args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)

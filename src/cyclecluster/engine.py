@@ -23,15 +23,16 @@ is never one the LP already has, and the engine keeps no set of them.  Two
 families can state the same inequality, so a round keeps the first cut per
 support key.  A deleted cut can be separated again; a deleted linking row
 goes back to the lazy pool.  An LP without some linking rows is a
-relaxation, so every round's value is a valid bound.  Every round that
-separates counts toward the round limit; after the last one, rounds add only
+relaxation, so every round's value is a valid bound.  The root separates
+in at most `CUT_ROUNDS_ROOT` rounds; after the last one, rounds add only
 violated linking rows, so the loop ends at a point of the whole model unless
-the bound prunes.  A root whose time runs out at a point that violates
-linking rows goes back on the heap like one whose LP hit the limit.  The
-linking rows still in the pool when the root ends stay there through the
-tree: each node's cut loop runs the same way, with `cut_rounds_node`
-separating rounds, so every node also ends at a point of the whole model,
-and a node whose time runs out before then goes back on the heap.  Tree nodes do not age rows.
+the bound prunes.  A root whose time runs out at a point that violates linking
+rows goes back on the heap like one whose LP hit the limit.  The linking
+rows still in the pool when the root ends stay there through the tree: each
+node's cut loop runs the same way, with `CUT_ROUNDS_NODE` separating
+rounds, so every node also ends at a point of the whole model, and a node
+whose time runs out before then goes back on the heap.  Tree nodes do not
+age rows.
 
 Shifting every cluster label one step around the cycle keeps the objective,
 so each clustering comes with m rotations of equal value.  Every search pins
@@ -81,6 +82,8 @@ DUAL_PAD = 1e-6  # added to LP bounds before pruning decisions
 MAX_CUTS_PER_FAMILY = 200
 PARTITION_MIN_M = 5  # partition separation engaged only for m >= this
 LOG_EVERY_NODES = 100  # an INFO progress line after every this many nodes
+CUT_ROUNDS_ROOT = 10  # separating rounds of the root's cut loop
+CUT_ROUNDS_NODE = 2  # separating rounds of a tree node's cut loop
 ROW_AGE_LIMIT = 2  # root solves a cut or linking row may stay slack before it is deleted
 TOL_SLACK = 1e-6  # a row with more slack than this is slack (and basic)
 TOL_LINK = 1e-9  # a lazy linking row violated by more than this goes back into the LP
@@ -89,10 +92,14 @@ CUT_ROW = -1  # origin of a cut row
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The settings of one solve: its limits, the separators and heuristics
+    it runs (by name, from `SEPARATOR_ORDER` and `HEURISTIC_NAMES`) and the
+    seed of exchange's perturbations.  The cut loop's round counts are the
+    module's `CUT_ROUNDS_ROOT` and `CUT_ROUNDS_NODE`.  A value out of range
+    raises `ParameterError`."""
+
     time_limit_s: float = 300.0
     node_limit: Optional[int] = None
-    cut_rounds_root: int = 10
-    cut_rounds_node: int = 2
     separators: tuple = SEPARATOR_ORDER
     heuristics: tuple = HEURISTIC_NAMES
     rng_seed: int = 0
@@ -102,8 +109,8 @@ class SolverConfig:
             raise ParameterError("time limit must be positive")
         if self.node_limit is not None and self.node_limit <= 0:
             raise ParameterError("node limit must be positive")
-        if self.cut_rounds_root < 0 or self.cut_rounds_node < 0:
-            raise ParameterError("cut rounds must be nonnegative")
+        if self.rng_seed < 0:  # numpy's generators refuse it, mid-solve
+            raise ParameterError("seed must be nonnegative")
         unknown = set(self.separators) - set(SEPARATOR_ORDER)
         if unknown:
             raise ParameterError(f"unknown separators: {sorted(unknown)}")
@@ -431,7 +438,7 @@ class _Search:
             lo[col] = hi[col] = val
         self.lp.set_bounds(lo, hi)
 
-        rounds = cfg.cut_rounds_root if is_root else cfg.cut_rounds_node
+        rounds = CUT_ROUNDS_ROOT if is_root else CUT_ROUNDS_NODE
         sol, bound, lp_values = self.cut_loop(parent_bound, rounds, is_root)
         if sol.status in ("time_limit", "error"):
             self.push(bound, fixings)  # with the last bound proven for it

@@ -22,6 +22,7 @@ import numpy as np
 from cyclecluster.instance import Clustering, Instance, objective
 
 MAX_PERTURBATIONS = 5  # restarts of exchange from a perturbed best
+SPARSIFY_KEEP_FRACTION = 0.03  # share of the unordered pairs, heaviest first, that sparsify keeps
 
 
 def _contributions(inst: Instance, member: np.ndarray) -> np.ndarray:
@@ -226,23 +227,19 @@ def exchange(inst: Instance, start: Clustering, rng_seed: int = 0) -> Clustering
     return Clustering(best_assign, m)
 
 
-def sparsify(
-    inst: Instance,
-    engine_handle: Callable[[Instance], object],
-    keep_fraction: float = 0.03,
-) -> Optional[Clustering]:
+def sparsify(inst: Instance, engine_handle: Callable[[Instance], object]) -> Optional[Clustering]:
     """Root-solve a reduced instance keeping only the heaviest pair weights.
 
-    All but the top `keep_fraction` of unordered pairs by undirected weight
-    (ties by lexicographic pair order) are zeroed in both directions, and the
-    handle runs the solver on the reduction; the caller re-scores the result
-    under the original objective.  Returns None when the sub-solve produces
+    All but the top `SPARSIFY_KEEP_FRACTION` of unordered pairs by undirected
+    weight (ties by lexicographic pair order) are zeroed in both directions,
+    and the handle runs the solver on the reduction; the caller re-scores the
+    result under the original objective.  Returns None when the sub-solve produces
     no integral solution.
     """
     n = inst.n
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     pairs.sort(key=lambda p: (-inst.q_plus[p[0], p[1]], p))
-    keep = int(np.ceil(keep_fraction * len(pairs)))
+    keep = int(np.ceil(SPARSIFY_KEEP_FRACTION * len(pairs)))
     dropped = pairs[keep:]
     q = inst.Q.copy()
     for (i, j) in dropped:

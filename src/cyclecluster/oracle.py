@@ -17,6 +17,7 @@ import numpy as np
 from cyclecluster.instance import Clustering, Instance
 
 ENUMERATION_BUDGET = 10**8
+TOL_VALID = 1e-9  # the most by which a valid cut may appear violated at a feasible point, from rounding
 _CHUNK = 1 << 15
 
 
@@ -200,9 +201,10 @@ def cut_vectors(inst: Instance, cuts) -> np.ndarray:
     return vecs
 
 
-def check_cut_validity(inst: Instance, cuts, tol: float = 1e-9) -> bool:
-    """True iff every feasible incidence vector of the instance satisfies every cut."""
-    return bool((max_integral_violation(inst, cuts) <= tol).all())
+def check_cut_validity(inst: Instance, cuts) -> bool:
+    """True iff every feasible incidence vector of the instance satisfies
+    every cut to within `TOL_VALID`."""
+    return bool((max_integral_violation(inst, cuts) <= TOL_VALID).all())
 
 
 def max_integral_violation(inst: Instance, cuts) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import logging
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -108,8 +109,6 @@ class TestSolveCommand:
         assert main(["solve", t1_file, "--json", "--time-limit", "60"]) == EXIT_OK
         config = json.loads(capsys.readouterr().out)["config"]
         assert sorted(config) == [
-            "cut_rounds_node",
-            "cut_rounds_root",
             "heuristics",
             "node_limit",
             "rng_seed",
@@ -118,7 +117,7 @@ class TestSolveCommand:
         ]
 
     def test_config_echo_reproduces_the_run(self, t1_file, capsys):
-        argv = ["solve", t1_file, "--json", "--time-limit", "60", "--cut-rounds-root", "3", "--cut-rounds-node", "1"]
+        argv = ["solve", t1_file, "--json", "--time-limit", "60"]
         assert main(argv + ["--sepa", "triangle", "--heur", "greedy,exchange", "--seed", "4"]) == EXIT_OK
         config = json.loads(capsys.readouterr().out)["config"]
         assert config == {
@@ -127,8 +126,6 @@ class TestSolveCommand:
             "separators": ["triangle"],
             "heuristics": ["greedy", "exchange"],
             "rng_seed": 4,
-            "cut_rounds_root": 3,
-            "cut_rounds_node": 1,
         }
 
 
@@ -138,24 +135,33 @@ BAD_PARAMETERS = {
     "solve-node-limit": ["solve", "{instance}", "--node-limit", "0"],
     "solve-sepa": ["solve", "{instance}", "--sepa", "bogus"],
     "solve-heur": ["solve", "{instance}", "--heur", "bogus"],
-    "solve-cut-rounds-root": ["solve", "{instance}", "--cut-rounds-root", "-1"],
-    "solve-cut-rounds-node": ["solve", "{instance}", "--cut-rounds-node", "-1"],
+    "solve-seed": ["solve", "{instance}", "--seed", "-1", "--out", "{out}"],
+    "heuristic-seed": ["heuristic", "exchange", "{instance}", "--seed", "-1"],
+    "generate-seed": ["generate", "--n", "6", "--m", "3", "--seed", "-1", "-o", "{out}"],
+    "generate-suite-seed": ["generate", "--suite", "{out}", "--seed", "-1"],
+    "generate-suite-alpha": ["generate", "--suite", "{out}", "--alpha", "1.5"],
     "sparsify-time-limit": ["heuristic", "sparsify", "{instance}", "--time-limit", "0"],
     "check-time-limit": ["check", "--grid", "tiny", "--time-limit", "0"],
+    "check-seed": ["check", "--grid", "tiny", "--seed", "-1"],
     "bench-time-limit": ["bench", "{suite}", "--time-limit", "0"],
+    "bench-seed": ["bench", "{suite}", "--seed", "-1", "--out", "{out}"],
     "bench-settings": ["bench", "{suite}", "--settings", "all/bogus"],
+    "bench-settings-empty": ["bench", "{suite}", "--settings", "", "--out", "{out}"],
+    "bench-settings-comma": ["bench", "{suite}", "--settings", ","],
 }
 
 
 @pytest.mark.parametrize("argv", list(BAD_PARAMETERS.values()), ids=list(BAD_PARAMETERS))
 def test_bad_solver_parameters_exit_3(argv, t1_file, tmp_path, capsys):
     # t1_file is the only file in tmp_path, so tmp_path is a one-instance suite
-    argv = [arg.format(instance=t1_file, suite=tmp_path) for arg in argv]
+    out = tmp_path / "out"
+    argv = [arg.format(instance=t1_file, suite=tmp_path, out=out) for arg in argv]
     assert main(argv) == EXIT_BAD_PARAMS
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == [Path(t1_file)]  # no output file or directory is left
 
 
 UNWRITABLE_OUTPUTS = {

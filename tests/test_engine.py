@@ -19,7 +19,7 @@ from cyclecluster.engine import (
 )
 from cyclecluster.formulation import build_cc
 from cyclecluster.generator import generate
-from cyclecluster.instance import Instance, objective
+from cyclecluster.instance import Instance, ParameterError, objective
 from cyclecluster.lp import LinearProgram, LpSolution, lp_relaxation, solve_lp
 from cyclecluster.oracle import enumerate_optimal
 import sep_ref
@@ -250,6 +250,11 @@ class TestSolve:
         assert res.nodes_processed == 2
         assert res.dual_bound >= res.primal_bound - 1e-9
 
+    def test_negative_seed_is_refused_before_the_solve(self):
+        # numpy's generators refuse it, so exchange would fail mid-solve
+        with pytest.raises(ParameterError, match="seed"):
+            SolverConfig(rng_seed=-1)
+
     def test_symmetry_break_same_value(self):
         # the pinned vertex 0 is moved into each cluster of the optimum in turn
         for seed in (0, 4):
@@ -325,7 +330,7 @@ def aging_instance() -> Instance:
 
 
 class TestRootAging:
-    @pytest.mark.parametrize("cap", [SolverConfig.cut_rounds_root, 2], ids=["default", "round_cap"])
+    @pytest.mark.parametrize("cap", [engine.CUT_ROUNDS_ROOT, 2], ids=["default", "round_cap"])
     def test_final_root_point_satisfies_every_linking_row(self, monkeypatch, cap):
         # with a cap of 2 the point after the second separation round still
         # violates linking rows, so the loop has to finish by re-adding them alone
@@ -346,7 +351,8 @@ class TestRootAging:
 
         monkeypatch.setattr(engine._Search, "solve_node_lp", spy)
         monkeypatch.setattr(engine._Search, "separate", separate_spy)
-        res = solve(aging_instance(), SolverConfig(time_limit_s=60, node_limit=1, cut_rounds_root=cap, heuristics=()))
+        monkeypatch.setattr(engine, "CUT_ROUNDS_ROOT", cap)
+        res = solve(aging_instance(), SolverConfig(time_limit_s=60, node_limit=1, heuristics=()))
         assert res.link_rows_readded > 0
         assert [value for _, value in points] == res.root_lp_values
         for a, b in zip(res.root_lp_values, res.root_lp_values[1:]):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cyclecluster.generator import SuiteSpec, benchmark_suite, generate, write_suite
+from cyclecluster import generator
+from cyclecluster.generator import benchmark_suite, generate, write_suite
 from cyclecluster.instance import load_instance, objective
 from cyclecluster.oracle import enumerate_optimal
 
@@ -62,9 +63,11 @@ class TestSuite:
             assert np.array_equal(ia.Q, ib.Q)
             assert ma["name"] == mb["name"]
 
-    def test_instances_valid_and_roundtrip(self, tmp_path):
-        spec = SuiteSpec(ns=(6, 8), ms=(3,), seeds_per_cell=2)
-        paths = write_suite(tmp_path, spec, rng_seed=9)
+    def test_instances_valid_and_roundtrip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(generator, "SUITE_NS", (6, 8))
+        monkeypatch.setattr(generator, "SUITE_MS", (3,))
+        monkeypatch.setattr(generator, "SUITE_SEEDS_PER_CELL", 2)
+        paths = write_suite(tmp_path, rng_seed=9)
         assert len(paths) == 4
         for path in paths:
             inst = load_instance(path)

@@ -255,7 +255,8 @@ class _FakeResult:
 
 
 class TestSparsify:
-    def test_reduction_zeroes_light_pairs(self):
+    def test_reduction_zeroes_light_pairs(self, monkeypatch):
+        monkeypatch.setattr(heuristics, "SPARSIFY_KEEP_FRACTION", 0.1)
         inst = random_instance(10, 3, seed=9)
         captured = {}
 
@@ -263,7 +264,7 @@ class TestSparsify:
             captured["inst"] = reduced
             return _FakeResult(greedy(reduced))
 
-        out = sparsify(inst, handle, keep_fraction=0.1)
+        out = sparsify(inst, handle)
         red = captured["inst"]
         kept = [(i, j) for i in range(10) for j in range(i + 1, 10) if red.q_plus[i, j] > 0]
         assert len(kept) == int(np.ceil(0.1 * 45))
@@ -273,7 +274,8 @@ class TestSparsify:
         assert out is not None
         assert out.n == inst.n and out.m == inst.m
 
-    def test_already_sparse_instance_unchanged(self):
+    def test_already_sparse_instance_unchanged(self, monkeypatch):
+        monkeypatch.setattr(heuristics, "SPARSIFY_KEEP_FRACTION", 1.0 / 15.0)
         q = np.zeros((6, 6))
         q[0, 1] = 5.0  # only pair with weight; keep fraction covers it
         inst = Instance(n=6, m=3, alpha=0.5, Q=q)
@@ -282,16 +284,17 @@ class TestSparsify:
             assert np.array_equal(reduced.Q, inst.Q)
             return _FakeResult(greedy(reduced))
 
-        assert sparsify(inst, handle, keep_fraction=1.0 / 15.0) is not None
+        assert sparsify(inst, handle) is not None
 
     def test_failure_passthrough(self):
         inst = random_instance(6, 3, seed=4)
         assert sparsify(inst, lambda reduced: _FakeResult(None)) is None
 
-    def test_value_bounded_by_oracle(self):
+    def test_value_bounded_by_oracle(self, monkeypatch):
+        monkeypatch.setattr(heuristics, "SPARSIFY_KEEP_FRACTION", 0.05)
         for seed in range(10):
             inst = random_instance(8, 3, seed=seed)
-            out = sparsify(inst, lambda reduced: _FakeResult(greedy(reduced)), keep_fraction=0.05)
+            out = sparsify(inst, lambda reduced: _FakeResult(greedy(reduced)))
             assert out is not None
             _, best = enumerate_optimal(inst)
             assert objective(inst, out) <= best + 1e-9
